@@ -94,3 +94,20 @@ verify
 SELECT x.a AS a FROM r x, r2 z WHERE x.k = z.k AND x.a = 16
 ==
 SELECT x.a AS a FROM r2 z, r x WHERE z.k = x.k AND x.a = 16;
+
+-- Cyclic self-joins (edges x_i.a = x_{i+1}.k over the keyless r2): a
+-- renamed rotation, and a split into two 3-cycles. Both exercise the
+-- colour-refined isomorphism search.
+verify
+SELECT x1.b AS b FROM r2 x1, r2 x2, r2 x3, r2 x4, r2 x5, r2 x6
+WHERE x1.a = x2.k AND x2.a = x3.k AND x3.a = x4.k AND x4.a = x5.k AND x5.a = x6.k AND x6.a = x1.k
+==
+SELECT y4.b AS b FROM r2 y1, r2 y2, r2 y3, r2 y4, r2 y5, r2 y6
+WHERE y1.k = y6.a AND y5.a = y6.k AND y4.a = y5.k AND y2.a = y3.k AND y1.a = y2.k AND y3.a = y4.k;
+
+verify
+SELECT x1.b AS b FROM r2 x1, r2 x2, r2 x3, r2 x4, r2 x5, r2 x6
+WHERE x1.a = x2.k AND x2.a = x3.k AND x3.a = x4.k AND x4.a = x5.k AND x5.a = x6.k AND x6.a = x1.k
+==
+SELECT y1.b AS b FROM r2 y1, r2 y2, r2 y3, r2 y4, r2 y5, r2 y6
+WHERE y1.a = y2.k AND y2.a = y3.k AND y3.a = y1.k AND y4.a = y5.k AND y5.a = y6.k AND y6.a = y4.k;

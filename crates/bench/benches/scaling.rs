@@ -2,16 +2,20 @@
 //! the paper's one timed-out Calcite pair (Sec 6.2: "two very long queries",
 //! no result after 30 minutes).
 //!
-//! Over a *generic* schema the variable-bijection search of TDP has no
-//! attribute structure to prune with, so cyclic self-join patterns drive it
-//! toward its factorial worst case:
+//! Cyclic self-join patterns drive the variable-bijection search of TDP
+//! toward its factorial worst case unless colour refinement (1-WL over the
+//! equality classes, in `udp-core`) tells the variables apart:
 //!
 //! * `cycle-match/N` — an N-cycle self join against a rotated alias clone:
 //!   provable, and the atom-guided search finds the rotation quickly.
-//! * `cycle-mismatch/N` — an N-cycle against two N/2-cycles: *not*
-//!   equivalent, so the search must exhaust every pairing before giving up.
-//!   This is the c39 timeout rule in miniature; runtime explodes with N
-//!   while the provable cases stay flat.
+//! * `cycle-mismatch/N` — an N-cycle against two N/2-cycles, each anchored
+//!   to the output: *not* equivalent, and the anchor's class differs in
+//!   size between the sides, so refinement refutes the pair before any
+//!   search.
+//! * `budgeted-timeout-12` — a 12-cycle against two 6-cycles with no
+//!   anchor: every variable on both sides gets the same colour, so the
+//!   search must exhaust its pairings and runs out of budget, like the
+//!   paper's timed-out pair.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -38,13 +42,17 @@ fn setup() -> (Catalog, ConstraintSet, SchemaId, RelId) {
 }
 
 /// One cycle of length `n` starting at variable id `base`:
-/// Σ ∏ᵢ R(xᵢ) × [xᵢ.a = x_{i+1 mod n}.k], anchored to the output on x₀.
-fn cycle(n: u32, base: u32, sid: SchemaId, r: RelId) -> UExpr {
+/// Σ ∏ᵢ R(xᵢ) × [xᵢ.a = x_{i+1 mod n}.k], anchored to the output on x₀
+/// when `anchored`.
+fn cycle(n: u32, base: u32, sid: SchemaId, r: RelId, anchored: bool) -> UExpr {
     let var = |i: u32| VarId(base + (i % n));
-    let mut factors = vec![UExpr::eq(
-        Expr::var_attr(VarId(0), "a"),
-        Expr::var_attr(var(0), "a"),
-    )];
+    let mut factors = Vec::new();
+    if anchored {
+        factors.push(UExpr::eq(
+            Expr::var_attr(VarId(0), "a"),
+            Expr::var_attr(var(0), "a"),
+        ));
+    }
     let mut vars = Vec::new();
     for i in 0..n {
         vars.push((var(i), sid));
@@ -62,16 +70,16 @@ fn cycle(n: u32, base: u32, sid: SchemaId, r: RelId) -> UExpr {
 fn two_half_cycles(n: u32, base: u32, sid: SchemaId, r: RelId) -> UExpr {
     let half = n / 2;
     UExpr::mul(
-        cycle(half, base, sid, r),
-        cycle(n - half, base + half, sid, r),
+        cycle(half, base, sid, r, true),
+        cycle(n - half, base + half, sid, r, true),
     )
 }
 
 fn bench_cycle_match(c: &mut Criterion) {
     let (catalog, cs, sid, r) = setup();
     for n in [4u32, 6, 8, 10] {
-        let e1 = cycle(n, 1, sid, r);
-        let e2 = cycle(n, 101, sid, r); // alias-renamed rotation
+        let e1 = cycle(n, 1, sid, r, true);
+        let e2 = cycle(n, 101, sid, r, true); // alias-renamed rotation
         c.bench_function(&format!("scaling/cycle-match-{n}"), |b| {
             b.iter(|| {
                 let mut ctx =
@@ -88,9 +96,8 @@ fn bench_cycle_match(c: &mut Criterion) {
 
 fn bench_cycle_mismatch(c: &mut Criterion) {
     let (catalog, cs, sid, r) = setup();
-    // Keep N small: the whole point is that exhaustion cost explodes.
     for n in [4u32, 6, 8] {
-        let e1 = cycle(n, 1, sid, r);
+        let e1 = cycle(n, 1, sid, r, true);
         let e2 = two_half_cycles(n, 101, sid, r);
         c.bench_function(&format!("scaling/cycle-mismatch-{n}"), |b| {
             b.iter(|| {
@@ -100,7 +107,7 @@ fn bench_cycle_mismatch(c: &mut Criterion) {
                 let n1 = normalize_with(&e1, &mut gen);
                 let n2 = normalize_with(&e2, &mut gen);
                 ctx.gen = gen;
-                // Cₙ ≠ C_{n/2} × C_{n/2}; the search must exhaust.
+                // Cₙ ≠ C_{n/2} × C_{n/2}; refinement refutes it.
                 assert!(!udp_equiv(&mut ctx, &n1, &n2, &[]).unwrap());
             })
         });
@@ -108,11 +115,12 @@ fn bench_cycle_mismatch(c: &mut Criterion) {
 }
 
 /// The budget mechanism that turns the factorial exhaustion into the paper's
-/// clean 30-minute timeout: measure time-to-exhaustion at a fixed step cap.
+/// clean 30-minute timeout: measure time-to-exhaustion at a fixed step cap,
+/// on an unanchored pair that refinement cannot split.
 fn bench_budgeted_timeout(c: &mut Criterion) {
     let (catalog, cs, sid, r) = setup();
-    let e1 = cycle(12, 1, sid, r);
-    let e2 = two_half_cycles(12, 101, sid, r);
+    let e1 = cycle(12, 1, sid, r, false);
+    let e2 = UExpr::mul(cycle(6, 101, sid, r, false), cycle(6, 107, sid, r, false));
     c.bench_function("scaling/budgeted-timeout-12", |b| {
         b.iter(|| {
             let mut ctx = Ctx::new(&catalog, &cs).with_budget(Budget::steps(300_000));
@@ -121,7 +129,7 @@ fn bench_budgeted_timeout(c: &mut Criterion) {
             let n2 = normalize_with(&e2, &mut gen);
             ctx.gen = gen;
             // Exhausts the budget rather than returning a verdict.
-            black_box(udp_equiv(&mut ctx, &n1, &n2, &[]).is_err());
+            assert!(black_box(udp_equiv(&mut ctx, &n1, &n2, &[])).is_err());
         })
     });
 }

@@ -272,6 +272,11 @@ impl Congruence {
         self.root(n)
     }
 
+    /// Class id (root) of a node returned by [`Congruence::intern`].
+    pub fn class_of_node(&self, node: usize) -> usize {
+        self.root(node)
+    }
+
     fn merge(&mut self, a: usize, b: usize) {
         let (ra, rb) = (self.root(a), self.root(b));
         if ra == rb {

@@ -7,10 +7,18 @@ use crate::schema::{Catalog, SchemaId};
 use crate::trace::Trace;
 use crate::uexpr::UExpr;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Memo key for semantic aggregate comparisons: aggregate name, the two
 /// alpha-normalized bodies, and the ambient predicate context.
 pub type AggKey = (String, UExpr, UExpr, Vec<Pred>);
+
+/// Is `UDP_DEBUG` set? Read once per process: the decision procedures ask
+/// on every call, and each environment read takes a lock and allocates.
+pub(crate) fn debug_enabled() -> bool {
+    static DEBUG: OnceLock<bool> = OnceLock::new();
+    *DEBUG.get_or_init(|| std::env::var("UDP_DEBUG").is_ok())
+}
 
 /// Feature switches. Defaults reproduce the full algorithm; the ablation
 /// benches toggle individual phases off to quantify their contribution.

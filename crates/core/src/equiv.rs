@@ -12,9 +12,10 @@
 
 use crate::budget::Exhausted;
 use crate::canonize::canonize_nf;
-use crate::ctx::Ctx;
+use crate::colour::{colour_terms, Colouring};
+use crate::ctx::{debug_enabled, Ctx};
 use crate::expr::Pred;
-use crate::hom::{match_terms, MatchMode};
+use crate::hom::{match_terms, match_terms_with, Colours, MatchMode};
 use crate::minimize::minimize_term;
 use crate::spnf::{Nf, Term};
 use crate::trace::{Rule, StepData};
@@ -24,7 +25,7 @@ use crate::trace::{Rule, StepData};
 pub fn udp_equiv(ctx: &mut Ctx, a: &Nf, b: &Nf, ambient: &[Pred]) -> Result<bool, Exhausted> {
     let ca = canonize_nf(ctx, a.clone(), ambient, false)?;
     let cb = canonize_nf(ctx, b.clone(), ambient, false)?;
-    if std::env::var("UDP_DEBUG").is_ok() {
+    if debug_enabled() {
         eprintln!("UDP canon A: {ca}");
         eprintln!("UDP canon B: {cb}");
     }
@@ -35,6 +36,10 @@ pub fn udp_equiv(ctx: &mut Ctx, a: &Nf, b: &Nf, ambient: &[Pred]) -> Result<bool
     if n == 0 {
         return Ok(true);
     }
+    // Each term is colour-refined once, against one palette for both sides.
+    let all: Vec<&Term> = ca.terms.iter().chain(&cb.terms).collect();
+    let mut colours = colour_terms(ctx, &all, ambient)?;
+    let right_colours = colours.split_off(n);
     // Perfect matching between the two term lists, with lazily memoized TDP
     // verdicts (`None` = not yet computed).
     let mut verdicts: Vec<Vec<Option<bool>>> = vec![vec![None; n]; n];
@@ -42,8 +47,8 @@ pub fn udp_equiv(ctx: &mut Ctx, a: &Nf, b: &Nf, ambient: &[Pred]) -> Result<bool
     let mut used = vec![false; n];
     let found = match_permutation(
         ctx,
-        &ca.terms,
-        &cb.terms,
+        (&ca.terms, &colours),
+        (&cb.terms, &right_colours),
         ambient,
         0,
         &mut used,
@@ -58,21 +63,24 @@ pub fn udp_equiv(ctx: &mut Ctx, a: &Nf, b: &Nf, ambient: &[Pred]) -> Result<bool
     Ok(found)
 }
 
+/// One side of a permutation search: its canonized terms and their colourings.
+type Side<'a> = (&'a [Term], &'a [Option<Colouring>]);
+
 #[allow(clippy::too_many_arguments)]
 fn match_permutation(
     ctx: &mut Ctx,
-    left: &[Term],
-    right: &[Term],
+    left: Side<'_>,
+    right: Side<'_>,
     ambient: &[Pred],
     i: usize,
     used: &mut [bool],
     verdicts: &mut [Vec<Option<bool>>],
     assignment: &mut [usize],
 ) -> Result<bool, Exhausted> {
-    if i == left.len() {
+    if i == left.0.len() {
         return Ok(true);
     }
-    for j in 0..right.len() {
+    for j in 0..right.0.len() {
         ctx.budget.tick()?;
         if used[j] {
             continue;
@@ -80,7 +88,13 @@ fn match_permutation(
         let ok = match verdicts[i][j] {
             Some(v) => v,
             None => {
-                let v = tdp_equiv(ctx, &left[i], &right[j], ambient)?;
+                let (t1, t2) = (&left.0[i], &right.0[j]);
+                let v = match (&left.1[i], &right.1[j]) {
+                    // Isomorphic terms have equal colour multisets.
+                    (Some(l), Some(r)) if l.signature() != r.signature() => false,
+                    (Some(l), Some(r)) => tdp_with(ctx, t1, t2, ambient, Colours::Given(r, l))?,
+                    _ => tdp_with(ctx, t1, t2, ambient, Colours::Off)?,
+                };
                 verdicts[i][j] = Some(v);
                 v
             }
@@ -101,7 +115,17 @@ fn match_permutation(
 /// search looks for a bijection of summation variables (Sec 5.2's `BI`),
 /// guided by relation-atom matching.
 pub fn tdp_equiv(ctx: &mut Ctx, t1: &Term, t2: &Term, ambient: &[Pred]) -> Result<bool, Exhausted> {
-    let found = match_terms(ctx, t2, t1, MatchMode::Iso, ambient)?.is_some();
+    tdp_with(ctx, t1, t2, ambient, Colours::Refine)
+}
+
+fn tdp_with(
+    ctx: &mut Ctx,
+    t1: &Term,
+    t2: &Term,
+    ambient: &[Pred],
+    colours: Colours<'_>,
+) -> Result<bool, Exhausted> {
+    let found = match_terms_with(ctx, t2, t1, MatchMode::Iso, ambient, colours)?.is_some();
     if found {
         ctx.trace.record(Rule::TermMatch, || {
             StepData::Witness(format!("{t2}  ≅  {t1}"))
@@ -126,7 +150,7 @@ pub fn sdp_equiv(ctx: &mut Ctx, a: &Nf, b: &Nf, ambient: &[Pred]) -> Result<bool
         tb.push(minimize_term(ctx, t, ambient)?);
     }
 
-    if std::env::var("UDP_DEBUG").is_ok() {
+    if debug_enabled() {
         for t in &ta {
             eprintln!("SDP A-term: {t}");
         }

@@ -13,13 +13,14 @@
 //!   predicate is implied — the classical CQ-containment test [47].
 
 use crate::budget::Exhausted;
+use crate::colour::{colour_terms, Colouring};
 use crate::congruence::Congruence;
-use crate::ctx::Ctx;
+use crate::ctx::{debug_enabled, Ctx};
 use crate::equiv::{sdp_equiv, udp_equiv};
 use crate::expr::{Expr, Pred, VarId};
 use crate::schema::SchemaId;
 use crate::spnf::Term;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Search mode: exact isomorphism (bag semantics) or homomorphism
 /// (set-semantics containment).
@@ -29,6 +30,18 @@ pub enum MatchMode {
     Iso,
     /// Homomorphism (set-semantics containment, Sec 5.2).
     Hom,
+}
+
+/// Where an isomorphism search gets the colour refinements it prunes with
+/// (see [`crate::colour`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Colours<'c> {
+    /// Refine the pattern and target here.
+    Refine,
+    /// The caller's colourings of pattern and target, from one palette.
+    Given(&'c Colouring, &'c Colouring),
+    /// Search unpruned.
+    Off,
 }
 
 /// Try to find a variable mapping from `pattern` into `target`. Returns the
@@ -45,6 +58,18 @@ pub fn match_terms(
     mode: MatchMode,
     ambient: &[Pred],
 ) -> Result<Option<BTreeMap<VarId, Expr>>, Exhausted> {
+    match_terms_with(ctx, pattern, target, mode, ambient, Colours::Refine)
+}
+
+/// [`match_terms`] with the colour refinements chosen by the caller.
+pub(crate) fn match_terms_with(
+    ctx: &mut Ctx,
+    pattern: &Term,
+    target: &Term,
+    mode: MatchMode,
+    ambient: &[Pred],
+    colours: Colours<'_>,
+) -> Result<Option<BTreeMap<VarId, Expr>>, Exhausted> {
     let collide = pattern
         .vars
         .iter()
@@ -52,8 +77,9 @@ pub fn match_terms(
     if collide {
         // `freshen` renames the outer binders in positional order, so the
         // correspondence back to the original variables is by index.
+        // Colourings are positional, so they carry over to `fresh`.
         let fresh = pattern.freshen(&mut ctx.gen);
-        let result = match_terms_impl(ctx, &fresh, target, mode, ambient)?;
+        let result = match_terms_impl(ctx, &fresh, target, mode, ambient, colours)?;
         return Ok(result.map(|m| {
             m.into_iter()
                 .map(|(v, e)| {
@@ -68,7 +94,7 @@ pub fn match_terms(
                 .collect()
         }));
     }
-    match_terms_impl(ctx, pattern, target, mode, ambient)
+    match_terms_impl(ctx, pattern, target, mode, ambient, colours)
 }
 
 fn match_terms_impl(
@@ -77,6 +103,7 @@ fn match_terms_impl(
     target: &Term,
     mode: MatchMode,
     ambient: &[Pred],
+    colours: Colours<'_>,
 ) -> Result<Option<BTreeMap<VarId, Expr>>, Exhausted> {
     // Quick structural pruning.
     if mode == MatchMode::Iso {
@@ -104,6 +131,32 @@ fn match_terms_impl(
         return Ok(None);
     }
 
+    // Isomorphisms only: a homomorphism may map a variable onto any
+    // variable it is implied by, whatever its colour.
+    let refined;
+    let colours = match colours {
+        Colours::Given(p, t) if mode == MatchMode::Iso => Some((p, t)),
+        Colours::Refine if mode == MatchMode::Iso => {
+            refined = colour_terms(ctx, &[pattern, target], ambient)?;
+            match &refined[..] {
+                [Some(p), Some(t)] => Some((p, t)),
+                _ => None,
+            }
+        }
+        _ => None,
+    };
+    let mut colour_of = HashMap::new();
+    if let Some((p, t)) = colours {
+        if p.signature() != t.signature() {
+            return Ok(None);
+        }
+        for (term, c) in [(pattern, p), (target, t)] {
+            for (i, (v, _)) in term.vars.iter().enumerate() {
+                colour_of.insert(*v, c.colour(i));
+            }
+        }
+    }
+
     let mut cc_target = Congruence::with_recorder(ctx.recorder.clone());
     cc_target.assert_preds(ambient.iter());
     cc_target.assert_preds(target.preds.iter());
@@ -114,6 +167,7 @@ fn match_terms_impl(
         mode,
         ambient,
         cc_target,
+        colour_of,
         pattern_bound: pattern.vars.iter().map(|(v, s)| (*v, *s)).collect(),
         target_bound: target.vars.iter().map(|(v, s)| (*v, *s)).collect(),
         mapping: BTreeMap::new(),
@@ -133,6 +187,9 @@ struct Matcher<'a> {
     mode: MatchMode,
     ambient: &'a [Pred],
     cc_target: Congruence,
+    /// Refined colours of both terms' binders (pattern and target binders
+    /// are distinct); empty when the search is unpruned.
+    colour_of: HashMap<VarId, u64>,
     pattern_bound: BTreeMap<VarId, SchemaId>,
     target_bound: BTreeMap<VarId, SchemaId>,
     mapping: BTreeMap<VarId, Expr>,
@@ -200,7 +257,9 @@ impl<'a> Matcher<'a> {
             .target_bound
             .iter()
             .filter(|(w, s)| {
-                **s == schema && !(self.mode == MatchMode::Iso && self.used_target_vars.contains(w))
+                **s == schema
+                    && !(self.mode == MatchMode::Iso && self.used_target_vars.contains(w))
+                    && self.colours_agree(v, **w)
             })
             .map(|(w, _)| *w)
             .collect();
@@ -269,7 +328,10 @@ impl<'a> Matcher<'a> {
                             (Some(a), Some(b)) => a == b,
                             _ => false,
                         };
-                        if schema_ok && !self.used_target_vars.contains(w) {
+                        if schema_ok
+                            && !self.used_target_vars.contains(w)
+                            && self.colours_agree(*v, *w)
+                        {
                             self.mapping.insert(*v, Expr::Var(*w));
                             self.used_target_vars.insert(*w);
                             return Ok(true);
@@ -317,6 +379,7 @@ impl<'a> Matcher<'a> {
                     .filter(|(w, s)| {
                         Some(**s) == v_schema
                             && !(self.mode == MatchMode::Iso && self.used_target_vars.contains(w))
+                            && self.colours_agree(v, **w)
                     })
                     .map(|(w, _)| *w)
                     .collect();
@@ -333,6 +396,12 @@ impl<'a> Matcher<'a> {
                 Ok(false)
             }
         }
+    }
+
+    /// May pattern variable `v` map to target variable `w`? Not when their
+    /// refined colours differ: no isomorphism pairs them.
+    fn colours_agree(&self, v: VarId, w: VarId) -> bool {
+        self.colour_of.get(&v) == self.colour_of.get(&w)
     }
 
     fn exprs_equal(&mut self, ctx: &Ctx, a: &Expr, b: &Expr) -> bool {
@@ -380,7 +449,8 @@ impl<'a> Matcher<'a> {
         {
             collect_aggs_pred(p, &mut agg_list);
         }
-        let (mapped_preds, target_preds, ambient_preds) = if agg_list.is_empty() {
+        let agg_free_preds = agg_list.is_empty();
+        let (mapped_preds, target_preds, ambient_preds) = if agg_free_preds {
             (
                 mapped_preds,
                 self.target.preds.clone(),
@@ -424,18 +494,25 @@ impl<'a> Matcher<'a> {
         };
 
         // Forward: every mapped pattern predicate is implied by the target's
-        // closure.
-        let mut cc_fwd = Congruence::with_recorder(ctx.recorder.clone());
-        cc_fwd.assert_preds(ambient_preds.iter());
-        cc_fwd.assert_preds(target_preds.iter());
+        // closure. Without aggregates to replace, that closure is
+        // `cc_target`'s.
+        let mut rebuilt;
+        let cc_fwd = if agg_free_preds {
+            &mut self.cc_target
+        } else {
+            rebuilt = Congruence::with_recorder(ctx.recorder.clone());
+            rebuilt.assert_preds(ambient_preds.iter());
+            rebuilt.assert_preds(target_preds.iter());
+            &mut rebuilt
+        };
         let target_pool: Vec<Pred> = target_preds
             .iter()
             .chain(ambient_preds.iter())
             .cloned()
             .collect();
         for p in &mapped_preds {
-            if !entails_pred(ctx, &mut cc_fwd, &target_pool, p) {
-                if std::env::var("UDP_DEBUG").is_ok() {
+            if !entails_pred(ctx, cc_fwd, &target_pool, p) {
+                if debug_enabled() {
                     eprintln!("forward pred fails: {p}\n  pool: {target_pool:?}");
                 }
                 return Ok(false);

@@ -50,6 +50,7 @@
 
 pub mod budget;
 pub mod canonize;
+mod colour;
 pub mod congruence;
 pub mod constraints;
 pub mod ctx;

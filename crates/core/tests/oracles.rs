@@ -395,3 +395,216 @@ proptest! {
         );
     }
 }
+
+// ------------------------------------------------------- pruned isomorphisms
+
+/// A random self-join term: binders `base..base+n`, each with one atom (over
+/// `R` three times out of four, so relations repeat and colour refinement
+/// runs), and equalities between attributes, whole tuples, constants and
+/// the free output tuple `VarId(0)`.
+fn random_self_join(bytes: &[u8], base: u32, sid: SchemaId, rels: [RelId; 2]) -> Term {
+    let mut pos = 0usize;
+    let mut take = || {
+        let b = bytes.get(pos).copied().unwrap_or(0);
+        pos += 1;
+        b
+    };
+    let n = 2 + u32::from(take() % 3);
+    let mut t = Term::one();
+    t.vars = (base..base + n).map(|v| (VarId(v), sid)).collect();
+    for v in base..base + n {
+        let rel = rels[usize::from(take() % 4 == 0)];
+        t.atoms.push(Atom::new(rel, Expr::Var(VarId(v))));
+    }
+    let attr = |b: u8| if b % 2 == 0 { "k" } else { "a" };
+    for _ in 0..take() % 6 {
+        let x = VarId(base + u32::from(take()) % n);
+        let y = VarId(base + u32::from(take()) % n);
+        let p = match take() % 5 {
+            0 | 1 => Pred::eq(
+                Expr::var_attr(x, attr(take())),
+                Expr::var_attr(y, attr(take())),
+            ),
+            2 => Pred::eq(Expr::Var(x), Expr::Var(y)),
+            3 => Pred::eq(
+                Expr::var_attr(x, attr(take())),
+                Expr::int(i64::from(take() % 2)),
+            ),
+            _ => Pred::eq(
+                Expr::var_attr(x, attr(take())),
+                Expr::var_attr(VarId(0), attr(take())),
+            ),
+        };
+        t.preds.push(p);
+    }
+    t
+}
+
+/// The target for a pattern: usually a renamed copy (binders permuted,
+/// predicates reversed and flipped), sometimes with one predicate altered,
+/// otherwise an independent random term.
+fn random_counterpart(pattern: &Term, bytes: &[u8], sid: SchemaId, rels: [RelId; 2]) -> Term {
+    let kind = bytes.first().copied().unwrap_or(0) % 4;
+    if kind == 3 {
+        return random_self_join(&bytes[1..], 20, sid, rels);
+    }
+    let n = pattern.vars.len();
+    let shift = usize::from(bytes.get(1).copied().unwrap_or(0));
+    let rename: BTreeMap<VarId, Expr> = pattern
+        .vars
+        .iter()
+        .enumerate()
+        .map(|(i, (v, _))| (*v, Expr::Var(VarId(20 + ((i + shift) % n) as u32))))
+        .collect();
+    let map = |w: VarId| rename.get(&w).cloned();
+    let mut t = pattern.subst_map(&map);
+    t.vars = pattern
+        .vars
+        .iter()
+        .map(|(v, s)| {
+            let Some(Expr::Var(w)) = rename.get(v) else {
+                unreachable!()
+            };
+            (*w, *s)
+        })
+        .collect();
+    t.preds.reverse();
+    for p in t.preds.iter_mut() {
+        if let Pred::Eq(a, b) = p {
+            *p = Pred::eq(b.clone(), a.clone());
+        }
+    }
+    if kind == 1 && !t.preds.is_empty() {
+        // A redundant copy: same closure, one predicate more.
+        let p = t.preds[shift % t.preds.len()].clone();
+        t.preds.push(p);
+    }
+    if kind == 2 {
+        let extra = random_self_join(&bytes[2..], 20, sid, rels);
+        match (t.preds.is_empty(), extra.preds.first()) {
+            (false, Some(p)) => t.preds[0] = p.clone(),
+            (_, Some(p)) => t.preds.push(p.clone()),
+            _ => t.preds.clear(),
+        }
+    }
+    t
+}
+
+/// Is `sigma` (pattern binder ↦ target binder) an isomorphism? Atoms map
+/// exactly and, with the ambient predicates, the predicate sets entail each
+/// other under congruence.
+fn is_isomorphism(
+    ctx: &Ctx,
+    pattern: &Term,
+    target: &Term,
+    ambient: &[Pred],
+    sigma: &BTreeMap<VarId, VarId>,
+) -> bool {
+    let map = |w: VarId| sigma.get(&w).map(|x| Expr::Var(*x));
+    let mut mapped_atoms: Vec<Atom> = pattern
+        .atoms
+        .iter()
+        .map(|a| Atom::new(a.rel, a.arg.subst_map(&map)))
+        .collect();
+    let mut target_atoms = target.atoms.clone();
+    mapped_atoms.sort();
+    target_atoms.sort();
+    if mapped_atoms != target_atoms {
+        return false;
+    }
+    let mapped: Vec<Pred> = pattern.preds.iter().map(|p| p.subst_map(&map)).collect();
+    let entails_all = |from: &[Pred], to: &[Pred]| {
+        let pool: Vec<Pred> = from.iter().chain(ambient).cloned().collect();
+        let mut cc = Congruence::new();
+        cc.assert_preds(pool.iter());
+        to.iter()
+            .all(|p| udp_core::hom::entails_pred(ctx, &mut cc, &pool, p))
+    };
+    entails_all(&target.preds, &mapped) && entails_all(&mapped, &target.preds)
+}
+
+/// Brute force: does any bijection of binders make an isomorphism?
+fn bruteforce_iso_exists(ctx: &Ctx, pattern: &Term, target: &Term, ambient: &[Pred]) -> bool {
+    fn go(
+        ctx: &Ctx,
+        (pattern, target, ambient): (&Term, &Term, &[Pred]),
+        sigma: &mut BTreeMap<VarId, VarId>,
+        used: &mut Vec<bool>,
+    ) -> bool {
+        let i = sigma.len();
+        if i == pattern.vars.len() {
+            return is_isomorphism(ctx, pattern, target, ambient, sigma);
+        }
+        let (v, s) = pattern.vars[i];
+        for (j, (w, ts)) in target.vars.iter().enumerate() {
+            if used[j] || *ts != s {
+                continue;
+            }
+            used[j] = true;
+            sigma.insert(v, *w);
+            if go(ctx, (pattern, target, ambient), sigma, used) {
+                return true;
+            }
+            sigma.remove(&v);
+            used[j] = false;
+        }
+        false
+    }
+    let mut used = vec![false; target.vars.len()];
+    pattern.vars.len() == target.vars.len()
+        && go(
+            ctx,
+            (pattern, target, ambient),
+            &mut BTreeMap::new(),
+            &mut used,
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// Colour-refinement pruning discards no isomorphism: the pruned
+    /// matcher finds one exactly when some bijection of binders is one, and
+    /// what it finds is one.
+    #[test]
+    fn pruned_iso_search_agrees_with_every_bijection(
+        b1 in proptest::collection::vec(any::<u8>(), 24..40),
+        b2 in proptest::collection::vec(any::<u8>(), 24..40),
+        context in 0u8..3,
+    ) {
+        let (cat, sid, r, s) = catalog();
+        let cs = udp_core::constraints::ConstraintSet::new();
+        let pattern = random_self_join(&b1, 1, sid, [r, s]);
+        let mut target = random_counterpart(&pattern, &b2, sid, [r, s]);
+        let out = |a: &str| Expr::var_attr(VarId(0), a);
+        let ambient = match context {
+            0 => vec![],
+            1 => vec![Pred::eq(out("a"), out("k"))],
+            _ => vec![Pred::eq(out("k"), Expr::int(1))],
+        };
+        if context == 1 {
+            // Equal under the ambient context, but not syntactically.
+            let swap = |e: &Expr| if *e == out("a") { out("k") } else { e.clone() };
+            target.preds = target.preds.iter().map(|p| p.map_exprs(&swap)).collect();
+        }
+        let mut ctx = Ctx::new(&cat, &cs).with_budget(Budget::unlimited());
+        ctx.gen.reserve(VarId(64));
+        let expected = bruteforce_iso_exists(&ctx, &pattern, &target, &ambient);
+        let found = match_terms(&mut ctx, &pattern, &target, MatchMode::Iso, &ambient).unwrap();
+        prop_assert_eq!(
+            found.is_some(), expected,
+            "pruned matcher and brute force disagree:\n  pattern {}\n  target {}",
+            pattern, target
+        );
+        if let Some(mapping) = found {
+            let sigma: BTreeMap<VarId, VarId> = mapping
+                .into_iter()
+                .map(|(v, e)| match e {
+                    Expr::Var(w) => (v, w),
+                    other => panic!("iso maps {v} to non-variable {other}"),
+                })
+                .collect();
+            prop_assert!(is_isomorphism(&ctx, &pattern, &target, &ambient, &sigma));
+        }
+    }
+}

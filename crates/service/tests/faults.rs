@@ -11,9 +11,10 @@
 //!   order-preserved;
 //! * the circuit breaker trips on consecutive faults and is surfaced in
 //!   `ServiceStats`;
-//! * a deterministic step-cap timeout on the `c39_timeout_large_join`
-//!   corpus shape maps to `AbortReason::BudgetExhausted` — distinct from
-//!   `Panicked` — and is never cached.
+//! * a deterministic step-cap timeout on a cyclic self-join pair that
+//!   colour refinement cannot tell apart maps to
+//!   `AbortReason::BudgetExhausted` — distinct from `Panicked` — and is
+//!   never cached.
 
 use std::time::Duration;
 use udp_obs::fault::{PROBE_BACKEND_SYM, PROBE_GOAL};
@@ -232,23 +233,21 @@ fn worker_panics_are_supervised_and_worker_invariant() {
     assert!(recorder.snapshot().counter(Counter::GoalAborted) >= GOAL_LINES.len() as u64);
 }
 
-/// The `c39_timeout_large_join` regression: a steps-only budget trips
-/// deterministically, the verdict maps to `BudgetExhausted` (never
-/// `Panicked`), and the timeout is not cached — two identical runs both
-/// re-execute and agree.
+/// A step-cap regression: a steps-only budget trips deterministically, the
+/// verdict maps to `BudgetExhausted` (never `Panicked`), and the timeout is
+/// not cached — two identical runs both re-execute and agree. The goal is
+/// an unanchored 8-cycle `x_i.a = x_{i+1}.k` against two 4-cycles: every
+/// variable gets the same refined colour on both sides, so the bijection
+/// search still runs out of steps.
 #[test]
 fn step_cap_timeout_is_budget_exhausted_deterministic_and_uncached() {
-    const JOIN_DDL: &str = "schema emp_s(empno:int, deptno:int, sal:int);\ntable emp(emp_s);\n";
-    const GOAL: &str = "SELECT a1.sal AS v FROM emp a1, emp a2, emp a3, emp a4, emp a5, \
-         emp a6, emp a7, emp a8, emp a9 \
-         WHERE a1.deptno = a2.deptno AND a2.deptno = a3.deptno AND a3.deptno = a4.deptno \
-         AND a4.deptno = a5.deptno AND a5.deptno = a6.deptno AND a6.deptno = a7.deptno \
-         AND a7.deptno = a8.deptno AND a8.deptno = a9.deptno AND a9.deptno = a1.deptno \
-         == SELECT b1.sal AS v FROM emp b1, emp b2, emp b3, emp b4, emp b5, \
-         emp b6, emp b7, emp b8, emp b9 \
-         WHERE b1.empno = b2.empno AND b2.empno = b3.empno AND b3.empno = b4.empno \
-         AND b4.empno = b5.empno AND b5.empno = b6.empno AND b6.empno = b7.empno \
-         AND b7.empno = b8.empno AND b8.empno = b9.empno AND b9.empno = b1.empno";
+    const JOIN_DDL: &str = "schema s(k:int, a:int);\ntable r(s);\n";
+    const GOAL: &str = "SELECT 1 AS v FROM r x1, r x2, r x3, r x4, r x5, r x6, r x7, r x8 \
+         WHERE x1.a = x2.k AND x2.a = x3.k AND x3.a = x4.k AND x4.a = x5.k \
+         AND x5.a = x6.k AND x6.a = x7.k AND x7.a = x8.k AND x8.a = x1.k \
+         == SELECT 1 AS v FROM r y1, r y2, r y3, r y4, r y5, r y6, r y7, r y8 \
+         WHERE y1.a = y2.k AND y2.a = y3.k AND y3.a = y4.k AND y4.a = y1.k \
+         AND y5.a = y6.k AND y6.a = y7.k AND y7.a = y8.k AND y8.a = y5.k";
     let config = SessionConfig {
         workers: 1,
         cache_capacity: 64,

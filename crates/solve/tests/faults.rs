@@ -69,23 +69,30 @@ fn spj_pair(f: &Fixture) -> (UExpr, UExpr) {
     (q1, q2)
 }
 
-/// The `c39_timeout_large_join` shape at the algebra level: two `n`-way
-/// cyclic self-joins whose cycles run over *different* attributes, so the
-/// matching search blows up without ever finding a proof.
+/// An unanchored `2n`-cycle of edges `x_i.a = x_{i+1}.k` against two
+/// `n`-cycles. Colour refinement gives every variable on both sides the
+/// same colour, so the matching search blows up without ever finding a
+/// proof.
 fn cyclic_join_pair(f: &Fixture, n: u32) -> (UExpr, UExpr) {
-    let side = |base: u32, attr: &str| {
-        let vars: Vec<_> = (0..n).map(|i| (v(base + i), f.sid)).collect();
-        let mut factors = vec![UExpr::eq(Expr::Var(v(base)), Expr::Var(v(0)))];
-        for i in 0..n {
-            factors.push(UExpr::rel(f.r, Expr::Var(v(base + i))));
-            factors.push(UExpr::eq(
-                Expr::var_attr(v(base + i), attr),
-                Expr::var_attr(v(base + (i + 1) % n), attr),
-            ));
-        }
+    let cycle = |base: u32, len: u32| {
+        (0..len).flat_map(move |i| {
+            [
+                UExpr::rel(f.r, Expr::Var(v(base + i))),
+                UExpr::eq(
+                    Expr::var_attr(v(base + i), "a"),
+                    Expr::var_attr(v(base + (i + 1) % len), "k"),
+                ),
+            ]
+        })
+    };
+    let side = |base: u32, factors: Vec<UExpr>| {
+        let vars: Vec<_> = (0..2 * n).map(|i| (v(base + i), f.sid)).collect();
         UExpr::sum_over(vars, UExpr::product(factors))
     };
-    (side(1, "k"), side(100, "a"))
+    (
+        side(1, cycle(1, 2 * n).collect()),
+        side(100, cycle(100, n).chain(cycle(100 + n, n)).collect()),
+    )
 }
 
 /// A chaos injector that panics every backend attempt at `probe` (or at
@@ -243,7 +250,7 @@ fn breaker_trips_after_consecutive_faults_and_skips_the_backend() {
 #[test]
 fn step_cap_and_cancellation_are_distinct_exhaustion_kinds() {
     let f = fixture();
-    let pair = cyclic_join_pair(&f, 9);
+    let pair = cyclic_join_pair(&f, 4);
     // A tight step cap trips deterministically as `Steps`.
     let capped = SolveConfig {
         steps: Some(10_000),
