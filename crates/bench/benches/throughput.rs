@@ -1,23 +1,21 @@
 //! Batch-verification throughput: goals/sec through a `udp-service` session
 //! at 1, N/2, and N workers, over a corpus-shaped workload (filter / join /
 //! distinct / group-by rewrite goals plus alias-renamed duplicates, the mix
-//! the evaluation corpus exercises rule by rule), plus a cascade-vs-UDP
-//! portfolio comparison.
+//! the evaluation corpus exercises rule by rule).
 //!
 //! Run with `cargo bench --bench throughput`. The final summary prints the
 //! measured speedup of N workers over 1 (the scheduler is expected to clear
-//! 1.5× at 4 workers on any multicore host) and the portfolio numbers, and
-//! writes a machine-readable `BENCH_solve.json` — workload rates for the
-//! `udp` and `cascade` backends and the corpus share the symbolic backend
-//! settles without UDP — so the perf trajectory is recorded run over run.
+//! 1.5× at 4 workers on any multicore host) and writes a machine-readable
+//! `BENCH_solve.json` — the workload rate at each worker count — so the
+//! perf trajectory is recorded run over run.
 //!
 //! The observability self-profile rides along: it measures the `udp-obs`
 //! recorder's overhead (enabled vs the default disabled handle, uncached
 //! 1-worker workload) and runs a stage-attribution sweep over the corpus,
 //! writing `BENCH_obs.json` — per-stage shares, the goal-path coverage
 //! fraction (expected ≥ 0.90), and the deterministic counter deltas per
-//! corpus goal family (rewrite firings, congruence traffic, symbolic
-//! matcher work attributed to literature / calcite / bugs / extensions).
+//! corpus goal family (rewrite firings and congruence traffic attributed to
+//! literature / calcite / bugs / extensions).
 //!
 //! The memory self-profile (`BENCH_mem.json`) rides the same corpus sweep
 //! under an active allocation-tracking session: bytes/goal by stage and by
@@ -29,7 +27,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 use udp_corpus::{all_rules, Expectation, Source};
 use udp_obs::{Counter, Recorder, TrackingAlloc};
-use udp_service::{Session, SessionConfig, SolveMode};
+use udp_service::{Session, SessionConfig};
 use udp_sql::ast::Query;
 
 /// The bench harness installs the tracking allocator so the memory
@@ -86,25 +84,15 @@ fn workload(session: &Session, n: usize) -> Vec<(Query, Query)> {
 }
 
 fn session_with(workers: usize, cache: usize) -> Session {
-    session_with_mode(workers, cache, SolveMode::Udp)
+    session_with_recorder(workers, cache, Recorder::disabled())
 }
 
-fn session_with_mode(workers: usize, cache: usize, mode: SolveMode) -> Session {
-    session_with_recorder(workers, cache, mode, Recorder::disabled())
-}
-
-fn session_with_recorder(
-    workers: usize,
-    cache: usize,
-    mode: SolveMode,
-    recorder: Recorder,
-) -> Session {
+fn session_with_recorder(workers: usize, cache: usize, recorder: Recorder) -> Session {
     let config = SessionConfig {
         workers,
         cache_capacity: cache,
         steps: Some(2_000_000),
         wall: Some(Duration::from_secs(10)),
-        mode,
         recorder,
         ..SessionConfig::default()
     };
@@ -117,7 +105,8 @@ fn bench_throughput(c: &mut Criterion) {
     let max_workers = std::thread::available_parallelism()
         .map_or(4, |n| n.get())
         .min(8);
-    let counts = [1, (max_workers / 2).max(2), max_workers];
+    let mut counts = vec![1, (max_workers / 2).max(2), max_workers];
+    counts.dedup();
 
     for &workers in &counts {
         c.bench_function(&format!("throughput/uncached/workers-{workers}"), |b| {
@@ -133,16 +122,6 @@ fn bench_throughput(c: &mut Criterion) {
         let goals = workload(&session, GOALS);
         session.verify_batch(&goals); // warm the cache
         b.iter(|| black_box(session.verify_batch(&goals)))
-    });
-
-    // Portfolio comparison: the cascade routes SPJ-fragment goals through
-    // the cheap symbolic backend and falls through to UDP on the rest.
-    c.bench_function("throughput/cascade/workers-1", |b| {
-        b.iter(|| {
-            let session = session_with_mode(1, 0, SolveMode::Cascade);
-            let goals = workload(&session, GOALS);
-            black_box(session.verify_batch(&goals));
-        })
     });
 
     // Direct speedup summary (single measurement per configuration, goals/s).
@@ -164,7 +143,7 @@ fn bench_throughput(c: &mut Criterion) {
         );
     }
 
-    write_solve_summary(base);
+    write_solve_summary(&rates);
     write_obs_summary();
 }
 
@@ -174,7 +153,7 @@ fn bench_throughput(c: &mut Criterion) {
 fn obs_rate(reps: usize, recorder: &Recorder) -> f64 {
     let mut best = 0.0f64;
     for _ in 0..reps {
-        let session = session_with_recorder(1, 0, SolveMode::Udp, recorder.clone());
+        let session = session_with_recorder(1, 0, recorder.clone());
         let goals = workload(&session, GOALS);
         let t0 = Instant::now();
         let reports = session.verify_batch(&goals);
@@ -195,10 +174,9 @@ const FAMILIES: [(Source, &str); 4] = [
 ];
 
 /// Stage-attribution sweep over the evaluation corpus under one shared
-/// enabled recorder (cascade mode, so both backends appear). Rules run
-/// grouped by dataset family; the counters are monotone, so the snapshot
-/// delta across a family boundary attributes rewrite firings and matcher
-/// work to that family exactly. Disproof-expected rules additionally run
+/// enabled recorder. Rules run grouped by dataset family; the counters are
+/// monotone, so the snapshot delta across a family boundary attributes
+/// rewrite firings and congruence traffic to that family exactly. Disproof-expected rules additionally run
 /// the bounded counterexample search so the refutation path gets a stage
 /// row. Returns the goal count, the nonzero deterministic-counter deltas
 /// per family, and — when the recorder carries a memory session — the
@@ -230,7 +208,6 @@ fn corpus_obs_sweep(
                 }),
                 wall: Some(Duration::from_secs(25)),
                 dialect: rule.dialect,
-                mode: SolveMode::Cascade,
                 recorder: recorder.clone(),
                 ..SessionConfig::default()
             };
@@ -279,8 +256,7 @@ fn corpus_obs_sweep(
 /// stage-attribution run, recorded as `BENCH_obs.json` at the workspace
 /// root. `coverage` is the share of measured per-goal wall time attributed
 /// to exclusive goal-path stages — the acceptance floor is 0.90. The
-/// `counters` object carries the per-family deterministic deltas in the
-/// object-of-families shape `udp-prof-diff` sums for its gate.
+/// `counters` object carries the per-family deterministic deltas.
 fn write_obs_summary() {
     const REPS: usize = 3;
     let disabled_rate = obs_rate(REPS, &Recorder::disabled());
@@ -317,11 +293,7 @@ fn write_obs_summary() {
             .filter(|(c, _)| c.name().starts_with("rw-"))
             .map(|(_, v)| *v)
             .sum();
-        let isos = deltas
-            .iter()
-            .find(|(c, _)| *c == Counter::SymIsoAttempts)
-            .map_or(0, |(_, v)| *v);
-        println!("obs corpus family {label}: {firings} rewrite firings, {isos} iso attempts");
+        println!("obs corpus family {label}: {firings} rewrite firings");
     }
 
     let mut counters = String::new();
@@ -439,78 +411,22 @@ fn write_mem_summary(
     }
 }
 
-/// Single-measurement workload rate under a portfolio mode (1 worker, no
-/// cache — the per-goal backend cost is what's being compared).
-fn mode_rate(mode: SolveMode) -> f64 {
-    let session = session_with_mode(1, 0, mode);
-    let goals = workload(&session, GOALS);
-    let t0 = Instant::now();
-    let reports = session.verify_batch(&goals);
-    let secs = t0.elapsed().as_secs_f64();
-    assert_eq!(reports.len(), GOALS);
-    GOALS as f64 / secs
-}
-
-/// Cascade sweep over the evaluation corpus: how many goals does the
-/// symbolic backend settle without UDP ever being invoked?
-///
-/// Budgets and skip rules mirror `crates/solve/examples/solve_corpus.rs`
-/// (the CI crosscheck sweep) so the `sym_share` recorded here measures the
-/// same population — keep the two in lockstep when tuning either. A shared
-/// helper is blocked by the dependency graph: it would need `Session`
-/// (udp-service), which already depends on udp-solve.
-fn corpus_cascade_share() -> (usize, usize, usize) {
-    let mut rules = 0usize;
-    let mut goals = 0usize;
-    let mut sym_settled = 0usize;
-    for rule in all_rules() {
-        let config = SessionConfig {
-            workers: 1,
-            cache_capacity: 0,
-            steps: Some(if rule.expect == Expectation::Timeout {
-                300_000
-            } else {
-                5_000_000
-            }),
-            wall: Some(Duration::from_secs(25)),
-            dialect: rule.dialect,
-            mode: SolveMode::Cascade,
-            ..SessionConfig::default()
-        };
-        let session = match Session::new(&rule.text, config) {
-            Ok(s) => s,
-            Err(_) => continue, // out-of-fragment rule
-        };
-        rules += 1;
-        for r in session.verify_program_goals() {
-            goals += 1;
-            if r.settled_by == Some("sym") {
-                sym_settled += 1;
-            }
-        }
-    }
-    (rules, goals, sym_settled)
-}
-
-/// Emit the machine-readable portfolio summary as `BENCH_solve.json` at the
-/// workspace root (benches run with the package directory as cwd).
-fn write_solve_summary(udp_1w_rate: f64) {
-    let cascade_rate = mode_rate(SolveMode::Cascade);
-    let (rules, corpus_goals, sym_settled) = corpus_cascade_share();
-    let share = if corpus_goals == 0 {
-        0.0
-    } else {
-        sym_settled as f64 / corpus_goals as f64
-    };
-    println!(
-        "portfolio summary: udp {udp_1w_rate:.0} goals/s, cascade {cascade_rate:.0} goals/s \
-         ({:.2}×); corpus: sym settled {sym_settled}/{corpus_goals} goals ({:.1}%)",
-        cascade_rate / udp_1w_rate,
-        share * 100.0
-    );
+/// Emit the worker-scaling rates as `BENCH_solve.json` at the workspace
+/// root (benches run with the package directory as cwd).
+fn write_solve_summary(rates: &[(usize, f64)]) {
+    let base = rates[0].1;
+    let rows: Vec<String> = rates
+        .iter()
+        .map(|(workers, rate)| {
+            format!(
+                "    {{\"workers\": {workers}, \"goals_per_sec\": {rate:.1}, \"speedup\": {:.3}}}",
+                rate / base
+            )
+        })
+        .collect();
     let json = format!(
-        "{{\n  \"workload\": {{\n    \"goals\": {GOALS},\n    \"udp_goals_per_sec\": {udp_1w_rate:.1},\n    \"cascade_goals_per_sec\": {cascade_rate:.1},\n    \"cascade_speedup\": {:.3}\n  }},\n  \"corpus\": {{\n    \"rules\": {rules},\n    \"goals\": {corpus_goals},\n    \"sym_settled\": {sym_settled},\n    \"sym_share\": {share:.3}\n  }}\n}}\n",
-        cascade_rate / udp_1w_rate
+        "{{\n  \"goals\": {GOALS},\n  \"uncached\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_solve.json");
     if let Err(e) = std::fs::write(path, json) {

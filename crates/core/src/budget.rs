@@ -7,25 +7,19 @@
 //! consumes one step; exhaustion yields the `Unknown`/timeout outcome rather
 //! than an unsound answer.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Raised when the step or time budget is exhausted, carrying *which* limit
 /// tripped. Decision procedures propagate it; the driver maps it to
 /// [`crate::decide::Decision::Timeout`] and keeps the kind in
 /// [`crate::decide::Stats::exhausted`] so callers can tell a deterministic
-/// step cap from a wall-clock deadline from a cooperative cancellation
-/// (e.g. a race loser told to stop by the winning backend).
+/// step cap from a wall-clock deadline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Exhausted {
     /// The deterministic step cap ran out.
     Steps,
     /// The wall-clock deadline passed.
     Wall,
-    /// A cooperative cancellation flag flipped (see
-    /// [`Budget::with_cancel`]).
-    Cancelled,
 }
 
 impl Exhausted {
@@ -34,7 +28,6 @@ impl Exhausted {
         match self {
             Exhausted::Steps => "steps",
             Exhausted::Wall => "wall",
-            Exhausted::Cancelled => "cancelled",
         }
     }
 }
@@ -59,13 +52,8 @@ pub struct Budget {
     started: Option<Instant>,
     /// Which limit tripped first, once any has; repeated ticks after
     /// exhaustion keep reporting the same kind (steps are zeroed on a
-    /// wall/cancel trip, which would otherwise masquerade as `Steps`).
+    /// wall trip, which would otherwise masquerade as `Steps`).
     tripped: Option<Exhausted>,
-    /// Cooperative cancellation: when any of the shared flags flips, the
-    /// next strided check reports exhaustion. Cloned budgets share the
-    /// flags (`Arc`), so a portfolio race can abort its losing backend
-    /// while still honoring a caller-supplied flag.
-    cancel: Vec<Arc<AtomicBool>>,
 }
 
 impl Budget {
@@ -97,18 +85,7 @@ impl Budget {
             ticks: 0,
             started: None,
             tripped: None,
-            cancel: Vec::new(),
         }
-    }
-
-    /// Attach a cooperative cancellation flag: once any thread sets it, the
-    /// next strided check fails with [`Exhausted`]. Cancellation latency is
-    /// therefore bounded by the clock stride (4096 ticks), keeping the
-    /// per-tick cost unchanged. Flags accumulate — attaching a second one
-    /// composes with (never replaces) the first.
-    pub fn with_cancel(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.cancel.push(flag);
-        self
     }
 
     /// Consume one step; fails when either budget is exhausted.
@@ -128,11 +105,6 @@ impl Budget {
         self.steps_left -= 1;
         self.ticks += 1;
         if self.ticks % self.clock_stride == 0 {
-            if self.cancel.iter().any(|c| c.load(Ordering::Relaxed)) {
-                self.steps_left = 0;
-                self.tripped = Some(Exhausted::Cancelled);
-                return Err(Exhausted::Cancelled);
-            }
             if let Some(d) = self.deadline {
                 if Instant::now() >= d {
                     self.steps_left = 0;
@@ -209,32 +181,5 @@ mod tests {
         // the step counter was zeroed by the deadline.
         assert_eq!(b.tick(), Err(Exhausted::Wall));
         assert_eq!(b.exhausted_kind(), Some(Exhausted::Wall));
-    }
-
-    #[test]
-    fn cancellation_flag_trips_within_a_stride() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let mut b = Budget::unlimited().with_cancel(flag.clone());
-        for _ in 0..5000 {
-            assert!(b.tick().is_ok());
-        }
-        flag.store(true, Ordering::Relaxed);
-        let mut tripped = 0u64;
-        loop {
-            match b.tick() {
-                Ok(()) => {
-                    tripped += 1;
-                    assert!(tripped <= 4096, "cancellation missed the strided check");
-                }
-                Err(kind) => {
-                    // Cancellation is distinguishable from a genuine step or
-                    // wall exhaustion — the race executor relies on this to
-                    // classify its losing backend.
-                    assert_eq!(kind, Exhausted::Cancelled);
-                    assert_eq!(b.tick(), Err(Exhausted::Cancelled));
-                    break;
-                }
-            }
-        }
     }
 }

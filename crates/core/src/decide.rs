@@ -10,9 +10,9 @@ use crate::budget::{Budget, Exhausted};
 use crate::constraints::ConstraintSet;
 use crate::ctx::{Ctx, Options};
 use crate::equiv::udp_equiv;
-use crate::expr::{Expr, VarId};
+use crate::expr::{Expr, VarGen, VarId};
 use crate::schema::{Catalog, SchemaId};
-use crate::spnf::normalize_with;
+use crate::spnf::{normalize_with, Nf};
 use crate::trace::{Rule, StepData, Trace};
 use crate::uexpr::UExpr;
 use std::time::Instant;
@@ -57,7 +57,7 @@ impl Decision {
 
     /// Is this a definite decision (`Proved` / `NotProved`), as opposed to
     /// the budget artifact `Timeout`? Definite decisions are cacheable and
-    /// must be stable under backend choice, worker count, and injected
+    /// must be stable under worker count, cache state, and injected
     /// faults.
     pub fn is_definite(&self) -> bool {
         !matches!(self, Decision::Timeout)
@@ -86,8 +86,8 @@ pub struct Stats {
     /// Wall-clock time of the whole decision.
     pub wall: std::time::Duration,
     /// Which budget limit tripped when the decision is [`Decision::Timeout`]
-    /// (`None` for definite decisions): deterministic step cap, wall-clock
-    /// deadline, or cooperative cancellation.
+    /// (`None` for definite decisions): deterministic step cap or wall-clock
+    /// deadline.
     pub exhausted: Option<Exhausted>,
 }
 
@@ -144,7 +144,8 @@ pub fn decide(catalog: &Catalog, cs: &ConstraintSet, q1: &QueryU, q2: &QueryU) -
     decide_with(catalog, cs, q1, q2, DecideConfig::default())
 }
 
-/// Decide with explicit configuration.
+/// Decide with explicit configuration: [`normalize_pair`], then
+/// [`decide_normalized_with`], then [`record_normalization`].
 pub fn decide_with(
     catalog: &Catalog,
     cs: &ConstraintSet,
@@ -153,76 +154,64 @@ pub fn decide_with(
     config: DecideConfig,
 ) -> Verdict {
     let start = Instant::now();
-    let mut trace = if config.record_trace {
-        Trace::enabled()
-    } else {
-        Trace::disabled()
-    };
-    let mut stats = Stats {
-        size_before: (q1.body.size(), q2.body.size()),
-        ..Stats::default()
-    };
+    let (nf1, nf2) = normalize_pair(q1, q2);
+    let mut verdict = decide_normalized_with(
+        catalog, cs, q1.out, q1.schema, q2.schema, &nf1, &nf2, config,
+    );
+    record_normalization(&mut verdict, q1, q2, &nf1, &nf2);
+    verdict.stats.wall = start.elapsed();
+    verdict
+}
 
-    if !schemas_compatible(catalog, q1.schema, q2.schema) {
-        stats.wall = start.elapsed();
-        return Verdict {
-            decision: Decision::NotProved(NotProvedReason::SchemaMismatch),
-            trace,
-            stats,
-        };
-    }
-
-    // Align output variables.
-    let body2 = if q2.out == q1.out {
+/// The right body with its output variable renamed to the left's.
+fn aligned_rhs(q1: &QueryU, q2: &QueryU) -> UExpr {
+    if q2.out == q1.out {
         q2.body.clone()
     } else {
         q2.body.subst(q2.out, &Expr::Var(q1.out))
-    };
+    }
+}
 
-    let mut ctx = Ctx::new(catalog, cs)
-        .with_budget(config.budget.unwrap_or_default())
-        .with_options(config.options)
-        .with_recorder(config.recorder.clone());
-    ctx.trace = trace;
-    let watermark = q1.body.max_var().max(body2.max_var()).max(q1.out.0) + 1;
-    ctx.gen.reserve(VarId(watermark));
-    ctx.declare_free(q1.out, q1.schema);
+/// SPNF-normalize a lowered goal pair: the right side's output variable is
+/// aligned onto the left's by substitution, then both bodies are normalized
+/// with one shared fresh-variable generator (globally fresh binders are an
+/// invariant the matchers rely on).
+///
+/// This is the one alignment and normalization in the workspace: `decide`,
+/// the service's cache keys and its prover all consume its output.
+pub fn normalize_pair(q1: &QueryU, q2: &QueryU) -> (Nf, Nf) {
+    let body2 = aligned_rhs(q1, q2);
+    let mut gen = VarGen::above(q1.body.max_var().max(body2.max_var()).max(q1.out.0) + 1);
+    let nf1 = normalize_with(&q1.body, &mut gen);
+    let nf2 = normalize_with(&body2, &mut gen);
+    (nf1, nf2)
+}
 
-    let nf1 = normalize_with(&q1.body, &mut ctx.gen);
-    let nf2 = normalize_with(&body2, &mut ctx.gen);
-    stats.size_after = (nf1.size(), nf2.size());
-    ctx.trace.record(Rule::Normalize, || StepData::Normalize {
-        before: q1.body.clone(),
-        after: nf1.clone(),
-    });
-    ctx.trace.record(Rule::Normalize, || StepData::Normalize {
-        before: body2.clone(),
-        after: nf2.clone(),
-    });
-
-    let decision = match udp_equiv(&mut ctx, &nf1, &nf2, &[]) {
-        Ok(true) => Decision::Proved,
-        Ok(false) => Decision::NotProved(NotProvedReason::NoProofFound),
-        Err(kind) => {
-            stats.exhausted = Some(kind);
-            Decision::Timeout
-        }
-    };
-    stats.steps_used = ctx.budget.steps_used();
-    stats.wall = start.elapsed();
-    trace = ctx.trace;
-    Verdict {
-        decision,
-        trace,
-        stats,
+/// Complete a verdict that [`decide_normalized_with`] reached from the
+/// [`normalize_pair`] forms of `q1` and `q2`: `size_before` becomes the
+/// lowered (pre-SPNF) sizes, and an enabled trace gains the two
+/// `normalize` steps ahead of the prover's steps, so it replays from the
+/// lowered bodies exactly as a [`decide_with`] trace does.
+pub fn record_normalization(verdict: &mut Verdict, q1: &QueryU, q2: &QueryU, nf1: &Nf, nf2: &Nf) {
+    verdict.stats.size_before = (q1.body.size(), q2.body.size());
+    if verdict.trace.is_enabled() {
+        let mut trace = Trace::enabled();
+        trace.record(Rule::Normalize, || StepData::Normalize {
+            before: q1.body.clone(),
+            after: nf1.clone(),
+        });
+        trace.record(Rule::Normalize, || StepData::Normalize {
+            before: aligned_rhs(q1, q2),
+            after: nf2.clone(),
+        });
+        trace.append(std::mem::take(&mut verdict.trace));
+        verdict.trace = trace;
     }
 }
 
 /// Output schemas must agree attribute-wise (by name — types are advisory,
-/// e.g. aggregate outputs infer as Unknown). Public so alternative backends
-/// (the `udp-solve` portfolio) apply the exact same admissibility rule as
-/// `decide` and cannot diverge on `SchemaMismatch` verdicts.
-pub fn schemas_compatible(catalog: &Catalog, sid1: SchemaId, sid2: SchemaId) -> bool {
+/// e.g. aggregate outputs infer as Unknown).
+fn schemas_compatible(catalog: &Catalog, sid1: SchemaId, sid2: SchemaId) -> bool {
     let s1 = catalog.schema(sid1);
     let s2 = catalog.schema(sid2);
     let names = |s: &crate::schema::Schema| -> Vec<String> {
@@ -242,8 +231,8 @@ pub fn schemas_compatible(catalog: &Catalog, sid1: SchemaId, sid2: SchemaId) -> 
 /// This is the batch-service hot path: the caller has already paid the SPNF
 /// normalization (to compute canonical fingerprints), so this entry point
 /// skips re-normalizing. Proof traces recorded here omit the two `normalize`
-/// steps (there is no pre-SPNF expression to record), and `size_before`
-/// reports the normalized sizes.
+/// steps and `size_before` reports the normalized sizes, until
+/// [`record_normalization`] adds the pre-SPNF side.
 #[allow(clippy::too_many_arguments)]
 pub fn decide_normalized_with(
     catalog: &Catalog,
@@ -251,8 +240,8 @@ pub fn decide_normalized_with(
     out: VarId,
     schema1: SchemaId,
     schema2: SchemaId,
-    nf1: &crate::spnf::Nf,
-    nf2: &crate::spnf::Nf,
+    nf1: &Nf,
+    nf2: &Nf,
     config: DecideConfig,
 ) -> Verdict {
     let start = Instant::now();

@@ -159,6 +159,13 @@ impl Trace {
         }
     }
 
+    /// Append another trace's steps after this trace's (when recording).
+    pub fn append(&mut self, other: Trace) {
+        if self.enabled {
+            self.steps.extend(other.steps);
+        }
+    }
+
     /// The recorded steps, in application order.
     pub fn steps(&self) -> &[Step] {
         &self.steps

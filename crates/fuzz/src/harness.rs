@@ -4,12 +4,8 @@
 //! a metamorphic rewrite (expected equivalent) or a mutation (expected
 //! inequivalent), and cross-checks the pair three ways:
 //!
-//! 1. **prover** — `udp_core::decide` through an uncached
-//!    [`udp_service::Session`] (deterministic steps-only budget), running
-//!    under the configured [`SolveMode`] — with `--backend crosscheck` this
-//!    becomes a *three-way* differential: the symbolic backend vs UDP
-//!    (checked inside the portfolio, any definite disagreement is flagged)
-//!    vs the concrete evaluation oracle below;
+//! 1. **prover** — UDP through an uncached [`udp_service::Session`]
+//!    (deterministic steps-only budget);
 //! 2. **oracle** — the bag-semantics evaluator over random databases
 //!    ([`udp_eval::find_counterexample_seeded`]);
 //! 3. **service** — a cached session run twice (the repeat must be a cache
@@ -32,7 +28,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use udp_core::Decision;
 use udp_eval::{find_counterexample_seeded, GenConfig, SearchResult};
-use udp_service::{Session, SessionConfig, SolveMode};
+use udp_service::{Session, SessionConfig};
 use udp_sql::ast::Query;
 use udp_sql::pretty::query_to_sql;
 
@@ -63,10 +59,6 @@ pub struct FuzzConfig {
     /// joins in the generators; sessions run under `Dialect::Full` (udp-ext
     /// desugaring) and round-trips re-parse with the full dialect.
     pub full_dialect: bool,
-    /// Portfolio mode the verification sessions run under. `Crosscheck`
-    /// turns every case into a symbolic-vs-UDP-vs-oracle three-way
-    /// differential.
-    pub backend: SolveMode,
     /// Chaos differential: when set, every case is *additionally* run
     /// through a session with this fault schedule armed (re-seeded per
     /// case, since every fuzz goal sits at batch index 0) and the faulted
@@ -89,7 +81,6 @@ impl Default for FuzzConfig {
             schema: SchemaProfile::default(),
             query: GenProfile::default(),
             full_dialect: false,
-            backend: SolveMode::Udp,
             chaos: None,
         }
     }
@@ -127,9 +118,6 @@ pub enum FailureKind {
     /// Canonical fingerprints differ across repeated computations or
     /// sessions.
     FingerprintUnstable,
-    /// The symbolic and UDP backends returned conflicting definite verdicts
-    /// (crosscheck mode): one of the engines is wrong.
-    BackendDisagreement,
     /// A chaos-faulted run produced a definite verdict that the clean run
     /// did not — injected faults must only ever *degrade* (Timeout /
     /// aborted), never flip or invent a decision.
@@ -149,7 +137,6 @@ impl fmt::Display for FailureKind {
             FailureKind::CacheMismatch => "cache-mismatch",
             FailureKind::CacheMissedHit => "cache-missed-hit",
             FailureKind::FingerprintUnstable => "fingerprint-unstable",
-            FailureKind::BackendDisagreement => "backend-disagreement",
             FailureKind::ChaosVerdictFlip => "chaos-verdict-flip",
             FailureKind::RoundTrip => "round-trip",
             FailureKind::Frontend => "frontend-reject",
@@ -280,7 +267,6 @@ fn session_config(
     cache_capacity: usize,
     fingerprints: bool,
     dialect: udp_sql::Dialect,
-    backend: SolveMode,
 ) -> SessionConfig {
     SessionConfig {
         workers: 1,
@@ -289,7 +275,6 @@ fn session_config(
         wall: None, // steps-only: verdicts must be deterministic
         fingerprints,
         dialect,
-        mode: backend,
         ..SessionConfig::default()
     }
 }
@@ -467,41 +452,27 @@ impl CaseCtx<'_> {
             }
         }
 
-        // 2. Prover + service parity, under the configured portfolio mode
-        //    (crosscheck mode adds the symbolic-vs-UDP differential: any
-        //    definite disagreement surfaces as an error outcome here).
+        // 2. Prover + service parity.
         let goal = (q1.clone(), q2.clone());
         let uncached = Session::new(
             self.ddl,
-            session_config(self.config.steps, 0, false, dialect, self.config.backend),
+            session_config(self.config.steps, 0, false, dialect),
         )
         .map_err(|e| (FailureKind::Frontend, format!("uncached session: {e}")))?;
         let cached = Session::new(
             self.ddl,
-            session_config(self.config.steps, 64, true, dialect, self.config.backend),
+            session_config(self.config.steps, 64, true, dialect),
         )
         .map_err(|e| (FailureKind::Frontend, format!("cached session: {e}")))?;
         let goals = [goal.clone()];
         let r_u = &uncached.verify_batch(&goals)[0];
         let r_c1 = &cached.verify_batch(&goals)[0];
         let r_c2 = &cached.verify_batch(&goals)[0];
-        if let Some(d) = &r_u.disagreement {
-            return Err((
-                FailureKind::BackendDisagreement,
-                format!("backend disagreement: {d}"),
-            ));
-        }
         let d_u = match &r_u.outcome {
             Ok(v) => v.decision.clone(),
             Err(e) => return Err((FailureKind::Frontend, format!("goal rejected: {e}"))),
         };
         for r in [r_c1, r_c2] {
-            if let Some(d) = &r.disagreement {
-                return Err((
-                    FailureKind::BackendDisagreement,
-                    format!("backend disagreement: {d}"),
-                ));
-            }
             match &r.outcome {
                 Ok(v) if v.decision == d_u => {}
                 Ok(v) => {
@@ -539,8 +510,7 @@ impl CaseCtx<'_> {
             let plan = plan.with_seed(plan.seed ^ self.oracle_base);
             let chaotic = Session::new(
                 self.ddl,
-                session_config(self.config.steps, 0, false, dialect, self.config.backend)
-                    .with_chaos(Some(plan)),
+                session_config(self.config.steps, 0, false, dialect).with_chaos(Some(plan)),
             )
             .map_err(|e| (FailureKind::Frontend, format!("chaos session: {e}")))?;
             let r_x = &chaotic.verify_batch(&goals)[0];

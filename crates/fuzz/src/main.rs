@@ -3,15 +3,13 @@
 //! ```text
 //! udp-fuzz [--seed N] [--cases M] [--trials T] [--steps S]
 //!          [--mutation-ratio R] [--no-shrink] [--quiet] [--full]
-//!          [--backend udp|sym|cascade|race|crosscheck] [--chaos [SPEC]]
+//!          [--chaos [SPEC]]
 //! ```
 //!
 //! Generates `M` random query pairs (semantics-preserving rewrites and
 //! bug-injecting mutations), cross-checks each against the prover, the
 //! bag-semantics oracle, and the service cache, and shrinks + prints any
-//! disagreement. `--backend` selects the portfolio mode the sessions run
-//! under; `--backend crosscheck` makes every case a three-way differential
-//! (symbolic vs UDP vs oracle). Exit code `0` means zero disagreements; `1`
+//! disagreement. Exit code `0` means zero disagreements; `1`
 //! means at least one (full reports on stdout); `64` is a usage error.
 //!
 //! Runs are fully deterministic in `--seed`: case `i` derives its own RNG
@@ -37,7 +35,6 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: udp-fuzz [--seed N] [--cases M] [--trials T] [--steps S]\n\
          \x20               [--mutation-ratio R] [--no-shrink] [--quiet] [--full]\n\
-         \x20               [--backend udp|sym|cascade|race|crosscheck]\n\
          \x20               [--chaos [seed=N,rate=P,exhaust=P,delay=P,goal-rate=P,uncontained=1]]"
     );
     std::process::exit(64)
@@ -74,12 +71,6 @@ fn main() -> ExitCode {
                     .unwrap_or_else(|| usage("--mutation-ratio wants a value in [0, 1]"));
             }
             "--no-shrink" => config.shrink = false,
-            "--backend" => {
-                config.backend = it
-                    .next()
-                    .and_then(|s| udp_service::SolveMode::parse(s))
-                    .unwrap_or_else(|| usage("missing or unknown value for --backend"));
-            }
             "--chaos" => {
                 // Optional spec: `--chaos` alone arms the default campaign;
                 // `--chaos seed=N,rate=P,...` overrides it.

@@ -616,13 +616,13 @@ mod tests {
     fn tag_guard_nests_and_restores() {
         assert_eq!(default_tag_reader(), UNTAGGED);
         {
-            let _a = stage_tag(Stage::Canonize);
-            assert_eq!(default_tag_reader(), Stage::Canonize.as_index() as u8);
+            let _a = stage_tag(Stage::Normalize);
+            assert_eq!(default_tag_reader(), Stage::Normalize.as_index() as u8);
             {
                 let _b = stage_tag(Stage::CanonizeCore);
                 assert_eq!(default_tag_reader(), Stage::CanonizeCore.as_index() as u8);
             }
-            assert_eq!(default_tag_reader(), Stage::Canonize.as_index() as u8);
+            assert_eq!(default_tag_reader(), Stage::Normalize.as_index() as u8);
         }
         assert_eq!(default_tag_reader(), UNTAGGED);
     }

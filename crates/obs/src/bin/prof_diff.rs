@@ -6,24 +6,26 @@
 //!                  [--min-count N] [--mem-tolerance F]
 //!                  [--inflate NAME:FACTOR] CURRENT.json`
 //!
-//! Both inputs may be `--metrics-json` snapshots (schema version 1–3)
-//! or a `BENCH_obs.json` self-profile (the `corpus` section is used).
-//! Four families of checks run; the first three against `--tolerance`
-//! (default 0.15):
+//! Both inputs are `--metrics-json` snapshots (schema version 5). Four
+//! families of checks run; the first three against `--tolerance` (default
+//! 0.15):
 //!
 //! * **stage shares** — compared as absolute share-point deltas, but only
 //!   for stages whose share reaches `--min-share` (default 0.02) in either
 //!   snapshot. Shares are ratios of the same run's wall clock, so they are
-//!   robust to the absolute speed of the machine;
+//!   robust to the absolute speed of the machine. `queue-wait` is the
+//!   exception: it sums every goal's wait since its batch started, so its
+//!   share grows with batch length (about `(n-1)/2` with one worker) and is
+//!   compared relatively, in percent of goal wall;
 //! * **stage call counts** — compared relatively when the baseline has at
 //!   least `--min-count` (default 10) calls; call counts are deterministic
 //!   for a fixed input;
-//! * **deterministic counters** — the [`Counter`] taxonomy minus wall
-//!   tallies and cache-order-dependent depths, compared relatively under
+//! * **deterministic counters** — the [`Counter`] taxonomy minus gauges,
+//!   cache-order-dependent depths and fault tallies, compared relatively under
 //!   the same floor. These are the sharpest signal: a rewrite-loop
 //!   regression shows up here even when wall time hides it;
-//! * **memory** — when both snapshots carry a *tracked* memory section
-//!   (schema 3), bytes-per-goal and per-stage `alloc_bytes` are compared
+//! * **memory** — when both snapshots carry a *tracked* memory section,
+//!   bytes-per-goal and per-stage `alloc_bytes` are compared
 //!   relatively against `--mem-tolerance` (default 0.30 — allocation byte
 //!   totals are stable for a fixed build but drift slightly across
 //!   toolchains, so the byte gate is wider than the count gates). Stage
@@ -40,43 +42,35 @@
 
 use std::collections::BTreeMap;
 use udp_obs::json::{parse, Value};
-use udp_obs::Counter;
+use udp_obs::{Counter, Stage};
 
 fn fail(msg: &str) -> ! {
     eprintln!("udp-prof-diff: error: {msg}");
     std::process::exit(1);
 }
 
-/// A normalized profile: whichever file shape it came from.
+/// The parts of a metrics snapshot the gates compare.
 #[derive(Default)]
 struct Prof {
     /// stage name → (calls, share of goal wall).
     stages: BTreeMap<String, (f64, f64)>,
     /// counter name → value.
     counters: BTreeMap<String, f64>,
-    /// Tracked allocation bytes per goal (schema-3 memory section; `None`
-    /// when the snapshot has no memory session or it was untracked).
+    /// Tracked allocation bytes per goal (`None` when the snapshot has no
+    /// memory session or it was untracked).
     mem_bytes_per_goal: Option<f64>,
     /// memory stage name → alloc_bytes (tracked sessions only).
     mem_stage_bytes: BTreeMap<String, f64>,
 }
 
-/// Pull the stage array out of either file shape: a metrics snapshot has
-/// a top-level `stages`; `BENCH_obs.json` nests one under `corpus`.
+/// Load a metrics snapshot.
 fn load(path: &str) -> Prof {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-    let doc = parse(&text).unwrap_or_else(|e| fail(&format!("{path}: invalid JSON: {e}")));
-    let root = if doc.get("stages").is_some() {
-        &doc
-    } else if let Some(corpus) = doc.get("corpus") {
-        corpus
-    } else {
-        fail(&format!(
-            "{path}: neither a metrics snapshot (no \"stages\") nor a BENCH_obs profile \
-             (no \"corpus\")"
-        ));
-    };
+    let root = parse(&text).unwrap_or_else(|e| fail(&format!("{path}: invalid JSON: {e}")));
+    if root.get("schema_version").and_then(Value::as_f64) != Some(5.0) {
+        fail(&format!("{path}: not a schema-version-5 metrics snapshot"));
+    }
     let mut prof = Prof::default();
     let stages = root
         .get("stages")
@@ -91,35 +85,17 @@ fn load(path: &str) -> Prof {
         let share = entry.get("share").and_then(Value::as_f64).unwrap_or(0.0);
         prof.stages.insert(name.to_string(), (calls, share));
     }
-    match root.get("counters") {
-        // Metrics snapshots: [{"counter": name, "value": v}, ...].
-        Some(Value::Array(entries)) => {
-            for entry in entries {
-                if let (Some(name), Some(v)) = (
-                    entry.get("counter").and_then(Value::as_str),
-                    entry.get("value").and_then(Value::as_f64),
-                ) {
-                    prof.counters.insert(name.to_string(), v);
-                }
-            }
+    let counters = root.get("counters").and_then(Value::as_array);
+    for entry in counters.into_iter().flatten() {
+        if let (Some(name), Some(v)) = (
+            entry.get("counter").and_then(Value::as_str),
+            entry.get("value").and_then(Value::as_f64),
+        ) {
+            prof.counters.insert(name.to_string(), v);
         }
-        // BENCH_obs profiles: {"family": {"counter-name": v, ...}, ...} —
-        // summed across families for the diff.
-        Some(Value::Object(families)) => {
-            for family in families.values() {
-                if let Value::Object(entries) = family {
-                    for (name, v) in entries {
-                        if let Some(v) = v.as_f64() {
-                            *prof.counters.entry(name.clone()).or_insert(0.0) += v;
-                        }
-                    }
-                }
-            }
-        }
-        _ => {}
     }
-    // Schema-3 memory section: only a *tracked* session gates (an
-    // untracked one is all zeros and would only produce vacuous checks).
+    // Only a *tracked* memory session gates (an untracked one is all
+    // zeros and would only produce vacuous checks).
     if let Some(mem) = root.get("memory") {
         if mem.get("tracked").and_then(Value::as_bool) == Some(true) {
             prof.mem_bytes_per_goal = mem.get("bytes_per_goal").and_then(Value::as_f64);
@@ -141,20 +117,28 @@ fn load(path: &str) -> Prof {
 struct Gate {
     tolerance: f64,
     min_share: f64,
-    min_count: f64,
     failures: u32,
     checks: u32,
 }
 
 impl Gate {
-    /// Relative comparison for deterministic counts.
-    fn relative(&mut self, kind: &str, name: &str, base: f64, cur: f64) {
-        if base < self.min_count {
+    /// Relative comparison within `tolerance`, skipped when the baseline
+    /// value is under `floor`.
+    fn relative(
+        &mut self,
+        kind: &str,
+        name: &str,
+        base: f64,
+        cur: f64,
+        tolerance: f64,
+        floor: f64,
+    ) {
+        if base < floor {
             return;
         }
         self.checks += 1;
         let delta = (cur - base) / base;
-        let ok = delta.abs() <= self.tolerance;
+        let ok = delta.abs() <= tolerance;
         if !ok {
             self.failures += 1;
         }
@@ -274,45 +258,54 @@ fn main() {
     let mut gate = Gate {
         tolerance,
         min_share,
-        min_count,
         failures: 0,
         checks: 0,
     };
     for (name, (base_calls, base_share)) in &base.stages {
         let (cur_calls, cur_share) = cur.stages.get(name).copied().unwrap_or((0.0, 0.0));
-        gate.share(name, *base_share, cur_share);
-        gate.relative("stage-calls", name, *base_calls, cur_calls);
+        if name == Stage::QueueWait.name() {
+            let (base_pct, cur_pct) = (base_share * 100.0, cur_share * 100.0);
+            let floor = min_share * 100.0;
+            gate.relative("stage-share%", name, base_pct, cur_pct, tolerance, floor);
+        } else {
+            gate.share(name, *base_share, cur_share);
+        }
+        gate.relative(
+            "stage-calls",
+            name,
+            *base_calls,
+            cur_calls,
+            tolerance,
+            min_count,
+        );
     }
     for (name, base_v) in &base.counters {
-        // Wall-tally and cache-order counters are machine/schedule
+        // Gauges, cache-order depths and fault tallies are schedule
         // dependent; only the deterministic taxonomy gates.
         if !Counter::parse(name).is_some_and(Counter::is_deterministic) {
             continue;
         }
         let cur_v = cur.counters.get(name).copied().unwrap_or(0.0);
-        gate.relative("counter", name, *base_v, cur_v);
+        gate.relative("counter", name, *base_v, cur_v, tolerance, min_count);
     }
     // Memory gates run only when both snapshots carry a tracked memory
     // section (comparing a tracked run against an untracked baseline — or
     // vice versa — would diff real bytes against structural zeros). Byte
     // totals drift more than counts across toolchains, hence the separate,
     // wider tolerance; tiny stage rows are skipped as noise.
-    if base.mem_bytes_per_goal.is_some() && cur.mem_bytes_per_goal.is_some() {
-        gate.tolerance = mem_tolerance;
-        gate.min_count = 1024.0;
+    if let (Some(base_bpg), Some(cur_bpg)) = (base.mem_bytes_per_goal, cur.mem_bytes_per_goal) {
         gate.relative(
             "mem",
             "bytes-per-goal",
-            base.mem_bytes_per_goal.unwrap_or(0.0),
-            cur.mem_bytes_per_goal.unwrap_or(0.0),
+            base_bpg,
+            cur_bpg,
+            mem_tolerance,
+            1024.0,
         );
-        gate.min_count = 65536.0;
         for (name, base_b) in &base.mem_stage_bytes {
             let cur_b = cur.mem_stage_bytes.get(name).copied().unwrap_or(0.0);
-            gate.relative("mem-bytes", name, *base_b, cur_b);
+            gate.relative("mem-bytes", name, *base_b, cur_b, mem_tolerance, 65536.0);
         }
-        gate.tolerance = tolerance;
-        gate.min_count = min_count;
     }
 
     if gate.checks == 0 {

@@ -4,17 +4,11 @@
 //! Stages answer "where did the time go?"; counters answer "what did the
 //! algorithm *do* with it?" — how many canonize fixpoint iterations ran,
 //! which axiom families fired, how much congruence-closure traffic the
-//! rewrites generated, how many summand-pair isomorphism attempts the
-//! symbolic backend burned per signature bucket. They share the recorder's
-//! cost contract (a disabled handle pays one branch per increment, no
-//! atomics) and its single-writer discipline: every counter has exactly one
-//! increment site in the workspace, named below, which is what makes totals
-//! worker-count-invariant.
-//!
-//! The `*-exit-*` group splits backend attempts by how they ended
-//! (definite verdict vs unknown), with wall-nanosecond twins, so cascade's
-//! wasted-sym-time — the time the symbolic backend spends on goals it then
-//! hands to UDP anyway — is directly measurable from one snapshot.
+//! rewrites generated, how large the goal's terms were. They share the
+//! recorder's cost contract (a disabled handle pays one branch per
+//! increment, no atomics) and its single-writer discipline: every counter
+//! has exactly one increment site in the workspace, named below, which is
+//! what makes totals worker-count-invariant.
 
 use std::fmt;
 
@@ -49,15 +43,6 @@ pub enum Counter {
     RwSquashFlatten,
     /// Generalized-Theorem-4.3 squash introductions (`canonize_term`).
     RwSquashIntro,
-    /// Signature buckets built while matching summand multisets
-    /// (`udp_solve::sym::decide_sym`).
-    SymBuckets,
-    /// Summands placed into signature buckets (bucket-size mass; divide by
-    /// `sym-buckets` for the mean bucket width).
-    SymBucketSummands,
-    /// Summand-pair isomorphism attempts inside bucket bijection search
-    /// (`udp_solve::sym` `assign`, one per memo miss).
-    SymIsoAttempts,
     /// Bytes hashed into goal fingerprints (`udp_service` `process_goal`).
     FingerprintBytes,
     /// Verdict-cache probes (`udp_service` `process_goal`).
@@ -65,27 +50,8 @@ pub enum Counter {
     /// Summed LRU recency depth of cache hits (0 = hit at the
     /// most-recently-used slot; divide by hits for the mean depth).
     CacheHitDepth,
-    /// Sym-backend attempts ending in a definite verdict
-    /// (`udp_solve::portfolio::solve_normalized`).
-    SymExitDefinite,
-    /// Sym-backend attempts ending `Unknown` (outside fragment or budget).
-    SymExitUnknown,
-    /// UDP-backend attempts ending in a definite verdict.
-    UdpExitDefinite,
-    /// UDP-backend attempts ending `Unknown` (budget exhaustion).
-    UdpExitUnknown,
-    /// Wall nanoseconds of definite-exit sym attempts.
-    SymDefiniteWallNs,
-    /// Wall nanoseconds of unknown-exit sym attempts — cascade's
-    /// wasted-sym-time.
-    SymUnknownWallNs,
-    /// Wall nanoseconds of definite-exit UDP attempts.
-    UdpDefiniteWallNs,
-    /// Wall nanoseconds of unknown-exit UDP attempts.
-    UdpUnknownWallNs,
     /// Deep size in bytes (`UExpr::deep_size`) of the lowered U-expression
-    /// pair, summed per goal (`udp_service` `process_goal`; the sequential
-    /// `udp-verify` loop mirrors it — the paths are mutually exclusive).
+    /// pair, summed per goal (`udp_service` `process_goal`).
     TermBytes,
     /// Deep size in bytes (`Nf::deep_size`) of the canonical SPNF pair,
     /// summed per goal (same single writer as `term-bytes`).
@@ -94,12 +60,12 @@ pub enum Counter {
     /// monotone tally), set under the cache lock after every insert/evict
     /// (`udp_service` `process_goal`).
     CacheResidentBytes,
-    /// Backend attempts that panicked and were contained into a `Faulted`
-    /// outcome (`udp_solve::portfolio::record_attempt`). Includes
-    /// chaos-injected panics and real defects alike.
+    /// Prover panics contained at the backend boundary
+    /// (`udp_solve::solve_normalized`). Includes chaos-injected panics and
+    /// real defects alike.
     BackendFault,
-    /// Goals whose report was aborted — worker panic, backend fault with
-    /// no surviving verdict — rather than decided
+    /// Goals whose report was aborted — worker panic or contained prover
+    /// panic — rather than decided
     /// (`udp_service::Session::note_aborted`).
     GoalAborted,
     /// Fault actions fired by the chaos injector
@@ -110,7 +76,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (the recorder's fixed-size counter table).
-    pub const COUNT: usize = 31;
+    pub const COUNT: usize = 20;
 
     /// Every counter; index in this array == `as_index`.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -125,20 +91,9 @@ impl Counter {
         Counter::RwFkExpand,
         Counter::RwSquashFlatten,
         Counter::RwSquashIntro,
-        Counter::SymBuckets,
-        Counter::SymBucketSummands,
-        Counter::SymIsoAttempts,
         Counter::FingerprintBytes,
         Counter::CacheProbes,
         Counter::CacheHitDepth,
-        Counter::SymExitDefinite,
-        Counter::SymExitUnknown,
-        Counter::UdpExitDefinite,
-        Counter::UdpExitUnknown,
-        Counter::SymDefiniteWallNs,
-        Counter::SymUnknownWallNs,
-        Counter::UdpDefiniteWallNs,
-        Counter::UdpUnknownWallNs,
         Counter::TermBytes,
         Counter::SpnfBytes,
         Counter::CacheResidentBytes,
@@ -161,26 +116,15 @@ impl Counter {
             Counter::RwFkExpand => 8,
             Counter::RwSquashFlatten => 9,
             Counter::RwSquashIntro => 10,
-            Counter::SymBuckets => 11,
-            Counter::SymBucketSummands => 12,
-            Counter::SymIsoAttempts => 13,
-            Counter::FingerprintBytes => 14,
-            Counter::CacheProbes => 15,
-            Counter::CacheHitDepth => 16,
-            Counter::SymExitDefinite => 17,
-            Counter::SymExitUnknown => 18,
-            Counter::UdpExitDefinite => 19,
-            Counter::UdpExitUnknown => 20,
-            Counter::SymDefiniteWallNs => 21,
-            Counter::SymUnknownWallNs => 22,
-            Counter::UdpDefiniteWallNs => 23,
-            Counter::UdpUnknownWallNs => 24,
-            Counter::TermBytes => 25,
-            Counter::SpnfBytes => 26,
-            Counter::CacheResidentBytes => 27,
-            Counter::BackendFault => 28,
-            Counter::GoalAborted => 29,
-            Counter::FaultsInjected => 30,
+            Counter::FingerprintBytes => 11,
+            Counter::CacheProbes => 12,
+            Counter::CacheHitDepth => 13,
+            Counter::TermBytes => 14,
+            Counter::SpnfBytes => 15,
+            Counter::CacheResidentBytes => 16,
+            Counter::BackendFault => 17,
+            Counter::GoalAborted => 18,
+            Counter::FaultsInjected => 19,
         }
     }
 
@@ -198,20 +142,9 @@ impl Counter {
             Counter::RwFkExpand => "rw-fk-expand",
             Counter::RwSquashFlatten => "rw-squash-flatten",
             Counter::RwSquashIntro => "rw-squash-intro",
-            Counter::SymBuckets => "sym-buckets",
-            Counter::SymBucketSummands => "sym-bucket-summands",
-            Counter::SymIsoAttempts => "sym-iso-attempts",
             Counter::FingerprintBytes => "fingerprint-bytes",
             Counter::CacheProbes => "cache-probes",
             Counter::CacheHitDepth => "cache-hit-depth",
-            Counter::SymExitDefinite => "sym-exit-definite",
-            Counter::SymExitUnknown => "sym-exit-unknown",
-            Counter::UdpExitDefinite => "udp-exit-definite",
-            Counter::UdpExitUnknown => "udp-exit-unknown",
-            Counter::SymDefiniteWallNs => "sym-definite-wall-ns",
-            Counter::SymUnknownWallNs => "sym-unknown-wall-ns",
-            Counter::UdpDefiniteWallNs => "udp-definite-wall-ns",
-            Counter::UdpUnknownWallNs => "udp-unknown-wall-ns",
             Counter::TermBytes => "term-bytes",
             Counter::SpnfBytes => "spnf-bytes",
             Counter::CacheResidentBytes => "cache-resident-bytes",
@@ -227,18 +160,6 @@ impl Counter {
         Counter::ALL.into_iter().find(|c| c.name() == s)
     }
 
-    /// Is this counter a wall-nanosecond tally (rendered as µs) rather
-    /// than an event count?
-    pub fn is_wall_ns(self) -> bool {
-        matches!(
-            self,
-            Counter::SymDefiniteWallNs
-                | Counter::SymUnknownWallNs
-                | Counter::UdpDefiniteWallNs
-                | Counter::UdpUnknownWallNs
-        )
-    }
-
     /// Is this counter a gauge — a last-stored level rather than a
     /// monotone tally? Gauges can decrease, so delta-based consumers (the
     /// bench's per-family sweep) must not subtract successive readings.
@@ -247,15 +168,13 @@ impl Counter {
     }
 
     /// Is this counter's total deterministic for a fixed goal set — i.e.
-    /// independent of worker count, machine speed, and scheduling? Wall
-    /// tallies, cache-order-dependent depths, gauges whose level depends
-    /// on eviction interleaving, and the fault family (race-mode faults
-    /// and breaker trips depend on which backend loses the race) are
-    /// excluded; everything else is pinned across 1/2/4 workers by the
-    /// service metrics test.
+    /// independent of worker count, machine speed, and scheduling?
+    /// Cache-order-dependent depths, gauges whose level depends on
+    /// eviction interleaving, and the fault family (which goals a chaos
+    /// schedule degrades shifts with cache state) are excluded; everything
+    /// else is pinned across 1/2/4 workers by the service metrics test.
     pub fn is_deterministic(self) -> bool {
-        !self.is_wall_ns()
-            && !self.is_gauge()
+        !self.is_gauge()
             && !matches!(
                 self,
                 Counter::CacheHitDepth
@@ -292,23 +211,10 @@ mod tests {
     }
 
     #[test]
-    fn wall_counters_are_the_exit_wall_quartet() {
-        let walls: Vec<Counter> = Counter::ALL
-            .into_iter()
-            .filter(|c| c.is_wall_ns())
-            .collect();
-        assert_eq!(walls.len(), 4);
-        assert!(walls.iter().all(|c| c.name().ends_with("-wall-ns")));
-        assert!(!Counter::SymIsoAttempts.is_wall_ns());
-    }
-
-    #[test]
-    fn deterministic_excludes_walls_cache_depth_and_gauges() {
+    fn deterministic_excludes_cache_depth_gauges_and_faults() {
         assert!(Counter::CanonizeIters.is_deterministic());
-        assert!(Counter::SymIsoAttempts.is_deterministic());
         assert!(Counter::TermBytes.is_deterministic());
         assert!(Counter::SpnfBytes.is_deterministic());
-        assert!(!Counter::SymUnknownWallNs.is_deterministic());
         assert!(!Counter::CacheHitDepth.is_deterministic());
         assert!(!Counter::CacheResidentBytes.is_deterministic());
         assert!(!Counter::BackendFault.is_deterministic());

@@ -18,10 +18,8 @@ use crate::recorder::Recorder;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Probe point: just before a backend `prove` call (suffixed with the
-/// backend name, e.g. `backend:sym`).
-pub const PROBE_BACKEND_SYM: &str = "backend:sym";
-/// Probe point: just before the UDP backend's `prove` call.
+/// Probe point: just before the prover runs, inside the backend
+/// containment boundary (`udp_solve::solve_normalized`).
 pub const PROBE_BACKEND_UDP: &str = "backend:udp";
 /// Probe point: at the top of per-goal processing in the service worker,
 /// *outside* the backend containment boundary — exercises worker
@@ -295,7 +293,7 @@ mod tests {
 
     #[test]
     fn render_round_trips() {
-        let p = FaultPlan::parse("seed=7,rate=0.08,uncontained=1,probe=backend:sym").unwrap();
+        let p = FaultPlan::parse("seed=7,rate=0.08,uncontained=1,probe=backend:udp").unwrap();
         assert_eq!(FaultPlan::parse(&p.render()).unwrap(), p);
     }
 
@@ -305,10 +303,10 @@ mod tests {
         let rec = Recorder::disabled();
         let mut fired = 0usize;
         for key in 0..1000u64 {
-            let a = inj.fire(&rec, PROBE_BACKEND_SYM, key);
+            let a = inj.fire(&rec, PROBE_BACKEND_UDP, key);
             assert_eq!(
                 a,
-                inj.fire(&rec, PROBE_BACKEND_SYM, key),
+                inj.fire(&rec, PROBE_BACKEND_UDP, key),
                 "not a pure function"
             );
             if a.is_some() {
@@ -339,12 +337,11 @@ mod tests {
     #[test]
     fn probe_filter_restricts_injection() {
         let rec = Recorder::disabled();
-        let inj = FaultInjector::new(FaultPlan::parse("rate=1,probe=backend:sym").unwrap());
+        let inj = FaultInjector::new(FaultPlan::parse("rate=1,probe=backend:udp").unwrap());
         assert_eq!(
-            inj.fire(&rec, PROBE_BACKEND_SYM, 0),
+            inj.fire(&rec, PROBE_BACKEND_UDP, 0),
             Some(FaultAction::Panic)
         );
-        assert_eq!(inj.fire(&rec, PROBE_BACKEND_UDP, 0), None);
         assert_eq!(inj.fire(&rec, PROBE_GOAL, 0), None);
     }
 
@@ -355,18 +352,18 @@ mod tests {
         let inj =
             FaultInjector::new(FaultPlan::parse("rate=0,exhaust=0,delay=0,goal-rate=1").unwrap());
         assert_eq!(inj.fire(&rec, PROBE_GOAL, 5), Some(FaultAction::Panic));
-        assert_eq!(inj.fire(&rec, PROBE_BACKEND_SYM, 5), None);
+        assert_eq!(inj.fire(&rec, PROBE_BACKEND_UDP, 5), None);
     }
 
     #[test]
     fn firing_tallies_the_injection_counter() {
         let rec = Recorder::with_slow_capacity(1);
         let inj = FaultInjector::new(FaultPlan::parse("rate=1").unwrap());
-        inj.fire(&rec, PROBE_BACKEND_SYM, 1);
+        inj.fire(&rec, PROBE_BACKEND_UDP, 1);
         inj.fire(&rec, PROBE_BACKEND_UDP, 2);
         assert_eq!(rec.counter(Counter::FaultsInjected), 2);
         // Disabled injector touches nothing.
-        FaultInjector::disabled().fire(&rec, PROBE_BACKEND_SYM, 1);
+        FaultInjector::disabled().fire(&rec, PROBE_BACKEND_UDP, 1);
         assert_eq!(rec.counter(Counter::FaultsInjected), 2);
     }
 

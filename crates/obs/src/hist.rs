@@ -1,7 +1,7 @@
 //! The workspace's shared log₂ latency histogram.
 //!
 //! Lifted out of `crates/service/src/stats.rs` so every layer — service
-//! stats, backend breakdowns, the stage recorder — buckets and estimates
+//! stats and the stage recorder — buckets and estimates
 //! percentiles identically.
 
 use std::time::Duration;

@@ -4,7 +4,7 @@
 //! workspace. It provides:
 //!
 //! * [`Stage`] — the taxonomy of pipeline phases (parse → desugar → lower →
-//!   canonize → fingerprint → cache lookup → prove → counterexample), split
+//!   normalize → fingerprint → cache lookup → prove → counterexample), split
 //!   into *goal-path* stages whose shares sum to a coverage metric and
 //!   *detail* stages that overlap them (see [`stage`]);
 //! * [`Recorder`] — a cloneable handle to shared per-stage tables (calls,
@@ -15,11 +15,11 @@
 //! * [`GoalObs`] — a per-goal span collector producing stage waterfalls,
 //!   folded into a bounded slowest-goals list on completion;
 //! * [`Counter`] — the intra-prover counter taxonomy (canonize iterations,
-//!   axiom-family rewrite firings, congruence-closure traffic, symbolic
-//!   matcher work, per-backend exit-kind splits), tallied on the same
+//!   axiom-family rewrite firings, congruence-closure traffic, term and
+//!   cache sizes, contained faults), tallied on the same
 //!   recorder with the same single-writer discipline (see [`counter`]);
 //! * [`Histogram`] — the log₂ latency histogram previously private to
-//!   `udp-service`'s stats, now shared by stage cells and backend rollups;
+//!   `udp-service`'s stats, now shared by stage cells and service stats;
 //! * [`alloc`] — the memory domain: a tracking `GlobalAlloc` wrapper
 //!   ([`alloc::TrackingAlloc`]) attributing allocation calls/bytes/frees to
 //!   the innermost open stage via a thread-local tag pushed by the span
@@ -55,6 +55,6 @@ pub use counter::Counter;
 pub use fault::{install_chaos_panic_silencer, FaultAction, FaultInjector, FaultPlan};
 pub use hist::{bucket_of, bucket_of_us, Histogram, LATENCY_BUCKETS};
 pub use recorder::{GoalObs, Recorder, Span, TraceSpan, DEFAULT_SLOW_CAPACITY};
-pub use snapshot::{BackendSummary, CounterSnapshot, GoalTrace, MetricsSnapshot, StageSnapshot};
+pub use snapshot::{CounterSnapshot, GoalTrace, MetricsSnapshot, StageSnapshot};
 pub use stage::Stage;
 pub use trace::{validate_chrome_trace, TraceCheck, TraceSink, DEFAULT_TRACE_CAPACITY};

@@ -235,7 +235,7 @@ impl Recorder {
         })
     }
 
-    /// Drop a point event (cache hit, backend verdict, budget exhaustion)
+    /// Drop a point event (cache hit, budget exhaustion, contained fault)
     /// into the calling worker's trace lane. No-op without a sink.
     pub fn instant(&self, name: &'static str) {
         if let Some(inner) = &self.inner {
@@ -247,9 +247,9 @@ impl Recorder {
 
     /// Open a trace-only span (no stage-table write): for intervals that
     /// are *already* aggregated elsewhere under the single-writer rule —
-    /// e.g. the portfolio wraps each backend attempt so the trace shows
-    /// live attempt intervals while the `sym-prove`/`udp-prove` tables are
-    /// still fed once, by the goal driver, from the attempt walls.
+    /// e.g. `udp-solve` wraps the prove call so the trace shows the live
+    /// interval while the `udp-prove` table is still fed once, by the goal
+    /// driver, from the verdict's wall.
     pub fn trace_span(&self, name: &'static str) -> TraceSpan<'_> {
         let sink = self.inner.as_ref().and_then(|i| i.trace.as_ref());
         TraceSpan {
@@ -294,8 +294,8 @@ impl Recorder {
     /// Tag the current thread's allocations with `stage` until the guard
     /// drops, **without** touching the stage tables — for intervals whose
     /// wall time is recorded elsewhere under the single-writer rule (the
-    /// portfolio's backend attempts, whose walls the goal driver folds in
-    /// post-hoc via [`GoalObs::add`]). `None` (no thread-local write) when
+    /// prove call, whose wall the goal driver folds in post-hoc via
+    /// [`GoalObs::add`]). `None` (no thread-local write) when
     /// disabled.
     pub fn alloc_scope(&self, stage: Stage) -> Option<alloc::TagGuard> {
         self.inner.as_ref().map(|_| alloc::stage_tag(stage))
@@ -464,8 +464,8 @@ impl GoalObs {
         r
     }
 
-    /// Add an occurrence with an externally measured duration (backend
-    /// attempt timings reported by the portfolio): waterfall + global.
+    /// Add an occurrence with an externally measured duration (the prove
+    /// call's wall from its verdict): waterfall + global.
     pub fn add(&mut self, stage: Stage, wall: Duration, steps: u64) {
         let Some(inner) = &self.inner else { return };
         inner.stages[stage.as_index()].record(wall, steps);

@@ -1,15 +1,16 @@
 //! Point-in-time views of a [`crate::Recorder`]'s tables, and the stable
 //! machine-readable JSON rendering behind `--metrics-json`.
 //!
-//! The JSON schema (version 4 — version 3 plus the `faults` section and
-//! per-backend `faults`/`breaker_open` fields from the fault-isolation
-//! layer; version 3 added the `memory` section: per-stage allocation
-//! attribution, the live-bytes high-watermark, bytes-per-goal, and cache
-//! residency):
+//! The JSON schema (version 5 — version 4 without the per-backend
+//! `backends` array, whose one remaining row duplicated the `udp-prove`
+//! stage, and with the `canonize` stage renamed `normalize`; version 4
+//! added the `faults` section, version 3 the `memory` section: per-stage
+//! allocation attribution, the live-bytes high-watermark, bytes-per-goal,
+//! and cache residency):
 //!
 //! ```json
 //! {
-//!   "schema_version": 4,
+//!   "schema_version": 5,
 //!   "goals": 240,
 //!   "goal_wall_us": 18234.5,
 //!   "coverage": 0.97,
@@ -22,14 +23,8 @@
 //!   ],
 //!   "counters": [
 //!     {"counter": "canonize-iters", "value": 1312},
-//!     {"counter": "sym-iso-attempts", "value": 4821},
+//!     {"counter": "congruence-finds", "value": 4821},
 //!     ...
-//!   ],
-//!   "backends": [
-//!     {"name": "udp", "calls": 230, "definite": 228, "proved": 200,
-//!      "unknown": 2, "settled": 210, "wall_us": 15000.0,
-//!      "definite_wall_us": 14200.0, "unknown_wall_us": 800.0,
-//!      "p50_us": 64, "p99_us": 1024, "faults": 0, "breaker_open": false}
 //!   ],
 //!   "faults": {
 //!     "backend_faults": 0,
@@ -45,7 +40,7 @@
 //!     "bytes_per_goal": 386972.8,
 //!     "cache_resident_bytes": 52480,
 //!     "stages": [
-//!       {"stage": "canonize", "alloc_calls": 1202, "alloc_bytes": 482304,
+//!       {"stage": "normalize", "alloc_calls": 1202, "alloc_bytes": 482304,
 //!        "bytes_freed": 430080},
 //!       ...,
 //!       {"stage": "untagged", "alloc_calls": 88, "alloc_bytes": 9216,
@@ -54,7 +49,7 @@
 //!   },
 //!   "slow_goals": [
 //!     {"label": "goal 17", "wall_us": 900.1, "steps": 4821,
-//!      "stages": [{"stage": "canonize", "wall_us": 120.0, "steps": 0}, ...]}
+//!      "stages": [{"stage": "normalize", "wall_us": 120.0, "steps": 0}, ...]}
 //!   ]
 //! }
 //! ```
@@ -124,42 +119,6 @@ pub struct CounterSnapshot {
     pub value: u64,
 }
 
-/// Per-backend rollup carried alongside the stage tables in the JSON
-/// snapshot. `udp-service` builds these from its `ServiceStats`; the
-/// sequential `udp-verify` path builds them from its own tallies.
-#[derive(Debug, Clone, Default)]
-pub struct BackendSummary {
-    /// Backend name (`"udp"`, `"sym"`).
-    pub name: String,
-    /// Attempts.
-    pub calls: u64,
-    /// Attempts returning a definite verdict.
-    pub definite: u64,
-    /// Attempts returning `Proved`.
-    pub proved: u64,
-    /// Attempts returning `Unknown`.
-    pub unknown: u64,
-    /// Goals this backend settled for the portfolio.
-    pub settled: u64,
-    /// Total attempt wall time, microseconds.
-    pub wall_us: f64,
-    /// Wall time of attempts that ended in a definite verdict, µs.
-    pub definite_wall_us: f64,
-    /// Wall time of attempts that ended `Unknown`, µs — in cascade mode
-    /// this is the time wasted before falling through to the next backend.
-    pub unknown_wall_us: f64,
-    /// Median attempt latency (histogram upper bound), µs.
-    pub p50_us: u64,
-    /// 99th-percentile attempt latency, µs.
-    pub p99_us: u64,
-    /// Attempts that panicked and were contained into a `Faulted` outcome
-    /// (a subset of `unknown` — faulted attempts settle nothing).
-    pub faults: u64,
-    /// Did the circuit breaker disable this backend for the session
-    /// (K consecutive faults)?
-    pub breaker_open: bool,
-}
-
 /// A point-in-time copy of a recorder's aggregation tables.
 #[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
@@ -223,8 +182,7 @@ impl MetricsSnapshot {
 
     /// Fraction of goal wall time attributed to goal-path stages — the
     /// "did we account for where the time went?" number. Sums only the
-    /// non-overlapping stages, so 1.0 is the ideal; race-mode portfolios
-    /// can exceed it (attempts overlap in real time).
+    /// non-overlapping stages, so 1.0 is the ideal.
     pub fn coverage(&self) -> f64 {
         Stage::ALL
             .into_iter()
@@ -242,11 +200,11 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Render the version-4 metrics JSON (see the module docs).
-    pub fn to_json(&self, backends: &[BackendSummary]) -> String {
+    /// Render the version-5 metrics JSON (see the module docs).
+    pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n");
-        out.push_str("  \"schema_version\": 4,\n");
+        out.push_str("  \"schema_version\": 5,\n");
         out.push_str(&format!("  \"goals\": {},\n", self.goals));
         out.push_str(&format!(
             "  \"goal_wall_us\": {},\n",
@@ -285,30 +243,6 @@ impl MetricsSnapshot {
                 json_str(c.counter.name()),
                 c.value,
                 if i + 1 < self.counters.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"backends\": [\n");
-        for (i, b) in backends.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": {}, \"calls\": {}, \"definite\": {}, \"proved\": {}, \
-                 \"unknown\": {}, \"settled\": {}, \"wall_us\": {}, \
-                 \"definite_wall_us\": {}, \"unknown_wall_us\": {}, \"p50_us\": {}, \
-                 \"p99_us\": {}, \"faults\": {}, \"breaker_open\": {}}}{}\n",
-                json_str(&b.name),
-                b.calls,
-                b.definite,
-                b.proved,
-                b.unknown,
-                b.settled,
-                fmt_f64(b.wall_us),
-                fmt_f64(b.definite_wall_us),
-                fmt_f64(b.unknown_wall_us),
-                b.p50_us,
-                b.p99_us,
-                b.faults,
-                b.breaker_open,
-                if i + 1 < backends.len() { "," } else { "" }
             ));
         }
         out.push_str("  ],\n");
@@ -433,15 +367,7 @@ impl MetricsSnapshot {
         if !live.is_empty() {
             out.push_str("  counters:\n");
             for c in live {
-                if c.counter.is_wall_ns() {
-                    out.push_str(&format!(
-                        "    {:<21} {:>14.1}us\n",
-                        c.counter.name(),
-                        c.value as f64 / 1_000.0
-                    ));
-                } else {
-                    out.push_str(&format!("    {:<21} {:>14}\n", c.counter.name(), c.value));
-                }
+                out.push_str(&format!("    {:<21} {:>14}\n", c.counter.name(), c.value));
             }
         }
         if let Some(mem) = &self.memory {
@@ -560,23 +486,17 @@ mod tests {
     fn json_has_all_stages_and_escapes_labels() {
         let r = Recorder::enabled();
         let mut g = r.goal();
-        g.add(Stage::Canonize, Duration::from_micros(5), 0);
+        g.add(Stage::Normalize, Duration::from_micros(5), 0);
         g.finish(|| "a \"quoted\" goal".into(), Duration::from_micros(10), 0);
-        let json = r.snapshot().to_json(&[BackendSummary {
-            name: "udp".into(),
-            calls: 1,
-            ..Default::default()
-        }]);
+        let json = r.snapshot().to_json();
         for s in Stage::ALL {
             assert!(json.contains(&format!("\"{}\"", s.name())), "{}", s);
         }
         assert!(json.contains("\\\"quoted\\\""));
-        assert!(json.contains("\"schema_version\": 4"));
-        assert!(json.contains("\"name\": \"udp\""));
-        assert!(json.contains("\"definite_wall_us\""));
+        assert!(json.contains("\"schema_version\": 5"));
+        assert!(!json.contains("\"backends\""));
         assert!(json.contains("\"faults\": {"));
         assert!(json.contains("\"backend_faults\": 0"));
-        assert!(json.contains("\"breaker_open\": false"));
         assert!(
             json.contains("\"memory\": null"),
             "no memory session ⇒ null section"
@@ -591,10 +511,10 @@ mod tests {
         let r = Recorder::enabled();
         r.track_memory();
         let mut g = r.goal();
-        g.add(Stage::Canonize, Duration::from_micros(5), 0);
+        g.add(Stage::Normalize, Duration::from_micros(5), 0);
         g.finish(|| "g".into(), Duration::from_micros(10), 0);
         let snap = r.snapshot();
-        let json = snap.to_json(&[]);
+        let json = snap.to_json();
         if let Some(mem) = &snap.memory {
             assert_eq!(mem.stages.len(), crate::alloc::ALLOC_ROWS);
             assert!(json.contains("\"memory\": {"));
@@ -616,14 +536,12 @@ mod tests {
     fn counters_snapshot_and_render() {
         let r = Recorder::enabled();
         r.count(Counter::CanonizeIters, 3);
-        r.count(Counter::SymUnknownWallNs, 1_500);
         let snap = r.snapshot();
         assert_eq!(snap.counter(Counter::CanonizeIters), 3);
         assert_eq!(snap.counter(Counter::RwFkExpand), 0);
         assert_eq!(snap.counters.len(), Counter::COUNT);
         let rendered = snap.render();
         assert!(rendered.contains("canonize-iters"));
-        assert!(rendered.contains("1.5us"), "wall counters render as µs");
         assert!(
             !rendered.contains("rw-fk-expand"),
             "zero counters stay hidden"

@@ -4,9 +4,9 @@
 //! two flavors:
 //!
 //! * **goal-path stages** ([`Stage::in_goal_path`] = `true`) partition the
-//!   wall time of one goal as seen by the driver (`udp-service`'s
-//!   `process_goal`, or the sequential `udp-verify` loop): desugar → lower →
-//!   canonize (SPNF) → fingerprint → cache lookup → backend proving. Their
+//!   wall time of one goal as seen by `udp-service`'s `process_goal`:
+//!   desugar → lower → normalize (SPNF) → fingerprint → cache lookup →
+//!   proving. Their
 //!   shares may be summed — the instrumentation records each exactly once
 //!   per occurrence, from exactly one layer — and the sum over goal wall
 //!   time is the snapshot's *coverage*;
@@ -14,7 +14,7 @@
 //!   per-goal window (program/goal-line parsing, scheduler queue wait, the
 //!   counterexample hunt) or are *nested* inside a goal-path stage (the
 //!   core canonization and congruence-closure passes run inside the prove
-//!   stages). Their shares are reported against the same goal-wall
+//!   stage). Their shares are reported against the same goal-wall
 //!   denominator but must not be added to the coverage sum — they overlap.
 
 use std::fmt;
@@ -30,22 +30,20 @@ pub enum Stage {
     Desugar,
     /// AST → U-expression lowering (`udp-sql`).
     Lower,
-    /// SPNF normalization of the lowered goal pair — the shared normal
-    /// forms feeding the cache key and every backend.
-    Canonize,
+    /// SPNF normalization of the lowered goal pair (`normalize_pair`) —
+    /// the shared normal forms feeding the cache key and the prover.
+    Normalize,
     /// Canonical-form rendering + 128-bit fingerprinting (cache keys).
     Fingerprint,
     /// Verdict-cache probe.
     CacheLookup,
-    /// The symbolic SPJ/UCQ backend's attempt.
-    SymProve,
-    /// The UDP decision procedure's attempt.
+    /// The UDP decision procedure.
     UdpProve,
     /// Counterexample database search (`udp-eval`, `--counterexample`).
     Counterexample,
     /// Scheduler wait: batch submission → a worker picking the goal up.
     QueueWait,
-    /// *Nested*: `canonize_nf` term rewriting inside a prove stage.
+    /// *Nested*: `canonize_nf` term rewriting inside the prove stage.
     CanonizeCore,
     /// *Nested*: congruence-closure construction inside canonization and
     /// term matching.
@@ -54,17 +52,16 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages (the recorder's fixed-size aggregation tables).
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 11;
 
     /// Every stage, in pipeline order. Index in this array == `as_index`.
     pub const ALL: [Stage; Stage::COUNT] = [
         Stage::Parse,
         Stage::Desugar,
         Stage::Lower,
-        Stage::Canonize,
+        Stage::Normalize,
         Stage::Fingerprint,
         Stage::CacheLookup,
-        Stage::SymProve,
         Stage::UdpProve,
         Stage::Counterexample,
         Stage::QueueWait,
@@ -78,15 +75,14 @@ impl Stage {
             Stage::Parse => 0,
             Stage::Desugar => 1,
             Stage::Lower => 2,
-            Stage::Canonize => 3,
+            Stage::Normalize => 3,
             Stage::Fingerprint => 4,
             Stage::CacheLookup => 5,
-            Stage::SymProve => 6,
-            Stage::UdpProve => 7,
-            Stage::Counterexample => 8,
-            Stage::QueueWait => 9,
-            Stage::CanonizeCore => 10,
-            Stage::Congruence => 11,
+            Stage::UdpProve => 6,
+            Stage::Counterexample => 7,
+            Stage::QueueWait => 8,
+            Stage::CanonizeCore => 9,
+            Stage::Congruence => 10,
         }
     }
 
@@ -96,10 +92,9 @@ impl Stage {
             Stage::Parse => "parse",
             Stage::Desugar => "desugar",
             Stage::Lower => "lower",
-            Stage::Canonize => "canonize",
+            Stage::Normalize => "normalize",
             Stage::Fingerprint => "fingerprint",
             Stage::CacheLookup => "cache-lookup",
-            Stage::SymProve => "sym-prove",
             Stage::UdpProve => "udp-prove",
             Stage::Counterexample => "counterexample-search",
             Stage::QueueWait => "queue-wait",
@@ -120,10 +115,9 @@ impl Stage {
             self,
             Stage::Desugar
                 | Stage::Lower
-                | Stage::Canonize
+                | Stage::Normalize
                 | Stage::Fingerprint
                 | Stage::CacheLookup
-                | Stage::SymProve
                 | Stage::UdpProve
         )
     }
@@ -160,7 +154,7 @@ mod tests {
             .into_iter()
             .filter(|s| s.in_goal_path())
             .collect();
-        assert_eq!(path.len(), 7);
+        assert_eq!(path.len(), 6);
         assert!(!Stage::Parse.in_goal_path());
         assert!(!Stage::QueueWait.in_goal_path());
         assert!(!Stage::Congruence.in_goal_path());

@@ -11,8 +11,8 @@
 //!
 //! [`TraceSink::chrome_trace`] renders the buffers as Chrome Trace Event
 //! JSON (the `{"traceEvents": [...]}` array format): `"B"`/`"E"` duration
-//! events for spans, `"i"` instants for point events (cache hits, backend
-//! verdicts, budget exhaustion), and one `thread_name` metadata record per
+//! events for spans, `"i"` instants for point events (cache hits, budget
+//! exhaustion, contained faults), and one `thread_name` metadata record per
 //! lane. The output loads directly in Perfetto or `chrome://tracing`.
 //! [`validate_chrome_trace`] re-parses an export with [`crate::json`] and
 //! checks the span-balance invariant — CI runs it over a fixed-seed corpus
@@ -340,12 +340,12 @@ mod tests {
         let t0 = s.epoch;
         s.span("goal", t0, t0 + Duration::from_micros(100));
         s.span(
-            "canonize",
+            "normalize",
             t0 + Duration::from_micros(5),
             t0 + Duration::from_micros(20),
         );
         s.span(
-            "sym",
+            "udp-prove",
             t0 + Duration::from_micros(25),
             t0 + Duration::from_micros(90),
         );

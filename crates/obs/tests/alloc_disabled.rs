@@ -26,7 +26,7 @@ fn no_session_means_the_allocator_never_reads_the_tag() {
 
     // Disabled recorder: the documented hot-path configuration.
     let disabled = Recorder::disabled();
-    let collected = disabled.time(Stage::Canonize, || {
+    let collected = disabled.time(Stage::Normalize, || {
         (0..50_000u64).map(|i| i.to_string()).collect::<Vec<_>>()
     });
     drop(collected);
@@ -35,7 +35,7 @@ fn no_session_means_the_allocator_never_reads_the_tag() {
     // with no session the allocator must still not read them.
     let enabled = Recorder::enabled();
     {
-        let _span = enabled.span(Stage::SymProve);
+        let _span = enabled.span(Stage::UdpProve);
         let mut v = Vec::new();
         for i in 0..50_000u64 {
             v.push(i.to_string());
@@ -43,5 +43,5 @@ fn no_session_means_the_allocator_never_reads_the_tag() {
     }
     let snap = enabled.snapshot();
     assert!(snap.memory.is_none(), "no memory session was requested");
-    assert!(snap.to_json(&[]).contains("\"memory\": null"));
+    assert!(snap.to_json().contains("\"memory\": null"));
 }

@@ -28,7 +28,7 @@ fn tracked_session_attributes_bytes_to_the_tagged_stage() {
     let recorder = Recorder::enabled();
     recorder.track_memory();
     let kept = {
-        let _span = recorder.span(Stage::Canonize);
+        let _span = recorder.span(Stage::Normalize);
         allocate(1 << 20)
     };
     let snap = recorder.snapshot();
@@ -40,7 +40,7 @@ fn tracked_session_attributes_bytes_to_the_tagged_stage() {
     let row = mem
         .stages
         .iter()
-        .find(|r| r.name() == Stage::Canonize.name())
+        .find(|r| r.name() == Stage::Normalize.name())
         .expect("canonize row present");
     assert!(
         row.alloc_bytes >= 1 << 20,
@@ -81,7 +81,7 @@ fn nested_spans_charge_the_innermost_stage_and_frees_are_counted() {
     let recorder = Recorder::enabled();
     recorder.track_memory();
     {
-        let _outer = recorder.span(Stage::SymProve);
+        let _outer = recorder.span(Stage::UdpProve);
         let _inner = recorder.span(Stage::Congruence);
         drop(allocate(1 << 16)); // allocated AND freed under congruence
     }
@@ -95,14 +95,14 @@ fn nested_spans_charge_the_innermost_stage_and_frees_are_counted() {
     assert!(congruence.alloc_bytes >= 1 << 16, "{congruence:?}");
     assert!(congruence.bytes_freed >= 1 << 16, "{congruence:?}");
     // The outer stage saw none of the inner stage's traffic.
-    let sym = mem
+    let outer = mem
         .stages
         .iter()
-        .find(|r| r.name() == Stage::SymProve.name())
+        .find(|r| r.name() == Stage::UdpProve.name())
         .unwrap();
     assert!(
-        sym.alloc_bytes < 1 << 16,
-        "outer span was charged the inner span's bytes: {sym:?}"
+        outer.alloc_bytes < 1 << 16,
+        "outer span was charged the inner span's bytes: {outer:?}"
     );
 }
 
@@ -116,8 +116,8 @@ fn totals_equal_the_row_sums_and_json_reports_tracked() {
     let mem = snap.memory.as_ref().expect("memory session");
     let row_bytes: u64 = mem.stages.iter().map(|r| r.alloc_bytes).sum();
     assert_eq!(row_bytes, mem.total_alloc_bytes());
-    let json = snap.to_json(&[]);
-    assert!(json.contains("\"schema_version\": 4"), "{json}");
+    let json = snap.to_json();
+    assert!(json.contains("\"schema_version\": 5"), "{json}");
     assert!(json.contains("\"tracked\": true"), "{json}");
     assert!(!json.contains("\"memory\": null"), "{json}");
 }

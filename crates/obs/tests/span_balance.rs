@@ -65,9 +65,9 @@ proptest! {
         let started = Instant::now();
         let mut goal = r.goal();
         for (i, &spin) in spins.iter().enumerate() {
-            let stage = [Stage::Lower, Stage::Canonize, Stage::Fingerprint,
-                         Stage::CacheLookup, Stage::SymProve, Stage::UdpProve, Stage::Desugar]
-                [i % 7];
+            let stage = [Stage::Lower, Stage::Normalize, Stage::Fingerprint,
+                         Stage::CacheLookup, Stage::UdpProve, Stage::Desugar]
+                [i % 6];
             goal.time(stage, || {
                 // Busy-work proportional to `spin`, below timer noise floors.
                 let mut acc = 0u64;

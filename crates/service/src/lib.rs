@@ -44,22 +44,22 @@ pub mod cache;
 pub mod scheduler;
 pub mod stats;
 
-pub use stats::{BackendStats, ServiceStats};
-pub use udp_solve::SolveMode;
+pub use stats::ServiceStats;
 
 use cache::Lru;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use udp_core::budget::Exhausted;
 use udp_core::ctx::Options;
+use udp_core::decide::record_normalization;
 use udp_core::fingerprint::{canonical_form_nf, fingerprint_form, Fingerprint};
 use udp_core::spnf::Nf;
-use udp_core::Verdict;
+use udp_core::{QueryU, Verdict};
 use udp_obs::fault::PROBE_GOAL;
 use udp_obs::{Counter, FaultAction, FaultInjector, FaultPlan, Recorder, Stage};
-use udp_solve::{BackendOutcome, Breakers, SolveConfig};
+use udp_solve::{normalize_pair, SolveConfig, SolveMode};
 use udp_sql::ast::Query;
+use udp_sql::parser::{parse_program_with_warnings, Warning};
 use udp_sql::{Dialect, Frontend, ParseError, VerifyError};
 
 /// Configuration for a verification session.
@@ -89,13 +89,8 @@ pub struct SessionConfig {
     /// cache is disabled (canonicalization is otherwise skipped for
     /// `cache_capacity == 0`, since it costs a full SPNF normalization).
     pub fingerprints: bool,
-    /// Portfolio mode for producing verdicts (see [`SolveMode`]): the UDP
-    /// pipeline alone, the symbolic SPJ backend alone, or the two composed
-    /// as cascade / race / crosscheck. All modes agree on definite verdicts,
-    /// which is what keeps the fingerprint cache mode-agnostic.
-    pub mode: SolveMode,
     /// Stage-metrics recorder threaded through the whole goal path (parse,
-    /// desugar, lower, canonize, fingerprint, cache, backends, queue wait).
+    /// desugar, lower, normalize, fingerprint, cache, prove, queue wait).
     /// The default disabled handle makes every instrumentation point free.
     pub recorder: Recorder,
     /// Deterministic chaos schedule (`--chaos`): seeded panics, forced
@@ -103,9 +98,6 @@ pub struct SessionConfig {
     /// (the default) injects nothing and costs one `Option` check per
     /// probe.
     pub chaos: Option<FaultPlan>,
-    /// Consecutive contained faults before a backend's circuit breaker
-    /// opens for the rest of the session (`0` = never trip).
-    pub breaker_threshold: u32,
 }
 
 impl Default for SessionConfig {
@@ -120,10 +112,8 @@ impl Default for SessionConfig {
             dialect: Dialect::Paper,
             record_trace: false,
             fingerprints: false,
-            mode: SolveMode::Udp,
             recorder: Recorder::disabled(),
             chaos: None,
-            breaker_threshold: 5,
         }
     }
 }
@@ -138,12 +128,6 @@ impl SessionConfig {
     /// Set the parser dialect.
     pub fn with_dialect(mut self, dialect: Dialect) -> Self {
         self.dialect = dialect;
-        self
-    }
-
-    /// Set the portfolio mode.
-    pub fn with_mode(mut self, mode: SolveMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -171,15 +155,12 @@ impl SessionConfig {
 /// error taxonomy for degraded goals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbortReason {
-    /// The goal (or every backend that tried it) panicked; the unwind was
-    /// contained by the worker supervisor or the backend boundary.
+    /// The goal or its prover panicked; the unwind was contained by the
+    /// worker supervisor or the backend boundary.
     Panicked,
     /// The budget's step or wall limit tripped (a deterministic timeout
     /// under a step-only budget).
     BudgetExhausted,
-    /// A cooperative cancellation flag flipped mid-search (e.g. the race
-    /// loser being stopped by the winner, or a caller-side cancel).
-    Cancelled,
 }
 
 impl AbortReason {
@@ -188,7 +169,6 @@ impl AbortReason {
         match self {
             AbortReason::Panicked => "panicked",
             AbortReason::BudgetExhausted => "budget-exhausted",
-            AbortReason::Cancelled => "cancelled",
         }
     }
 }
@@ -210,18 +190,10 @@ pub struct GoalReport {
     pub cached: bool,
     /// Canonical fingerprints of (lhs, rhs), when lowering succeeded.
     pub fingerprints: Option<(Fingerprint, Fingerprint)>,
-    /// Backend that settled the goal (`None` for cache hits and front-end
-    /// errors).
-    pub settled_by: Option<&'static str>,
-    /// Crosscheck mode only: a definite symbolic/UDP disagreement. The
-    /// structured signal for tooling (the fuzzer's failure classifier, the
-    /// corpus sweep's strict gate) — `outcome` additionally carries it as an
-    /// error for rendering and exit codes.
-    pub disagreement: Option<String>,
     /// End-to-end wall time for this goal (lowering + cache probe + decide).
     pub wall: Duration,
-    /// Search steps consumed by the goal's backend attempts (0 for cache
-    /// hits and front-end errors).
+    /// Search steps the prover consumed (0 for cache hits and front-end
+    /// errors).
     pub steps: u64,
     /// Set when the goal degraded instead of deciding: a contained panic
     /// (`outcome` is the error), or a `Timeout` verdict annotated with
@@ -251,10 +223,10 @@ type CacheKey = (String, String);
 /// A verification session: one parsed schema, many goals.
 pub struct Session {
     base: Frontend,
+    warnings: Vec<Warning>,
     config: SessionConfig,
     cache: Mutex<Lru<CacheKey, Verdict>>,
     stats: Mutex<ServiceStats>,
-    breakers: Arc<Breakers>,
     faults: FaultInjector,
 }
 
@@ -264,14 +236,19 @@ impl Session {
     /// desugared through `udp-ext` here; goals are desugared per
     /// verification (they may arrive later via [`Session::verify_batch`]).
     pub fn new(program: &str, config: SessionConfig) -> Result<Session, VerifyError> {
-        let mut base = config.recorder.time(Stage::Parse, || {
-            udp_sql::prepare_program_in(program, config.dialect)
+        let (mut base, warnings) = config.recorder.time(Stage::Parse, || {
+            let (program, warnings) =
+                parse_program_with_warnings(program, config.dialect).map_err(VerifyError::Parse)?;
+            let base = udp_sql::build_frontend(&program).map_err(VerifyError::Frontend)?;
+            Ok::<_, VerifyError>((base, warnings))
         })?;
         if config.dialect == Dialect::Full {
             base.recorder = config.recorder.clone();
             udp_ext::desugar_views(&mut base).map_err(|e| VerifyError::Desugar(e.to_string()))?;
         }
-        Ok(Session::from_frontend(base, config))
+        let mut session = Session::from_frontend(base, config);
+        session.warnings = warnings;
+        Ok(session)
     }
 
     /// Wrap an already-prepared frontend.
@@ -289,13 +266,12 @@ impl Session {
             }
             None => FaultInjector::disabled(),
         };
-        let breakers = Arc::new(Breakers::new(config.breaker_threshold));
         Session {
             base,
+            warnings: Vec::new(),
             config,
             cache: Mutex::new(cache),
             stats: Mutex::new(ServiceStats::default()),
-            breakers,
             faults,
         }
     }
@@ -303,6 +279,18 @@ impl Session {
     /// The session configuration.
     pub fn config(&self) -> &SessionConfig {
         &self.config
+    }
+
+    /// The warnings the program parse recorded (e.g. an `ORDER BY` that
+    /// the full dialect stripped).
+    pub fn warnings(&self) -> &[Warning] {
+        &self.warnings
+    }
+
+    /// The shared frontend every worker clones: catalog, constraints,
+    /// views, and the program's goals.
+    pub fn frontend(&self) -> &Frontend {
+        &self.base
     }
 
     /// The `verify` goals declared in the session program, in order.
@@ -340,18 +328,7 @@ impl Session {
         let cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
         stats.cache_entries = cache.len() as u64;
         stats.cache_resident_bytes = cache.resident_bytes() as u64;
-        // Overlay the live circuit-breaker state (the per-attempt fault
-        // tallies are already in the aggregate; open/closed is a gauge only
-        // the breakers themselves know).
-        for (name, b) in stats.backends.iter_mut() {
-            b.breaker_open = self.breakers.is_open(name);
-        }
         stats
-    }
-
-    /// The session's live circuit breakers (test and driver introspection).
-    pub fn breakers(&self) -> &Breakers {
-        &self.breakers
     }
 
     /// Live entries in the verdict cache.
@@ -387,36 +364,52 @@ impl Session {
         goal: &(Query, Query),
     ) -> Result<(Fingerprint, Fingerprint), String> {
         let mut fe = self.base_clone();
-        let goal = self.desugar_if_full(&fe, goal).map_err(|e| e.to_string())?;
-        let (q1, q2) = udp_sql::lower_goal(&mut fe, &goal).map_err(|e| e.to_string())?;
-        let (nf1, nf2) = Self::normalize_goal(&q1, &q2);
+        let (q1, q2) = self.lower_goal(&mut fe, goal)?;
+        let (nf1, nf2) = normalize_pair(&q1, &q2);
         let (form1, form2) = Self::canonical_key(&fe, &q1, &q2, &nf1, &nf2);
         Ok((fingerprint_form(&form1), fingerprint_form(&form2)))
     }
 
-    /// SPNF-normalize a lowered goal pair. Delegates to
-    /// [`udp_solve::normalize_pair`] — the cache key and every portfolio
-    /// backend must see the same normal forms, so there is exactly one
-    /// normalization in the workspace.
-    fn normalize_goal(q1: &udp_core::QueryU, q2: &udp_core::QueryU) -> (Nf, Nf) {
-        udp_solve::normalize_pair(q1, q2)
+    /// Desugar (under [`Dialect::Full`]) and lower one goal on `fe`, the
+    /// way a worker does. `fe` gains the goal's anonymous subquery schemas.
+    fn lower_goal(
+        &self,
+        fe: &mut Frontend,
+        goal: &(Query, Query),
+    ) -> Result<(QueryU, QueryU), String> {
+        let goal = self.desugar_if_full(fe, goal).map_err(|e| e.to_string())?;
+        udp_sql::lower_goal(fe, &goal).map_err(|e| e.to_string())
+    }
+
+    /// Lower the program's goals, in order, onto the shared frontend and
+    /// return the lowered pairs. Every worker clone then starts out holding
+    /// the goals' anonymous subquery schemas, so each program goal lowers
+    /// to the same schema ids on any worker, and the proof traces of their
+    /// verdicts replay over [`Session::frontend`]'s catalog. Nothing is
+    /// recorded: the verification that follows owns the metrics.
+    pub fn lower_program_goals(&mut self) -> Vec<Result<(QueryU, QueryU), String>> {
+        let mut fe = std::mem::take(&mut self.base);
+        let recorder = std::mem::replace(&mut fe.recorder, Recorder::disabled());
+        let lowered = fe
+            .goals
+            .clone()
+            .iter()
+            .map(|goal| self.lower_goal(&mut fe, goal))
+            .collect();
+        fe.recorder = recorder;
+        self.base = fe;
+        lowered
     }
 
     /// Canonical cache key of a lowered + normalized goal pair.
-    fn canonical_key(
-        fe: &Frontend,
-        q1: &udp_core::QueryU,
-        q2: &udp_core::QueryU,
-        nf1: &Nf,
-        nf2: &Nf,
-    ) -> CacheKey {
+    fn canonical_key(fe: &Frontend, q1: &QueryU, q2: &QueryU, nf1: &Nf, nf2: &Nf) -> CacheKey {
         (
             canonical_form_nf(&fe.catalog, nf1, q1.out, q1.schema),
             canonical_form_nf(&fe.catalog, nf2, q1.out, q2.schema),
         )
     }
 
-    /// Per-goal solve configuration (each backend builds a fresh budget from
+    /// Per-goal solve configuration (the prover builds a fresh budget from
     /// these limits; a budget's wall clock starts at its first tick, so
     /// pre-building configs here is safe). The goal's batch index becomes
     /// the chaos `fault_key`, keeping any injection schedule a pure function
@@ -428,10 +421,8 @@ impl Session {
             options: self.config.options.clone(),
             record_trace: self.config.record_trace,
             recorder: self.config.recorder.clone(),
-            breakers: Some(Arc::clone(&self.breakers)),
             faults: self.faults.clone(),
             fault_key: index as u64,
-            ..SolveConfig::default()
         }
     }
 
@@ -498,8 +489,6 @@ impl Session {
                     outcome: Err(e),
                     cached: false,
                     fingerprints: None,
-                    settled_by: None,
-                    disagreement: None,
                     wall,
                     steps: 0,
                     aborted: None,
@@ -518,7 +507,7 @@ impl Session {
         // Normalize each side exactly once: the SPNF forms feed both the
         // canonical cache key and (on a miss) the decision procedure via
         // `decide_normalized_with`.
-        let (nf1, nf2) = obs.time(Stage::Canonize, || Self::normalize_goal(&q1, &q2));
+        let (nf1, nf2) = obs.time(Stage::Normalize, || normalize_pair(&q1, &q2));
         if recorder.is_enabled() {
             recorder.count(
                 Counter::SpnfBytes,
@@ -573,8 +562,6 @@ impl Session {
                     outcome: Ok(verdict),
                     cached: true,
                     fingerprints,
-                    settled_by: None,
-                    disagreement: None,
                     wall,
                     steps: 0,
                     aborted: None,
@@ -582,9 +569,6 @@ impl Session {
             }
         }
 
-        // Portfolio run: the configured backend composition produces one
-        // pipeline-compatible verdict (all modes agree on definite
-        // decisions, so the cache key stays mode-agnostic).
         let goal = udp_solve::Goal {
             catalog: &fe.catalog,
             constraints: &fe.constraints,
@@ -595,88 +579,36 @@ impl Session {
             nf2: &nf2,
             config: self.solve_config(index),
         };
-        let solved = udp_solve::solve_normalized(&goal, self.config.mode);
-        let mut steps = 0u64;
-        {
-            let mut stats = self.stats.lock().unwrap_or_else(|e| e.into_inner());
-            for a in &solved.attempts {
-                stats.record_backend(
-                    a.backend,
-                    a.outcome.is_definite(),
-                    a.outcome == BackendOutcome::Proved,
-                    a.wall,
-                    a.backend == solved.settled_by,
-                    a.outcome.is_faulted(),
-                );
+        // A contained prover panic leaves no verdict: an aborted goal,
+        // surfaced as an error and never cached.
+        let mut verdict = match udp_solve::solve_normalized(&goal, SolveMode::Udp) {
+            Ok(verdict) => verdict,
+            Err(reason) => {
+                let wall = started.elapsed();
+                self.note_aborted();
+                self.stats
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .record(wall, false, false, true);
+                obs.finish(|| format!("goal {index} (aborted)"), wall, 0);
+                return GoalReport {
+                    index,
+                    outcome: Err(format!("goal aborted: {reason}")),
+                    cached: false,
+                    fingerprints,
+                    wall,
+                    steps: 0,
+                    aborted: Some(AbortReason::Panicked),
+                };
             }
-        }
-        for a in &solved.attempts {
-            let stage = if a.backend == "sym" {
-                Stage::SymProve
-            } else {
-                Stage::UdpProve
-            };
-            obs.add(stage, a.wall, a.steps);
-            steps += a.steps;
-        }
-        // A crosscheck disagreement means one of the engines is wrong; it
-        // must surface as a hard error, never be cached or reported as a
-        // verdict.
-        if let Some(d) = solved.disagreement {
-            let wall = started.elapsed();
-            self.stats
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .record(wall, false, false, true);
-            obs.finish(|| format!("goal {index} (disagreement)"), wall, steps);
-            return GoalReport {
-                index,
-                outcome: Err(format!("backend disagreement: {d}")),
-                cached: false,
-                fingerprints,
-                settled_by: None,
-                disagreement: Some(d),
-                wall,
-                steps,
-                aborted: None,
-            };
-        }
-        // No backend produced any verdict (every attempt faulted, or the
-        // breakers disabled them all): an aborted goal, surfaced as an
-        // error. The synthesized placeholder verdict is deliberately
-        // *dropped* here — it must never reach the cache.
-        if let Some(reason) = solved.fault {
-            let wall = started.elapsed();
-            self.note_aborted();
-            self.stats
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .record(wall, false, false, true);
-            obs.finish(|| format!("goal {index} (aborted)"), wall, steps);
-            return GoalReport {
-                index,
-                outcome: Err(format!("goal aborted: {reason}")),
-                cached: false,
-                fingerprints,
-                settled_by: None,
-                disagreement: None,
-                wall,
-                steps,
-                aborted: Some(AbortReason::Panicked),
-            };
-        }
-        let verdict = solved.verdict;
-        // A degraded-but-reported goal: a `Timeout` verdict carries *which*
-        // limit ended it (step cap / wall deadline → BudgetExhausted,
-        // cooperative cancel → Cancelled) in the report taxonomy.
-        let aborted = if verdict.decision == udp_core::Decision::Timeout {
-            Some(match verdict.stats.exhausted {
-                Some(Exhausted::Cancelled) => AbortReason::Cancelled,
-                _ => AbortReason::BudgetExhausted,
-            })
-        } else {
-            None
         };
+        let steps = verdict.stats.steps_used;
+        obs.add(Stage::UdpProve, verdict.stats.wall, steps);
+        record_normalization(&mut verdict, &q1, &q2, &nf1, &nf2);
+        // A degraded-but-reported goal: a `Timeout` verdict means the step
+        // cap or the wall deadline ended the search.
+        let aborted = (verdict.decision == udp_core::Decision::Timeout)
+            .then_some(AbortReason::BudgetExhausted);
         // A Timeout is budget exhaustion, not a fact about the goal: caching
         // it would pin a transient, scheduling-dependent answer for every
         // canonically equal goal in the session. Let those re-run.
@@ -702,8 +634,6 @@ impl Session {
             outcome: Ok(verdict),
             cached: false,
             fingerprints,
-            settled_by: Some(solved.settled_by),
-            disagreement: None,
             wall,
             steps,
             aborted,
@@ -711,8 +641,7 @@ impl Session {
     }
 
     /// The single increment site for [`Counter::GoalAborted`]: a goal whose
-    /// report is an abort (worker panic or backend fault with no surviving
-    /// verdict) rather than a decision.
+    /// report is an abort (worker or prover panic) rather than a decision.
     pub(crate) fn note_aborted(&self) {
         self.config.recorder.count(Counter::GoalAborted, 1);
         self.config.recorder.instant("goal-aborted");
@@ -734,8 +663,6 @@ impl Session {
             outcome: Err(format!("goal panicked: {msg}")),
             cached: false,
             fingerprints: None,
-            settled_by: None,
-            disagreement: None,
             wall,
             steps: 0,
             aborted: Some(AbortReason::Panicked),

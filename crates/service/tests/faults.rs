@@ -1,25 +1,22 @@
 //! Fault isolation and graceful degradation through a full service session:
 //!
-//! * a backend that panics on every call degrades the portfolio but never
-//!   the process, and the batch output is byte-identical across worker
-//!   counts (the chaos schedule is a pure function of the goal index);
-//! * goals whose every backend faulted — and goals whose budget was
-//!   injected to exhaustion — are provably never inserted into the verdict
-//!   cache;
+//! * a prover that panics on every call aborts each goal but never the
+//!   process, and the batch output is byte-identical across worker counts
+//!   (the chaos schedule is a pure function of the goal index);
+//! * goals whose prover faulted — and goals whose budget was injected to
+//!   exhaustion — are provably never inserted into the verdict cache;
 //! * worker-level panics (the `goal` probe) are supervised: the batch
 //!   completes, the poisoned goal reports an abort, its slot stays
 //!   order-preserved;
-//! * the circuit breaker trips on consecutive faults and is surfaced in
-//!   `ServiceStats`;
 //! * a deterministic step-cap timeout on a cyclic self-join pair that
 //!   colour refinement cannot tell apart maps to
 //!   `AbortReason::BudgetExhausted` — distinct from `Panicked` — and is
 //!   never cached.
 
 use std::time::Duration;
-use udp_obs::fault::{PROBE_BACKEND_SYM, PROBE_GOAL};
+use udp_obs::fault::PROBE_GOAL;
 use udp_obs::{Counter, FaultPlan, Recorder};
-use udp_service::{AbortReason, Session, SessionConfig, SolveMode};
+use udp_service::{AbortReason, Session, SessionConfig};
 
 const DDL: &str = "schema rs(k:int, a:int, b:int);\nschema ss(k2:int, c:int);\n\
                    table r(rs);\ntable s(ss);\nkey r(k);\n";
@@ -59,7 +56,6 @@ fn chaos_session(workers: usize, plan: FaultPlan) -> (Recorder, Session, Vec<Str
         cache_capacity: 64,
         steps: Some(2_000_000),
         wall: Some(Duration::from_secs(30)),
-        mode: SolveMode::Cascade,
         recorder: recorder.clone(),
         chaos: Some(plan),
         ..SessionConfig::default()
@@ -78,48 +74,7 @@ fn chaos_session(workers: usize, plan: FaultPlan) -> (Recorder, Session, Vec<Str
     (recorder, session, rendered)
 }
 
-/// Every `sym` call panics: cascade degrades each goal to the UDP backend,
-/// all verdicts stay definite, the output is identical across worker
-/// counts, and the breaker trips and shows up in the stats render.
-#[test]
-fn sym_panics_degrade_but_never_flip_and_are_worker_invariant() {
-    let runs: Vec<_> = [1usize, 2, 4]
-        .iter()
-        .map(|&w| chaos_session(w, plan(1.0, 0.0, 0.0, Some(PROBE_BACKEND_SYM))))
-        .collect();
-    let (recorder, session, base) = &runs[0];
-    for line in base {
-        assert!(
-            !line.starts_with("error:"),
-            "degraded goal must still decide: {line}"
-        );
-    }
-    for (_, _, rendered) in &runs[1..] {
-        assert_eq!(rendered, base, "verdicts must not depend on worker count");
-    }
-    // The clean goals were all decided by udp and cached as usual.
-    assert_eq!(session.cache_len(), GOAL_LINES.len());
-    // The breaker tripped (≥5 consecutive sym faults over 6 goals) and the
-    // operator can see it.
-    assert!(session.breakers().is_open("sym"));
-    assert!(!session.breakers().is_open("udp"));
-    let stats = session.stats();
-    assert!(
-        stats.render().contains("breaker OPEN"),
-        "{}",
-        stats.render()
-    );
-    let snap = recorder.snapshot();
-    assert!(snap.counter(Counter::BackendFault) > 0);
-    assert!(snap.counter(Counter::FaultsInjected) >= snap.counter(Counter::BackendFault));
-    assert_eq!(
-        snap.counter(Counter::GoalAborted),
-        0,
-        "degraded-but-decided goals are not aborts"
-    );
-}
-
-/// Every backend call panics: each goal aborts (`Panicked`), nothing is
+/// Every prover call panics: each goal aborts (`Panicked`), nothing is
 /// ever inserted into the verdict cache, and the batch output is still
 /// byte-identical across worker counts.
 #[test]
@@ -157,7 +112,6 @@ fn fully_faulted_goals_abort_and_are_never_cached() {
     }
     let snap = recorder.snapshot();
     assert!(snap.counter(Counter::GoalAborted) >= GOAL_LINES.len() as u64);
-    assert!(session.breakers().is_open("sym") || session.breakers().is_open("udp"));
 }
 
 /// Injected budget exhaustion at every backend probe: goals degrade to
@@ -197,10 +151,6 @@ fn injected_exhaustion_times_out_and_is_never_cached() {
         "budget exhaustion is degradation, not a panic-abort"
     );
     assert_eq!(snap.counter(Counter::BackendFault), 0);
-    assert!(
-        !session.breakers().is_open("sym") && !session.breakers().is_open("udp"),
-        "exhaustion must not trip the panic breaker"
-    );
 }
 
 /// Every goal panics at the worker-level `goal` probe (outside backend
@@ -253,7 +203,6 @@ fn step_cap_timeout_is_budget_exhausted_deterministic_and_uncached() {
         cache_capacity: 64,
         steps: Some(20_000),
         wall: None, // steps-only: deterministic
-        mode: SolveMode::Udp,
         ..SessionConfig::default()
     };
     let session = Session::new(JOIN_DDL, config).unwrap();

@@ -11,7 +11,7 @@
 
 use std::time::Duration;
 use udp_obs::{json, Counter, Recorder, Stage};
-use udp_service::{Session, SessionConfig, SolveMode};
+use udp_service::{Session, SessionConfig};
 
 const DDL: &str = "schema rs(k:int, a:int, b:int);\nschema ss(k2:int, c:int);\n\
                    table r(rs);\ntable s(ss);\nkey r(k);\n";
@@ -29,14 +29,13 @@ const GOAL_LINES: [&str; 6] = [
     "SELECT x.a AS a FROM r x WHERE x.b = 5 == SELECT y.a AS a FROM r y WHERE y.b = 5",
 ];
 
-fn run_session(workers: usize, cache: usize, mode: SolveMode) -> (Recorder, Session) {
+fn run_session(workers: usize, cache: usize) -> (Recorder, Session) {
     let recorder = Recorder::enabled();
     let config = SessionConfig {
         workers,
         cache_capacity: cache,
         steps: Some(2_000_000),
         wall: Some(Duration::from_secs(10)),
-        mode,
         recorder: recorder.clone(),
         ..SessionConfig::default()
     };
@@ -56,7 +55,7 @@ fn run_session(workers: usize, cache: usize, mode: SolveMode) -> (Recorder, Sess
 fn stage_counts_are_identical_across_worker_counts() {
     let snapshots: Vec<_> = [1usize, 2, 4]
         .iter()
-        .map(|&w| run_session(w, 0, SolveMode::Cascade).0.snapshot())
+        .map(|&w| run_session(w, 0).0.snapshot())
         .collect();
     let base = &snapshots[0];
     assert_eq!(base.goals, GOAL_LINES.len() as u64);
@@ -81,7 +80,12 @@ fn stage_counts_are_identical_across_worker_counts() {
     // Every goal passes each exclusive pipeline stage exactly once; with
     // caching off and fingerprints unrequested, the fingerprint and cache
     // stages are skipped entirely (their cost would be pure waste).
-    for stage in [Stage::Lower, Stage::Canonize, Stage::QueueWait] {
+    for stage in [
+        Stage::Lower,
+        Stage::Normalize,
+        Stage::UdpProve,
+        Stage::QueueWait,
+    ] {
         assert_eq!(
             base.stage(stage).unwrap().calls,
             GOAL_LINES.len() as u64,
@@ -101,7 +105,7 @@ fn stage_counts_are_identical_across_worker_counts() {
 /// wall, and overall coverage stays within `(0, 1]` (plus timer slack).
 #[test]
 fn waterfalls_are_bounded_and_coverage_is_sane() {
-    let (recorder, _session) = run_session(2, 0, SolveMode::Cascade);
+    let (recorder, _session) = run_session(2, 0);
     let snap = recorder.snapshot();
     assert!(!snap.slow_goals.is_empty(), "slow-goal list must populate");
     for trace in &snap.slow_goals {
@@ -129,11 +133,15 @@ fn waterfalls_are_bounded_and_coverage_is_sane() {
 /// its headline numbers intact.
 #[test]
 fn metrics_json_round_trips() {
-    let (recorder, session) = run_session(1, 64, SolveMode::Cascade);
+    let (recorder, _session) = run_session(1, 64);
     let snap = recorder.snapshot();
-    let text = snap.to_json(&session.stats().backend_summaries());
+    let text = snap.to_json();
     let v = json::parse(&text).expect("snapshot must be valid JSON");
-    assert_eq!(v.get("schema_version").and_then(|x| x.as_u64()), Some(4));
+    assert_eq!(v.get("schema_version").and_then(|x| x.as_u64()), Some(5));
+    assert!(
+        v.get("backends").is_none(),
+        "schema 5 has no backends array"
+    );
     assert!(
         matches!(v.get("memory"), Some(json::Value::Null)),
         "no memory session requested, so the memory section must be null"
@@ -177,35 +185,19 @@ fn metrics_json_round_trips() {
     }
     assert!(
         snap.counter(Counter::CanonizeIters) > 0,
-        "a cascade batch must tally canonize iterations"
+        "a batch must tally canonize iterations"
     );
-    let backends = v.get("backends").and_then(|x| x.as_array()).unwrap();
-    assert!(
-        backends
-            .iter()
-            .any(|b| b.get("name").and_then(|x| x.as_str()) == Some("udp")),
-        "cascade run must report the udp backend"
-    );
-    for b in backends {
-        let wall = b.get("wall_us").and_then(|x| x.as_f64()).unwrap();
-        let split = b.get("definite_wall_us").and_then(|x| x.as_f64()).unwrap()
-            + b.get("unknown_wall_us").and_then(|x| x.as_f64()).unwrap();
-        assert!(
-            (wall - split).abs() <= wall.abs() * 0.01 + 1.0,
-            "backend exit-kind wall split {split} must sum to wall_us {wall}"
-        );
-    }
 }
 
-/// Deterministic counters — rewrite firings, congruence traffic, symbolic
-/// matcher work, exit-kind tallies — must not depend on how many workers
+/// Deterministic counters — rewrite firings, congruence traffic, term and
+/// SPNF sizes — must not depend on how many workers
 /// processed the batch (caching off; the single-global-writer rule makes
 /// the totals scheduling-independent).
 #[test]
 fn counter_totals_are_identical_across_worker_counts() {
     let snapshots: Vec<_> = [1usize, 2, 4]
         .iter()
-        .map(|&w| run_session(w, 0, SolveMode::Cascade).0.snapshot())
+        .map(|&w| run_session(w, 0).0.snapshot())
         .collect();
     let base = &snapshots[0];
     assert!(
@@ -215,10 +207,6 @@ fn counter_totals_are_identical_across_worker_counts() {
     assert!(
         base.counter(Counter::TermNodes) > 0,
         "congruence closures must intern nodes"
-    );
-    assert!(
-        base.counter(Counter::SymExitDefinite) + base.counter(Counter::SymExitUnknown) > 0,
-        "cascade must route every goal through the sym backend first"
     );
     // The deep-size counters are byte-exact, not just nonzero-invariant:
     // `deep_size` walks owned structure with exact-fit accounting, so the
@@ -257,7 +245,6 @@ fn byte_bounded_cache_reports_residency_and_respects_the_cap() {
         cache_bytes: Some(CAP),
         steps: Some(2_000_000),
         wall: Some(Duration::from_secs(10)),
-        mode: SolveMode::Cascade,
         recorder: recorder.clone(),
         ..SessionConfig::default()
     };
@@ -286,7 +273,7 @@ fn byte_bounded_cache_reports_residency_and_respects_the_cap() {
     assert!(stats.render().contains("resident"), "{}", stats.render());
 }
 
-/// `GoalReport::steps` mirrors what the backends consumed: nonzero for a
+/// `GoalReport::steps` mirrors what the prover consumed: nonzero for a
 /// goal the prover actually ran, zero for a cache hit.
 #[test]
 fn goal_reports_carry_step_counts() {

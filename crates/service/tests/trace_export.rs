@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 use udp_obs::{validate_chrome_trace, Recorder};
-use udp_service::{Session, SessionConfig, SolveMode};
+use udp_service::{Session, SessionConfig};
 
 const DDL: &str = "schema rs(k:int, a:int, b:int);\nschema ss(k2:int, c:int);\n\
                    table r(rs);\ntable s(ss);\nkey r(k);\n";
@@ -26,7 +26,6 @@ fn trace_export_has_balanced_spans_and_worker_lanes() {
         cache_capacity: 64,
         steps: Some(2_000_000),
         wall: Some(Duration::from_secs(10)),
-        mode: SolveMode::Cascade,
         recorder: recorder.clone(),
         ..SessionConfig::default()
     };

@@ -1,22 +1,17 @@
-//! Fault containment at the portfolio layer: injected backend panics are
-//! caught at the backend boundary (never escaping `solve_normalized`),
-//! cascade degrades past a faulted symbolic attempt, race ignores faulted
-//! losers, a fully faulted portfolio yields a fault *report* rather than a
-//! definite verdict, circuit breakers disable repeat offenders, and the
-//! budget taxonomy keeps a pre-set cancellation flag (`Cancelled`) distinct
-//! from a step-cap trip (`Steps`).
+//! Fault containment at the proving step: an injected prover panic is
+//! caught at the backend boundary (never escaping `solve_normalized`) and
+//! yields an error rather than a verdict, a forced exhaustion ends the goal
+//! `Timeout`, and a tight step cap trips as a `Steps` exhaustion.
 
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 use udp_core::budget::Exhausted;
 use udp_core::constraints::ConstraintSet;
 use udp_core::expr::{Expr, VarId};
 use udp_core::schema::{Catalog, RelId, Schema, SchemaId, Ty};
 use udp_core::spnf::normalize;
 use udp_core::uexpr::UExpr;
-use udp_core::Decision;
+use udp_core::{Decision, Verdict};
 use udp_obs::{install_chaos_panic_silencer, FaultInjector, FaultPlan};
-use udp_solve::{solve_normalized, Breakers, Goal, SolveConfig, SolveMode};
+use udp_solve::{solve_normalized, Goal, SolveConfig, SolveMode};
 
 fn v(i: u32) -> VarId {
     VarId(i)
@@ -47,8 +42,8 @@ fn fixture() -> Fixture {
     }
 }
 
-/// `Σ_x [x = out] R(x) × R(y)` vs its commuted twin — a theorem both
-/// backends settle (the symbolic one instantly).
+/// `Σ_x [x = out] R(x) × R(y)` vs its commuted twin — a theorem UDP
+/// proves in a few steps.
 fn spj_pair(f: &Fixture) -> (UExpr, UExpr) {
     let q1 = UExpr::sum_over(
         vec![(v(1), f.sid), (v(2), f.sid)],
@@ -95,27 +90,23 @@ fn cyclic_join_pair(f: &Fixture, n: u32) -> (UExpr, UExpr) {
     )
 }
 
-/// A chaos injector that panics every backend attempt at `probe` (or at
-/// every backend probe when `None`), and nothing else.
-fn panic_injector(probe: Option<&str>) -> FaultInjector {
+/// A chaos injector that fires at every backend attempt: a panic, or with
+/// `exhaust` a forced budget exhaustion.
+fn injector(exhaust: bool) -> FaultInjector {
+    let rate = |on: bool| if on { 1.0 } else { 0.0 };
     FaultInjector::new(FaultPlan {
         seed: 7,
-        panic_rate: 1.0,
-        exhaust_rate: 0.0,
+        panic_rate: rate(!exhaust),
+        exhaust_rate: rate(exhaust),
         delay_rate: 0.0,
         delay_us: 0,
         goal_rate: 0.0,
-        probe: probe.map(str::to_string),
+        probe: None,
         uncontained: false,
     })
 }
 
-fn run(
-    f: &Fixture,
-    pair: &(UExpr, UExpr),
-    mode: SolveMode,
-    config: SolveConfig,
-) -> udp_solve::SolveReport {
+fn run(f: &Fixture, pair: &(UExpr, UExpr), config: SolveConfig) -> Result<Verdict, String> {
     let nf1 = normalize(&pair.0);
     let nf2 = normalize(&pair.1);
     let goal = Goal {
@@ -128,7 +119,7 @@ fn run(
         nf2: &nf2,
         config,
     };
-    solve_normalized(&goal, mode)
+    solve_normalized(&goal, SolveMode::Udp)
 }
 
 /// Steps-only config (wall clock off, so every run is deterministic).
@@ -140,115 +131,35 @@ fn steps_only() -> SolveConfig {
 }
 
 #[test]
-fn cascade_degrades_past_a_faulted_sym_backend() {
+fn a_panicking_prover_yields_an_error_not_a_verdict() {
     install_chaos_panic_silencer();
     let f = fixture();
     let config = SolveConfig {
-        faults: panic_injector(Some(udp_obs::fault::PROBE_BACKEND_SYM)),
+        faults: injector(false),
         ..steps_only()
     };
-    let report = run(&f, &spj_pair(&f), SolveMode::Cascade, config);
-    assert_eq!(report.verdict.decision, Decision::Proved);
-    assert_eq!(report.settled_by, "udp");
-    assert!(report.fault.is_none(), "a degraded goal is not an abort");
-    assert_eq!(report.attempts.len(), 2);
-    assert!(
-        report.attempts[0].outcome.is_faulted(),
-        "the sym attempt must record the contained panic"
-    );
+    let fault = run(&f, &spj_pair(&f), config).expect_err("an injected panic must be contained");
+    assert!(fault.contains("udp backend faulted"), "{fault}");
+    assert!(fault.contains("chaos: injected panic"), "{fault}");
+    // The same goal proves once the injector is off.
+    let verdict = run(&f, &spj_pair(&f), steps_only()).unwrap();
+    assert_eq!(verdict.decision, Decision::Proved);
 }
 
 #[test]
-fn race_ignores_a_faulted_backend() {
-    install_chaos_panic_silencer();
+fn forced_exhaustion_ends_the_goal_as_a_step_timeout() {
     let f = fixture();
     let config = SolveConfig {
-        faults: panic_injector(Some(udp_obs::fault::PROBE_BACKEND_SYM)),
+        faults: injector(true),
         ..steps_only()
     };
-    let report = run(&f, &spj_pair(&f), SolveMode::Race, config);
-    assert_eq!(report.verdict.decision, Decision::Proved);
-    assert_eq!(report.settled_by, "udp");
-    assert!(report.fault.is_none());
+    let verdict = run(&f, &spj_pair(&f), config).unwrap();
+    assert_eq!(verdict.decision, Decision::Timeout);
+    assert_eq!(verdict.stats.exhausted, Some(Exhausted::Steps));
 }
 
 #[test]
-fn fully_faulted_portfolio_reports_a_fault_not_a_verdict() {
-    install_chaos_panic_silencer();
-    let f = fixture();
-    for mode in [
-        SolveMode::Udp,
-        SolveMode::Sym,
-        SolveMode::Cascade,
-        SolveMode::Race,
-        SolveMode::Crosscheck,
-    ] {
-        let config = SolveConfig {
-            faults: panic_injector(None),
-            ..steps_only()
-        };
-        let report = run(&f, &spj_pair(&f), mode, config);
-        let fault = report
-            .fault
-            .as_ref()
-            .unwrap_or_else(|| panic!("{mode:?}: all-faulted run must carry a fault reason"));
-        assert!(fault.contains("faulted"), "{mode:?}: {fault}");
-        assert_ne!(
-            report.verdict.decision,
-            Decision::Proved,
-            "{mode:?}: a faulted portfolio must never claim a proof"
-        );
-        assert!(
-            report.disagreement.is_none(),
-            "{mode:?}: faults are not crosscheck disagreements"
-        );
-        assert!(report.attempts.iter().all(|a| a.outcome.is_faulted()));
-    }
-}
-
-#[test]
-fn breaker_trips_after_consecutive_faults_and_skips_the_backend() {
-    install_chaos_panic_silencer();
-    let f = fixture();
-    let breakers = Arc::new(Breakers::new(2));
-    let config = || SolveConfig {
-        faults: panic_injector(Some(udp_obs::fault::PROBE_BACKEND_SYM)),
-        breakers: Some(Arc::clone(&breakers)),
-        ..steps_only()
-    };
-    // Two consecutive contained faults trip the breaker...
-    for _ in 0..2 {
-        let report = run(&f, &spj_pair(&f), SolveMode::Sym, config());
-        assert!(report.fault.is_some());
-        assert_eq!(report.attempts.len(), 1, "breaker still closed: sym runs");
-    }
-    assert!(breakers.is_open("sym"));
-    assert_eq!(breakers.faults("sym"), 2);
-    // ...after which the backend is never attempted again this session.
-    let report = run(&f, &spj_pair(&f), SolveMode::Sym, config());
-    assert!(
-        report.attempts.is_empty(),
-        "open breaker must skip the call"
-    );
-    assert!(
-        report
-            .fault
-            .as_deref()
-            .unwrap_or("")
-            .contains("circuit breaker"),
-        "{:?}",
-        report.fault
-    );
-    // An open sym breaker degrades cascade straight to UDP — which works.
-    let mut cascade = config();
-    cascade.faults = FaultInjector::disabled();
-    let report = run(&f, &spj_pair(&f), SolveMode::Cascade, cascade);
-    assert_eq!(report.verdict.decision, Decision::Proved);
-    assert_eq!(report.settled_by, "udp");
-}
-
-#[test]
-fn step_cap_and_cancellation_are_distinct_exhaustion_kinds() {
+fn step_cap_is_a_steps_exhaustion() {
     let f = fixture();
     let pair = cyclic_join_pair(&f, 4);
     // A tight step cap trips deterministically as `Steps`.
@@ -257,18 +168,7 @@ fn step_cap_and_cancellation_are_distinct_exhaustion_kinds() {
         wall: None,
         ..SolveConfig::default()
     };
-    let report = run(&f, &pair, SolveMode::Udp, capped);
-    assert_eq!(report.verdict.decision, Decision::Timeout);
-    assert_eq!(report.verdict.stats.exhausted, Some(Exhausted::Steps));
-    // A pre-set cooperative cancel flag trips as `Cancelled`, even with
-    // both budget axes unlimited.
-    let cancelled = SolveConfig {
-        steps: None,
-        wall: None,
-        cancel: vec![Arc::new(AtomicBool::new(true))],
-        ..SolveConfig::default()
-    };
-    let report = run(&f, &pair, SolveMode::Udp, cancelled);
-    assert_eq!(report.verdict.decision, Decision::Timeout);
-    assert_eq!(report.verdict.stats.exhausted, Some(Exhausted::Cancelled));
+    let verdict = run(&f, &pair, capped).unwrap();
+    assert_eq!(verdict.decision, Decision::Timeout);
+    assert_eq!(verdict.stats.exhausted, Some(Exhausted::Steps));
 }

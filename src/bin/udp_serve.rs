@@ -3,9 +3,8 @@
 //! ```text
 //! udp-serve SCHEMA.sql [--jobs N] [--extended] [--full] [--timeout SECS] [--steps N]
 //!                      [--cache-size N] [--cache-bytes N] [--stats] [--stats-every N]
-//!                      [--fingerprints] [--backend udp|sym|cascade|race|crosscheck]
-//!                      [--metrics-json PATH] [--trace-goals N] [--trace-out PATH]
-//!                      [--chaos [SPEC]]
+//!                      [--fingerprints] [--metrics-json PATH] [--trace-goals N]
+//!                      [--trace-out PATH] [--chaos [SPEC]]
 //! ```
 //!
 //! `SCHEMA.sql` declares the shared catalog (schema/table/key/foreign
@@ -24,15 +23,10 @@
 //! across worker counts and cache states. Blank lines flush the pending
 //! chunk through the parallel scheduler (responses still appear in order);
 //! EOF flushes the rest. `--stats` prints a throughput/cache/latency summary
-//! (plus a per-backend breakdown when a portfolio mode ran) to stderr at
-//! exit; `--stats-every N` prints the same running summary to stderr after
-//! every N flushed chunks (long-lived sessions get periodic progress without
-//! waiting for EOF); `--fingerprints` appends each side's canonical
-//! fingerprint to response lines (they are stable across runs). `--backend`
-//! selects the `udp-solve` portfolio mode — decisions are identical across
-//! modes (and byte-identical across worker counts), only cost and
-//! cross-validation strength differ; a `crosscheck` disagreement reports as
-//! an error line.
+//! to stderr at exit; `--stats-every N` prints the same running summary to
+//! stderr after every N flushed chunks (long-lived sessions get periodic
+//! progress without waiting for EOF); `--fingerprints` appends each side's
+//! canonical fingerprint to response lines (they are stable across runs).
 //!
 //! `--cache-bytes N` additionally bounds the verdict cache by resident
 //! bytes (key lengths plus deep verdict size), evicting by bytes rather
@@ -40,7 +34,7 @@
 //!
 //! Fault tolerance: a goal line that panics mid-verification (or is
 //! malformed) produces a per-line `error:` response and the serving loop
-//! continues — workers are supervised, backend panics are contained, and
+//! continues — workers are supervised, prover panics are contained, and
 //! `--chaos [seed=N,rate=P,...]` injects a deterministic fault schedule
 //! (see `udp_obs::FaultPlan`) for drills.
 //!
@@ -92,12 +86,6 @@ fn main() -> ExitCode {
             "--cache-bytes" => config.cache_bytes = Some(parse_num(it.next(), "--cache-bytes")),
             "--extended" => config.dialect = udp_sql::Dialect::Extended,
             "--full" => config.dialect = udp_sql::Dialect::Full,
-            "--backend" => {
-                config.mode = it
-                    .next()
-                    .and_then(|s| udp_service::SolveMode::parse(s))
-                    .unwrap_or_else(|| usage("missing or unknown value for --backend"));
-            }
             "--stats" => show_stats = true,
             "--stats-every" => stats_every = parse_num(it.next(), "--stats-every"),
             "--fingerprints" => {
@@ -283,7 +271,7 @@ fn main() -> ExitCode {
             eprint!("{}", snapshot.render_slow_goals(trace_goals));
         }
         if let Some(path) = &metrics_json {
-            let json = snapshot.to_json(&session.stats().backend_summaries());
+            let json = snapshot.to_json();
             if let Err(e) = std::fs::write(path, json) {
                 eprintln!("error writing metrics to `{path}`: {e}");
                 return ExitCode::FAILURE;
@@ -337,8 +325,8 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: udp-serve SCHEMA.sql [--jobs N] [--extended] [--full] [--timeout SECS] [--steps N] \
          [--cache-size N] [--cache-bytes N] [--stats] [--stats-every N] [--fingerprints] \
-         [--backend udp|sym|cascade|race|crosscheck] [--metrics-json PATH] [--trace-goals N] \
-         [--trace-out PATH] [--chaos [seed=N,rate=P,exhaust=P,delay=P,goal-rate=P,probe=NAME]]"
+         [--metrics-json PATH] [--trace-goals N] [--trace-out PATH] \
+         [--chaos [seed=N,rate=P,exhaust=P,delay=P,goal-rate=P,probe=NAME]]"
     );
     std::process::exit(64);
 }
