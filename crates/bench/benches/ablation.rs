@@ -5,9 +5,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use udp_bench::ablation_configs;
-use udp_core::budget::Budget;
-use udp_core::DecideConfig;
-use udp_corpus::{all_rules, Expectation, Rule};
+use udp_corpus::{all_rules, run_rule, session_config, Expectation, Rule};
+use udp_service::SessionConfig;
 
 /// A fixed, diverse sample: first provable rule of each category mix.
 fn sample() -> Vec<Rule> {
@@ -32,14 +31,13 @@ fn bench_ablation(c: &mut Criterion) {
         c.bench_function(&format!("ablation/{name}"), |b| {
             b.iter(|| {
                 for rule in &rules {
-                    let config = DecideConfig {
-                        budget: Some(Budget::new(Some(5_000_000), None)),
+                    let config = SessionConfig {
                         options: opts.clone(),
-                        ..Default::default()
+                        ..session_config(rule)
                     };
                     // Ablated configurations may legitimately fail to prove;
                     // we measure the work either way.
-                    let _ = black_box(udp_sql::verify_program(&rule.text, config));
+                    black_box(run_rule(rule, config));
                 }
             })
         });

@@ -6,19 +6,13 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use udp_core::budget::Budget;
-use udp_core::DecideConfig;
-use udp_corpus::{all_rules, Category, Expectation, Rule, Source};
+use udp_corpus::{all_rules, run_rule, session_config, Category, Expectation, Rule, Source};
 
 fn prove(rule: &Rule) {
-    let config = DecideConfig {
-        budget: Some(Budget::new(Some(20_000_000), None)),
-        ..Default::default()
-    };
-    let results = udp_sql::verify_program(&rule.text, config).expect("supported rule");
-    black_box(&results);
-    assert!(
-        results[0].verdict.decision.is_proved(),
+    let outcome = black_box(run_rule(rule, session_config(rule)));
+    assert_eq!(
+        outcome.observed,
+        Expectation::Proved,
         "{} must prove",
         rule.name
     );

@@ -25,7 +25,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-use udp_corpus::{all_rules, Expectation, Source};
+use udp_corpus::{all_rules, session_config, Expectation, Source};
 use udp_obs::{Counter, Recorder, TrackingAlloc};
 use udp_service::{Session, SessionConfig};
 use udp_sql::ast::Query;
@@ -199,17 +199,9 @@ fn corpus_obs_sweep(
     for (source, label) in FAMILIES {
         for rule in rules.iter().filter(|r| r.source == source) {
             let config = SessionConfig {
-                workers: 1,
                 cache_capacity: 0,
-                steps: Some(if rule.expect == Expectation::Timeout {
-                    300_000
-                } else {
-                    5_000_000
-                }),
-                wall: Some(Duration::from_secs(25)),
-                dialect: rule.dialect,
                 recorder: recorder.clone(),
-                ..SessionConfig::default()
+                ..session_config(rule)
             };
             let session = match Session::new(&rule.text, config) {
                 Ok(s) => s,

@@ -6,11 +6,11 @@
 //! Criterion benches measure the same workloads statistically.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
-use udp_core::budget::Budget;
 use udp_core::ctx::Options;
-use udp_core::DecideConfig;
-use udp_corpus::{all_rules, run_rule, Category, Expectation, Rule, RuleOutcome, Source};
+use udp_corpus::{
+    all_rules, run_rule, session_config, Category, Expectation, Rule, RuleOutcome, Source,
+};
+use udp_service::SessionConfig;
 
 /// Outcome of running the full corpus once.
 #[derive(Debug, Clone)]
@@ -19,25 +19,14 @@ pub struct CorpusRun {
     pub results: Vec<(Rule, RuleOutcome)>,
 }
 
-/// Budget used for corpus runs: the paper's 30 s wall-clock limit plus a
-/// deterministic step cap so the timeout row reproduces in CI.
-pub fn corpus_budget(expect: Expectation) -> Budget {
-    match expect {
-        // Keep the deliberate-timeout pair cheap: it exhausts any budget.
-        Expectation::Timeout => Budget::steps(300_000),
-        _ => Budget::new(Some(20_000_000), Some(Duration::from_secs(30))),
-    }
-}
-
 /// Run every corpus rule with the given prover options.
 pub fn run_corpus(options: Options) -> CorpusRun {
     let results = all_rules()
         .into_iter()
         .map(|rule| {
-            let config = DecideConfig {
-                budget: Some(corpus_budget(rule.expect)),
+            let config = SessionConfig {
                 options: options.clone(),
-                ..Default::default()
+                ..session_config(&rule)
             };
             let outcome = run_rule(&rule, config);
             (rule, outcome)
@@ -212,11 +201,5 @@ mod tests {
         let configs = ablation_configs();
         assert_eq!(configs.len(), 6);
         assert!(configs[1].1.canonize != configs[0].1.canonize);
-    }
-
-    #[test]
-    fn corpus_budget_shapes() {
-        let _ = corpus_budget(Expectation::Timeout);
-        let _ = corpus_budget(Expectation::Proved);
     }
 }

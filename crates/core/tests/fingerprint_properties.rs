@@ -7,7 +7,6 @@
 //!   dataset and other expected-NotProved rules) fingerprint differently.
 
 use udp_core::fingerprint::{canonical_form, fingerprint};
-use udp_core::DecideConfig;
 
 /// Lower both sides of the first goal of `program` and return their
 /// canonical forms and fingerprints.
@@ -165,6 +164,9 @@ fn identical_fingerprints_are_proved_equivalent() {
     );
     let forms = forms_of(&program);
     assert_eq!(forms[0], forms[1]);
-    let results = udp_sql::verify_program(&program, DecideConfig::default()).unwrap();
-    assert!(results[0].verdict.decision.is_proved());
+    let mut fe = udp_sql::prepare_program(&program).unwrap();
+    let goal = fe.goals[0].clone();
+    let (q1, q2) = udp_sql::lower_goal(&mut fe, &goal).unwrap();
+    let verdict = udp_core::decide(&fe.catalog, &fe.constraints, &q1, &q2);
+    assert!(verdict.decision.is_proved());
 }

@@ -3,26 +3,13 @@
 //! With `--strict`, exit non-zero on any expectations drift — the CI step
 //! that keeps every rule file's `-- expect:` header honest against the
 //! prover's actual verdict.
-use udp_core::budget::Budget;
-use udp_core::DecideConfig;
-use udp_corpus::{all_rules, run_rule, Expectation};
+use udp_corpus::{all_rules, run_rule, session_config};
 
 fn main() {
     let strict = std::env::args().any(|a| a == "--strict");
     let mut mismatches = 0;
     for rule in all_rules() {
-        let budget = if rule.expect == Expectation::Timeout {
-            Budget::steps(300_000)
-        } else {
-            Budget::new(Some(5_000_000), Some(std::time::Duration::from_secs(25)))
-        };
-        let out = run_rule(
-            &rule,
-            DecideConfig {
-                budget: Some(budget),
-                ..Default::default()
-            },
-        );
+        let out = run_rule(&rule, session_config(&rule));
         let ok = out.observed == rule.expect;
         if !ok {
             mismatches += 1;

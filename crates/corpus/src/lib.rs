@@ -29,6 +29,9 @@ pub use registry::all_rules;
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::time::{Duration, Instant};
+use udp_core::Decision;
+use udp_service::{AbortReason, GoalError, Session, SessionConfig};
 
 /// Paper constant: total number of Calcite test-case pairs examined
 /// (Sec 6.2).
@@ -278,100 +281,77 @@ pub fn parse_rule(file: &str, text: &str) -> Result<Rule, RuleParseError> {
     })
 }
 
-/// Run one rule through the full pipeline, returning the observed outcome.
-/// Full-dialect rules route through the `udp-ext` desugaring subsystem
-/// (NULL encoding, outer-join elimination) before lowering.
-pub fn run_rule(rule: &Rule, config: udp_core::DecideConfig) -> RuleOutcome {
-    if rule.dialect == udp_sql::Dialect::Full {
-        return run_rule_full(rule, config);
-    }
-    let started = std::time::Instant::now();
-    match udp_sql::verify_program_in(&rule.text, rule.dialect, config) {
-        Err(e) => {
-            if let Some(feature) = e.unsupported_feature() {
-                RuleOutcome {
-                    observed: Expectation::Unsupported,
-                    wall: started.elapsed(),
-                    detail: format!("unsupported: {feature}"),
-                    stats: None,
-                }
-            } else {
-                RuleOutcome {
-                    observed: Expectation::NotProved,
-                    wall: started.elapsed(),
-                    detail: format!("front-end error: {e}"),
-                    stats: None,
-                }
-            }
-        }
-        Ok(results) => {
-            // A rule file contains exactly one goal by convention.
-            let verdict = &results[0].verdict;
-            let observed = match &verdict.decision {
-                udp_core::Decision::Proved => Expectation::Proved,
-                udp_core::Decision::Timeout => Expectation::Timeout,
-                udp_core::Decision::NotProved(_) => Expectation::NotProved,
-            };
-            RuleOutcome {
-                observed,
-                wall: started.elapsed(),
-                detail: String::new(),
-                stats: Some(verdict.stats.clone()),
-            }
-        }
+/// The session configuration a rule runs under: the rule's dialect and the
+/// corpus budget, 5M steps / 25 s per goal (300k steps for a `timeout`
+/// rule, which exhausts any budget). No verdict cache: a rule's session
+/// decides one goal, so a cached verdict could never be reused.
+pub fn session_config(rule: &Rule) -> SessionConfig {
+    let steps = match rule.expect {
+        Expectation::Timeout => 300_000,
+        _ => 5_000_000,
+    };
+    SessionConfig {
+        cache_capacity: 0,
+        steps: Some(steps),
+        wall: Some(Duration::from_secs(25)),
+        dialect: rule.dialect,
+        ..SessionConfig::default()
     }
 }
 
-/// [`run_rule`] for `-- dialect: full` rules: parse, desugar via udp-ext,
-/// lower, decide.
-fn run_rule_full(rule: &Rule, config: udp_core::DecideConfig) -> RuleOutcome {
-    let started = std::time::Instant::now();
-    match udp_ext::verify_program(&rule.text, config) {
-        Err(e) => {
-            // Both parser feature rejections and udp-ext's own Unsupported
-            // rejections (e.g. aggregates over outer joins) classify as
-            // Unsupported — neither reaches the decision procedure, so
-            // counting them as NotProved would inflate that bucket.
-            let rejected = e.unsupported_feature().is_some()
-                || matches!(
-                    &e,
-                    udp_ext::FullError::Ext(udp_ext::ExtError::Unsupported(_))
-                );
-            if rejected {
-                RuleOutcome {
-                    observed: Expectation::Unsupported,
-                    wall: started.elapsed(),
-                    detail: format!("unsupported: {e}"),
-                    stats: None,
+/// Run a rule on a [`Session`] built from `config` (normally
+/// [`session_config`]) and return the observed outcome. Parser feature
+/// rejections and udp-ext's unsupported constructs (in a view or in the
+/// goal) all count as `Unsupported`: none reaches the decision procedure.
+///
+/// # Panics
+///
+/// When the session contains a panic on the rule's goal: a crash is a
+/// prover bug, never an outcome a rule can expect.
+pub fn run_rule(rule: &Rule, config: SessionConfig) -> RuleOutcome {
+    let started = Instant::now();
+    let (observed, detail, stats) = match Session::new(&rule.text, config) {
+        Err(e) => match e.unsupported_message() {
+            Some(m) => (Expectation::Unsupported, m, None),
+            None => (
+                Expectation::NotProved,
+                format!("front-end error: {e}"),
+                None,
+            ),
+        },
+        // A rule file contains exactly one goal by convention.
+        Ok(session) => {
+            let report = session.verify_program_goals().swap_remove(0);
+            match report.outcome {
+                Ok(verdict) => {
+                    let observed = match verdict.decision {
+                        Decision::Proved => Expectation::Proved,
+                        Decision::Timeout => Expectation::Timeout,
+                        Decision::NotProved(_) => Expectation::NotProved,
+                    };
+                    let warnings: Vec<String> =
+                        session.warnings().iter().map(|w| w.to_string()).collect();
+                    (observed, warnings.join("; "), Some(verdict.stats))
                 }
-            } else {
-                RuleOutcome {
-                    observed: Expectation::NotProved,
-                    wall: started.elapsed(),
-                    detail: format!("front-end error: {e}"),
-                    stats: None,
+                Err(e) if report.aborted == Some(AbortReason::Panicked) => {
+                    panic!("{}: {e}", rule.name)
                 }
+                Err(e @ GoalError::Unsupported(_)) => {
+                    (Expectation::Unsupported, e.to_string(), None)
+                }
+                Err(e) => (
+                    Expectation::NotProved,
+                    format!("front-end error: {e}"),
+                    None,
+                ),
             }
         }
-        Ok((results, _, warnings)) => {
-            let verdict = &results[0].verdict;
-            let observed = match &verdict.decision {
-                udp_core::Decision::Proved => Expectation::Proved,
-                udp_core::Decision::Timeout => Expectation::Timeout,
-                udp_core::Decision::NotProved(_) => Expectation::NotProved,
-            };
-            let detail = warnings
-                .iter()
-                .map(|w| w.to_string())
-                .collect::<Vec<_>>()
-                .join("; ");
-            RuleOutcome {
-                observed,
-                wall: started.elapsed(),
-                detail,
-                stats: Some(verdict.stats.clone()),
-            }
-        }
+    };
+    RuleOutcome {
+        observed,
+        wall: started.elapsed(),
+        detail,
+        stats,
     }
 }
 
@@ -381,7 +361,7 @@ pub struct RuleOutcome {
     /// What actually happened.
     pub observed: Expectation,
     /// Wall-clock time of the whole pipeline run (Fig 7 metric).
-    pub wall: std::time::Duration,
+    pub wall: Duration,
     /// Extra context (rejection feature, front-end error, …).
     pub detail: String,
     /// Prover statistics when the goal was decided.

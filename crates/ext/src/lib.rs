@@ -37,8 +37,7 @@ pub mod shape;
 
 use std::fmt;
 use udp_sql::ast::Query;
-use udp_sql::parser::Warning;
-use udp_sql::{Dialect, Frontend, GoalResult, VerifyError};
+use udp_sql::{Frontend, VerifyError};
 
 /// Errors from the extension desugaring.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,46 +59,14 @@ impl fmt::Display for ExtError {
 
 impl std::error::Error for ExtError {}
 
-/// Errors from the full-dialect pipeline: either the underlying sql
-/// front-end failed, or the desugaring did.
-#[derive(Debug)]
-pub enum FullError {
-    /// Parse / catalog / lowering errors from `udp-sql`.
-    Sql(VerifyError),
-    /// Desugaring errors from this crate.
-    Ext(ExtError),
-}
-
-impl fmt::Display for FullError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FullError::Sql(e) => write!(f, "{e}"),
-            FullError::Ext(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for FullError {}
-
-impl From<VerifyError> for FullError {
-    fn from(e: VerifyError) -> Self {
-        FullError::Sql(e)
-    }
-}
-
-impl From<ExtError> for FullError {
+/// The one place that decides a rejection's kind: an unencodable construct
+/// puts the program outside the supported fragment, an unknown table is an
+/// error.
+impl From<ExtError> for VerifyError {
     fn from(e: ExtError) -> Self {
-        FullError::Ext(e)
-    }
-}
-
-impl FullError {
-    /// The unsupported feature, if the failure is a feature-based parser
-    /// rejection (Fig 5 bucketing).
-    pub fn unsupported_feature(&self) -> Option<udp_sql::feature::Feature> {
-        match self {
-            FullError::Sql(e) => e.unsupported_feature(),
-            FullError::Ext(_) => None,
+        match e {
+            ExtError::Unsupported(_) => VerifyError::Unsupported(e.to_string()),
+            ExtError::UnknownTable(_) => VerifyError::Desugar(e.to_string()),
         }
     }
 }
@@ -131,50 +98,10 @@ pub fn desugar_views(fe: &mut Frontend) -> Result<(), ExtError> {
     Ok(())
 }
 
-/// Desugar every `verify` goal in place.
-pub fn desugar_goals(fe: &mut Frontend) -> Result<(), ExtError> {
-    let goals = fe.goals.clone();
-    let mut out = Vec::with_capacity(goals.len());
-    for goal in &goals {
-        out.push(desugar_goal(fe, goal)?);
-    }
-    fe.goals = out;
-    Ok(())
-}
-
-/// Parse a full-dialect program, build its catalog, and desugar views and
-/// goals. Returns the prepared frontend plus the parse warnings (stripped
-/// `ORDER BY` clauses).
-pub fn prepare_program(input: &str) -> Result<(Frontend, Vec<Warning>), FullError> {
-    let (program, warnings) = udp_sql::parser::parse_program_with_warnings(input, Dialect::Full)
-        .map_err(|e| FullError::Sql(VerifyError::Parse(e)))?;
-    let mut fe =
-        udp_sql::build_frontend(&program).map_err(|e| FullError::Sql(VerifyError::Frontend(e)))?;
-    desugar_views(&mut fe)?;
-    desugar_goals(&mut fe)?;
-    Ok((fe, warnings))
-}
-
-/// One-shot full-dialect pipeline: parse, desugar, lower, and decide every
-/// goal. The returned frontend includes the anonymous subquery schemas the
-/// lowering added (proof-trace replay needs them for summation domains).
-pub fn verify_program(
-    input: &str,
-    config: udp_core::DecideConfig,
-) -> Result<(Vec<GoalResult>, Frontend, Vec<Warning>), FullError> {
-    let (mut fe, warnings) = prepare_program(input)?;
-    let goals = fe.goals.clone();
-    let mut results = Vec::with_capacity(goals.len());
-    for goal in &goals {
-        results.push(udp_sql::verify_goal(&mut fe, goal, config.clone())?);
-    }
-    Ok((results, fe, warnings))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use udp_sql::parse_query_with;
+    use udp_sql::{parse_query_with, Dialect};
 
     const DDL: &str = "schema rs(k:int, a:int?);\nschema ss(k:int, b:int);\n\
                        table r(rs);\ntable s(ss);";
@@ -256,9 +183,8 @@ mod tests {
             "{DDL}\nverify SELECT x.k AS k FROM r x LEFT JOIN s y ON x.k = y.k == \
              SELECT x.k AS k FROM r x;"
         ));
-        desugar_goals(&mut fe).unwrap();
-        let goals = fe.goals.clone();
-        let (q1, _q2) = udp_sql::lower_goal(&mut fe, &goals[0]).unwrap();
+        let goal = desugar_goal(&fe, &fe.goals[0]).unwrap();
+        let (q1, _q2) = udp_sql::lower_goal(&mut fe, &goal).unwrap();
         let rendered = format!("{}", q1.body);
         assert!(
             rendered.contains("not("),
@@ -302,27 +228,6 @@ mod tests {
             desugar_query(&fe, &q),
             Err(ExtError::Unsupported(_))
         ));
-    }
-
-    #[test]
-    fn prepare_program_reports_order_by_warning() {
-        let (fe, warnings) = prepare_program(&format!(
-            "{DDL}\nverify SELECT * FROM r x ORDER BY x.k == SELECT * FROM r x;"
-        ))
-        .unwrap();
-        assert_eq!(fe.goals.len(), 1);
-        assert_eq!(warnings.len(), 1);
-        assert!(warnings[0].message.contains("ORDER BY"), "{warnings:?}");
-    }
-
-    #[test]
-    fn order_by_stripped_goal_proves() {
-        let (results, _, _) = verify_program(
-            &format!("{DDL}\nverify SELECT * FROM r x ORDER BY x.k == SELECT * FROM r x;"),
-            udp_core::DecideConfig::default(),
-        )
-        .unwrap();
-        assert!(results[0].verdict.decision.is_proved());
     }
 
     #[test]

@@ -9,8 +9,8 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use udp_core::budget::Budget;
 use udp_core::Decision;
+use udp_service::{Session, SessionConfig};
 use udp_sql::Frontend;
 
 const DDL: &str = "schema emp_s(empno:int, deptno:int, sal:int);\ntable emp(emp_s);";
@@ -88,19 +88,18 @@ fn pair(k: usize, attr: &str, shape: Shape, rng: &mut StdRng) -> (String, String
 }
 
 fn decide(fe: &Frontend, q1: &str, q2: &str) -> Decision {
-    let mut fe = fe.clone();
+    let config = SessionConfig {
+        cache_capacity: 0,
+        steps: Some(STEPS),
+        wall: None,
+        ..SessionConfig::default()
+    };
     let goal = (
         udp_sql::parse_query(q1).unwrap(),
         udp_sql::parse_query(q2).unwrap(),
     );
-    let config = udp_core::DecideConfig {
-        budget: Some(Budget::steps(STEPS)),
-        ..udp_core::DecideConfig::default()
-    };
-    udp_sql::verify_goal(&mut fe, &goal, config)
-        .expect("goal lowers")
-        .verdict
-        .decision
+    let report = Session::from_frontend(fe.clone(), config).verify_batch(&[goal]);
+    report[0].verdict().expect("goal lowers").decision.clone()
 }
 
 fn oracle_refutes(fe: &Frontend, q1: &str, q2: &str) -> bool {

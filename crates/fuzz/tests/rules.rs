@@ -7,6 +7,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use udp_fuzz::{node_count, shrink_pair, Mutation, Rewrite};
+use udp_service::{Session, SessionConfig};
 use udp_sql::ast::Query;
 use udp_sql::Frontend;
 
@@ -29,18 +30,18 @@ fn parse_full(sql: &str) -> Query {
 }
 
 fn decide(fe: &Frontend, q1: &Query, q2: &Query) -> udp_core::Decision {
-    let mut fe = fe.clone();
-    let config = udp_core::DecideConfig {
-        budget: Some(udp_core::budget::Budget::new(Some(1_000_000), None)),
-        ..udp_core::DecideConfig::default()
-    };
     // Full-dialect pairs (outer joins) desugar through udp-ext first, as
     // the Dialect::Full session path does.
-    let goal = udp_ext::desugar_goal(&fe, &(q1.clone(), q2.clone())).expect("goal desugars");
-    udp_sql::verify_goal(&mut fe, &goal, config)
-        .expect("goal lowers")
-        .verdict
-        .decision
+    let config = SessionConfig {
+        cache_capacity: 0,
+        steps: Some(1_000_000),
+        wall: None,
+        dialect: udp_sql::Dialect::Full,
+        ..SessionConfig::default()
+    };
+    let report =
+        Session::from_frontend(fe.clone(), config).verify_batch(&[(q1.clone(), q2.clone())]);
+    report[0].verdict().expect("goal lowers").decision.clone()
 }
 
 fn oracle_refutes(fe: &Frontend, q1: &Query, q2: &Query) -> bool {

@@ -119,12 +119,6 @@ impl Default for SessionConfig {
 }
 
 impl SessionConfig {
-    /// Set the worker count.
-    pub fn with_workers(mut self, n: usize) -> Self {
-        self.workers = n;
-        self
-    }
-
     /// Set the parser dialect.
     pub fn with_dialect(mut self, dialect: Dialect) -> Self {
         self.dialect = dialect;
@@ -134,13 +128,6 @@ impl SessionConfig {
     /// Attach a stage-metrics recorder (see [`udp_obs::Recorder`]).
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
-        self
-    }
-
-    /// Cap the verdict cache's resident bytes (see
-    /// [`SessionConfig::cache_bytes`]).
-    pub fn with_cache_bytes(mut self, max_bytes: Option<usize>) -> Self {
-        self.cache_bytes = max_bytes;
         self
     }
 
@@ -179,13 +166,50 @@ impl fmt::Display for AbortReason {
     }
 }
 
+/// Why a goal has no verdict. `Display` prints the error message alone.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum GoalError {
+    /// udp-ext rejected a construct combination it does not encode: the
+    /// goal is outside the supported fragment.
+    Unsupported(String),
+    /// The goal failed to desugar or lower, or it aborted (see
+    /// [`GoalReport::aborted`]).
+    Failed(String),
+}
+
+impl fmt::Display for GoalError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            GoalError::Unsupported(m) | GoalError::Failed(m) => f.write_str(m),
+        }
+    }
+}
+
+impl From<udp_ext::ExtError> for GoalError {
+    fn from(e: udp_ext::ExtError) -> Self {
+        VerifyError::from(e).into()
+    }
+}
+
+impl From<VerifyError> for GoalError {
+    fn from(e: VerifyError) -> Self {
+        match e {
+            VerifyError::Unsupported(m) => GoalError::Unsupported(m),
+            // A goal's desugaring message stands alone, without the
+            // program-level "desugaring error" prefix.
+            VerifyError::Desugar(m) => GoalError::Failed(m),
+            e => GoalError::Failed(e.to_string()),
+        }
+    }
+}
+
 /// Result of one goal processed by a session.
 #[derive(Debug, Clone)]
 pub struct GoalReport {
     /// Position of the goal in its batch.
     pub index: usize,
-    /// The verdict, or the front-end error message (parse/lower failure).
-    pub outcome: Result<Verdict, String>,
+    /// The verdict, or why there is none.
+    pub outcome: Result<Verdict, GoalError>,
     /// Was the verdict served from the fingerprint cache?
     pub cached: bool,
     /// Canonical fingerprints of (lhs, rhs), when lowering succeeded.
@@ -244,7 +268,7 @@ impl Session {
         })?;
         if config.dialect == Dialect::Full {
             base.recorder = config.recorder.clone();
-            udp_ext::desugar_views(&mut base).map_err(|e| VerifyError::Desugar(e.to_string()))?;
+            udp_ext::desugar_views(&mut base)?;
         }
         let mut session = Session::from_frontend(base, config);
         session.warnings = warnings;
@@ -336,15 +360,6 @@ impl Session {
         self.cache.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 
-    /// Summed byte cost of the live verdict-cache entries (key lengths
-    /// plus [`Verdict::deep_size`]).
-    pub fn cache_resident_bytes(&self) -> usize {
-        self.cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .resident_bytes()
-    }
-
     /// Byte cost one cached verdict charges against `--cache-bytes`: both
     /// canonical-form key strings plus the verdict's deterministic deep
     /// size. Exact-fit accounting (see `Verdict::deep_size`), so the cost
@@ -362,7 +377,7 @@ impl Session {
     pub fn fingerprint_goal(
         &self,
         goal: &(Query, Query),
-    ) -> Result<(Fingerprint, Fingerprint), String> {
+    ) -> Result<(Fingerprint, Fingerprint), GoalError> {
         let mut fe = self.base_clone();
         let (q1, q2) = self.lower_goal(&mut fe, goal)?;
         let (nf1, nf2) = normalize_pair(&q1, &q2);
@@ -376,9 +391,9 @@ impl Session {
         &self,
         fe: &mut Frontend,
         goal: &(Query, Query),
-    ) -> Result<(QueryU, QueryU), String> {
-        let goal = self.desugar_if_full(fe, goal).map_err(|e| e.to_string())?;
-        udp_sql::lower_goal(fe, &goal).map_err(|e| e.to_string())
+    ) -> Result<(QueryU, QueryU), GoalError> {
+        let goal = self.desugar_if_full(fe, goal)?;
+        Ok(udp_sql::lower_goal(fe, &goal)?)
     }
 
     /// Lower the program's goals, in order, onto the shared frontend and
@@ -387,7 +402,7 @@ impl Session {
     /// to the same schema ids on any worker, and the proof traces of their
     /// verdicts replay over [`Session::frontend`]'s catalog. Nothing is
     /// recorded: the verification that follows owns the metrics.
-    pub fn lower_program_goals(&mut self) -> Vec<Result<(QueryU, QueryU), String>> {
+    pub fn lower_program_goals(&mut self) -> Vec<Result<(QueryU, QueryU), GoalError>> {
         let mut fe = std::mem::take(&mut self.base);
         let recorder = std::mem::replace(&mut fe.recorder, Recorder::disabled());
         let lowered = fe
@@ -434,9 +449,9 @@ impl Session {
         &self,
         fe: &Frontend,
         goal: &(Query, Query),
-    ) -> Result<(Query, Query), udp_ext::ExtError> {
+    ) -> Result<(Query, Query), GoalError> {
         if self.config.dialect == Dialect::Full {
-            udp_ext::desugar_goal(fe, goal)
+            Ok(udp_ext::desugar_goal(fe, goal)?)
         } else {
             Ok(goal.clone())
         }
@@ -470,10 +485,9 @@ impl Session {
         // `time_local` adds them to this goal's waterfall only.
         let front_end = obs
             .time_local(Stage::Desugar, || self.desugar_if_full(fe, goal))
-            .map_err(|e| e.to_string())
             .and_then(|goal| {
                 obs.time_local(Stage::Lower, || udp_sql::lower_goal(fe, &goal))
-                    .map_err(|e| e.to_string())
+                    .map_err(GoalError::from)
             });
         let (q1, q2) = match front_end {
             Ok(pair) => pair,
@@ -593,7 +607,7 @@ impl Session {
                 obs.finish(|| format!("goal {index} (aborted)"), wall, 0);
                 return GoalReport {
                     index,
-                    outcome: Err(format!("goal aborted: {reason}")),
+                    outcome: Err(GoalError::Failed(format!("goal aborted: {reason}"))),
                     cached: false,
                     fingerprints,
                     wall,
@@ -660,7 +674,7 @@ impl Session {
             .record(wall, false, false, true);
         GoalReport {
             index,
-            outcome: Err(format!("goal panicked: {msg}")),
+            outcome: Err(GoalError::Failed(format!("goal panicked: {msg}"))),
             cached: false,
             fingerprints: None,
             wall,

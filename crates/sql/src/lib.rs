@@ -43,55 +43,10 @@ pub use parser::{
     parse_program, parse_program_with, parse_query, parse_query_with, Dialect, ParseError,
 };
 
-/// One-shot convenience: parse a program (paper dialect), build the catalog,
-/// lower each `verify` goal, and decide it. Returns one [`GoalResult`] per
-/// goal.
-pub fn verify_program(
-    input: &str,
-    config: udp_core::DecideConfig,
-) -> Result<Vec<GoalResult>, VerifyError> {
-    verify_program_with_frontend_in(input, Dialect::Paper, config).map(|(results, _)| results)
-}
-
-/// [`verify_program`] with an explicit [`Dialect`].
-pub fn verify_program_in(
-    input: &str,
-    dialect: Dialect,
-    config: udp_core::DecideConfig,
-) -> Result<Vec<GoalResult>, VerifyError> {
-    verify_program_with_frontend_in(input, dialect, config).map(|(results, _)| results)
-}
-
-/// Like [`verify_program`], but also returns the post-lowering [`Frontend`]
-/// — its catalog includes the anonymous subquery schemas, which proof-trace
-/// replay (`udp_core::proof::check_trace`) needs for summation domains.
-pub fn verify_program_with_frontend(
-    input: &str,
-    config: udp_core::DecideConfig,
-) -> Result<(Vec<GoalResult>, Frontend), VerifyError> {
-    verify_program_with_frontend_in(input, Dialect::Paper, config)
-}
-
-/// [`verify_program_with_frontend`] with an explicit [`Dialect`].
-pub fn verify_program_with_frontend_in(
-    input: &str,
-    dialect: Dialect,
-    config: udp_core::DecideConfig,
-) -> Result<(Vec<GoalResult>, Frontend), VerifyError> {
-    let mut fe = prepare_program_in(input, dialect)?;
-    let goals = fe.goals.clone();
-    let mut results = Vec::with_capacity(goals.len());
-    for goal in &goals {
-        results.push(verify_goal(&mut fe, goal, config.clone())?);
-    }
-    Ok((results, fe))
-}
-
 /// Parse a program and build its catalog/constraints/views **once**, leaving
 /// the `verify` goals un-lowered in [`Frontend::goals`]. This is the reuse
 /// point for batch services: one prepared frontend serves many goals (each
-/// lowered via [`lower_goal`] or decided via [`verify_goal`]) without
-/// re-parsing the DDL.
+/// lowered via [`lower_goal`]) without re-parsing the DDL.
 pub fn prepare_program_in(input: &str, dialect: Dialect) -> Result<Frontend, VerifyError> {
     let program = parse_program_with(input, dialect).map_err(VerifyError::Parse)?;
     build_frontend(&program).map_err(VerifyError::Frontend)
@@ -100,20 +55,6 @@ pub fn prepare_program_in(input: &str, dialect: Dialect) -> Result<Frontend, Ver
 /// [`prepare_program_in`] under the paper dialect.
 pub fn prepare_program(input: &str) -> Result<Frontend, VerifyError> {
     prepare_program_in(input, Dialect::Paper)
-}
-
-/// [`prepare_program_in`] with an observability recorder: program parsing
-/// and catalog construction are recorded as one `parse` stage occurrence,
-/// and the returned frontend carries the recorder so lowering (and
-/// desugaring, via `udp-ext`) report through it.
-pub fn prepare_program_rec(
-    input: &str,
-    dialect: Dialect,
-    recorder: udp_obs::Recorder,
-) -> Result<Frontend, VerifyError> {
-    let mut fe = recorder.time(udp_obs::Stage::Parse, || prepare_program_in(input, dialect))?;
-    fe.recorder = recorder;
-    Ok(fe)
 }
 
 /// [`parse_goal_in`] with an observability recorder: the goal-line parse is
@@ -133,26 +74,15 @@ pub fn lower_goal(
     fe: &mut Frontend,
     goal: &(ast::Query, ast::Query),
 ) -> Result<(udp_core::QueryU, udp_core::QueryU), VerifyError> {
-    // Single global writer for the `lower` stage: every driver (sequential
-    // CLI, batch service) funnels through here, so recording at this level
-    // counts each goal's lowering exactly once.
+    // Single global writer for the `lower` stage: every driver funnels
+    // through here, so recording at this level counts each goal's lowering
+    // exactly once.
     let recorder = fe.recorder.clone();
     let _span = recorder.span(udp_obs::Stage::Lower);
     let mut gen = udp_core::expr::VarGen::new();
     let q1 = lower_query(fe, &mut gen, &goal.0).map_err(VerifyError::Lower)?;
     let q2 = lower_query(fe, &mut gen, &goal.1).map_err(VerifyError::Lower)?;
     Ok((q1, q2))
-}
-
-/// Lower and decide one goal pair against a prepared frontend.
-pub fn verify_goal(
-    fe: &mut Frontend,
-    goal: &(ast::Query, ast::Query),
-    config: udp_core::DecideConfig,
-) -> Result<GoalResult, VerifyError> {
-    let (q1, q2) = lower_goal(fe, goal)?;
-    let verdict = udp_core::decide_with(&fe.catalog, &fe.constraints, &q1, &q2, config);
-    Ok(GoalResult { verdict })
 }
 
 /// Parse a standalone goal `q1 == q2` (optionally wrapped as
@@ -180,14 +110,7 @@ pub fn parse_goal_in(line: &str, dialect: Dialect) -> Result<(ast::Query, ast::Q
     unreachable!("a `verify` statement always parses to Statement::Verify")
 }
 
-/// Result of verifying one goal.
-#[derive(Debug, Clone)]
-pub struct GoalResult {
-    /// The decision, stats, and optional trace for this goal.
-    pub verdict: udp_core::Verdict,
-}
-
-/// Errors from [`verify_program`].
+/// Errors from preparing a program or lowering a goal.
 #[derive(Debug)]
 pub enum VerifyError {
     /// The program failed to parse.
@@ -196,11 +119,14 @@ pub enum VerifyError {
     Frontend(FrontendError),
     /// Lowering to U-expressions failed.
     Lower(LowerError),
-    /// A pre-lowering desugaring stage rejected the program (e.g. the
-    /// `udp-ext` subsystem on a full-dialect construct combination it does
-    /// not encode). Carried as a message so this crate stays independent of
-    /// the stages layered above it.
+    /// A pre-lowering desugaring stage rejected the program (e.g. an
+    /// unknown table in a full-dialect view). Carried as a message so this
+    /// crate stays independent of the stages layered above it.
     Desugar(String),
+    /// A desugaring stage met a construct combination it does not encode
+    /// (udp-ext's `Unsupported`): the program is outside the supported
+    /// fragment. The message names the stage and is displayed as is.
+    Unsupported(String),
 }
 
 impl std::fmt::Display for VerifyError {
@@ -210,6 +136,7 @@ impl std::fmt::Display for VerifyError {
             VerifyError::Frontend(e) => write!(f, "{e}"),
             VerifyError::Lower(e) => write!(f, "{e}"),
             VerifyError::Desugar(m) => write!(f, "desugaring error: {m}"),
+            VerifyError::Unsupported(m) => f.write_str(m),
         }
     }
 }
@@ -223,6 +150,19 @@ impl VerifyError {
         match self {
             VerifyError::Parse(e) => e.unsupported_feature(),
             _ => None,
+        }
+    }
+
+    /// The one-line report for a program outside the supported fragment
+    /// (`unsupported: <feature>` for a parser feature rejection, the
+    /// desugarer's message for a [`VerifyError::Unsupported`]), or `None`
+    /// when the failure is an error.
+    pub fn unsupported_message(&self) -> Option<String> {
+        match self {
+            VerifyError::Unsupported(m) => Some(m.clone()),
+            _ => self
+                .unsupported_feature()
+                .map(|feature| format!("unsupported: {feature}")),
         }
     }
 }

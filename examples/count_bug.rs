@@ -33,10 +33,10 @@ fn main() {
     let results = udp::verify(program).expect("well-formed program");
     println!(
         "UDP on the COUNT-bug rewrite: {:?}",
-        results[0].verdict.decision
+        results[0].verdict().unwrap().decision
     );
     assert!(
-        !results[0].verdict.decision.is_proved(),
+        !results[0].verdict().unwrap().decision.is_proved(),
         "soundness violation!"
     );
 

@@ -79,8 +79,7 @@ fn main() {
         ==
         SELECT * FROM r x UNION ALL SELECT * FROM r y;
     ";
-    let results = udp::verify_extended(wrong).expect("well-formed program");
-    assert!(!results[0].verdict.decision.is_proved());
+    assert!(!verify_extended(wrong).decision.is_proved());
     match udp::eval::check_program_in(wrong, udp::sql::Dialect::Extended, 200).unwrap() {
         udp::eval::SearchResult::Refuted(ce) => {
             println!(
@@ -95,9 +94,16 @@ fn main() {
     }
 }
 
+/// The verdict of the program's first goal under the extended dialect.
+fn verify_extended(program: &str) -> udp::Verdict {
+    let config = udp::SessionConfig::default().with_dialect(udp::sql::Dialect::Extended);
+    let session = udp::Session::new(program, config).expect("well-formed program");
+    let report = session.verify_program_goals().swap_remove(0);
+    report.outcome.expect("goal lowers")
+}
+
 fn report(label: &str, program: &str) {
-    let results = udp::verify_extended(program).expect("well-formed program");
-    let v = &results[0].verdict;
+    let v = &verify_extended(program);
     println!(
         "{label}: {:?} in {:.2} ms ({} steps)",
         v.decision,

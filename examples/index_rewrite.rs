@@ -24,15 +24,16 @@ fn main() {
         SELECT t2.* FROM i t1, r t2 WHERE t1.k = t2.k AND t1.a >= 12;
     ";
 
-    let (results, fe) = udp_sql::verify_program_with_frontend(
-        program,
-        udp::DecideConfig {
-            record_trace: true,
-            ..Default::default()
-        },
-    )
-    .expect("well-formed program");
-    let verdict = &results[0].verdict;
+    let config = udp::SessionConfig {
+        record_trace: true,
+        ..Default::default()
+    };
+    let mut session = udp::Session::new(program, config).expect("well-formed program");
+    // Lowering the goal onto the session's frontend first puts its anonymous
+    // subquery schemas into the catalog the trace replays over.
+    session.lower_program_goals();
+    let goal = session.verify_program_goals().swap_remove(0);
+    let verdict = goal.verdict().expect("goal lowers");
     println!("Fig 1 index rewrite: {:?}", verdict.decision);
     assert!(verdict.decision.is_proved());
 
@@ -41,6 +42,7 @@ fn main() {
 
     // Replay the trace through the independent checker (the substitute for
     // the paper's Lean kernel — see DESIGN.md §4).
+    let fe = session.frontend();
     let report = udp_core::proof::check_trace(&fe.catalog, &fe.constraints, &verdict.trace, 8);
     assert!(report.ok(), "trace check failures: {:?}", report.failures);
     println!(
@@ -60,6 +62,9 @@ fn main() {
         SELECT t2.* FROM i t1, r t2 WHERE t1.k = t2.k AND t1.a >= 12;
     ";
     let results = udp::verify(no_key).expect("well-formed program");
-    println!("\nwithout the key: {:?}", results[0].verdict.decision);
-    assert!(!results[0].verdict.decision.is_proved());
+    println!(
+        "\nwithout the key: {:?}",
+        results[0].verdict().unwrap().decision
+    );
+    assert!(!results[0].verdict().unwrap().decision.is_proved());
 }

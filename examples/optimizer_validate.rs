@@ -10,9 +10,9 @@
 //! cargo run --release --example optimizer_validate
 //! ```
 
-use udp_core::budget::Budget;
-use udp_core::DecideConfig;
-use udp_corpus::{all_rules, Expectation, Source};
+use udp_corpus::{all_rules, run_rule, session_config, Expectation, Source};
+use udp_service::SessionConfig;
+use udp_sql::Dialect;
 
 fn main() {
     let rules: Vec<_> = all_rules()
@@ -25,29 +25,23 @@ fn main() {
     let mut unsupported = 0;
 
     for rule in &rules {
-        let budget = if rule.expect == Expectation::Timeout {
-            Budget::steps(200_000) // the deliberate pathological pair
-        } else {
-            Budget::new(Some(20_000_000), Some(std::time::Duration::from_secs(30)))
-        };
-        let config = DecideConfig {
-            budget: Some(budget),
-            ..Default::default()
-        };
         let short = rule.name.trim_start_matches("calcite/");
-        match udp_sql::verify_program(&rule.text, config) {
-            Err(e) => {
-                unsupported += 1;
-                println!("{short:<36} out of fragment ({})", e);
-            }
-            Ok(results) if results[0].verdict.decision.is_proved() => {
+        // Every rule runs in the paper's fragment: the ones that need the
+        // extended or full dialect are out of it.
+        let config = SessionConfig {
+            dialect: Dialect::Paper,
+            ..session_config(rule)
+        };
+        let outcome = run_rule(rule, config);
+        match outcome.observed {
+            Expectation::Proved => {
                 proved += 1;
-                println!(
-                    "{short:<36} PROVED in {:.2} ms",
-                    results[0].verdict.stats.wall.as_secs_f64() * 1e3
-                );
+                // The prover's own time, not the whole pipeline's.
+                let wall = outcome.stats.as_ref().expect("a verdict has stats").wall;
+                println!("{short:<36} PROVED in {:.2} ms", wall.as_secs_f64() * 1e3);
             }
-            Ok(_) => {
+            // A verdict without a proof, as opposed to a front-end rejection.
+            _ if outcome.stats.is_some() => {
                 // No proof: hunt a counterexample before flagging for review.
                 match udp_eval::check_program(&rule.text, 200) {
                     Ok(udp_eval::SearchResult::Refuted(ce)) => {
@@ -59,6 +53,10 @@ fn main() {
                         println!("{short:<36} no proof, no counterexample — review manually");
                     }
                 }
+            }
+            _ => {
+                unsupported += 1;
+                println!("{short:<36} out of fragment ({})", outcome.detail);
             }
         }
     }

@@ -33,10 +33,10 @@ fn main() {
 
     // 1. UDP proves the rewrite (Ex 5.2 of the paper).
     let results = udp::verify(program).expect("well-formed program");
-    assert!(results[0].verdict.decision.is_proved());
+    assert!(results[0].verdict().unwrap().decision.is_proved());
     println!(
         "Ex 5.2 proved in {:.2} ms",
-        results[0].verdict.stats.wall.as_secs_f64() * 1e3
+        results[0].verdict().unwrap().stats.wall.as_secs_f64() * 1e3
     );
 
     // 2. Lower both sides to U-expressions over a shared catalog.

@@ -19,15 +19,16 @@ fn main() {
 
     let results = udp::verify(program).expect("well-formed program");
     for (i, goal) in results.iter().enumerate() {
+        let verdict = goal.verdict().expect("goal lowers");
         println!(
             "goal {}: {:?} in {:.2} ms ({} proof-search steps)",
             i + 1,
-            goal.verdict.decision,
-            goal.verdict.stats.wall.as_secs_f64() * 1e3,
-            goal.verdict.stats.steps_used
+            verdict.decision,
+            verdict.stats.wall.as_secs_f64() * 1e3,
+            verdict.stats.steps_used
         );
     }
-    assert!(results[0].verdict.decision.is_proved());
+    assert!(results[0].verdict().unwrap().decision.is_proved());
 
     // Equivalences that require a key fail without it…
     let no_key = "
@@ -37,8 +38,8 @@ fn main() {
         SELECT DISTINCT * FROM r x == SELECT * FROM r x;
     ";
     let results = udp::verify(no_key).expect("well-formed program");
-    println!("without key: {:?}", results[0].verdict.decision);
-    assert!(!results[0].verdict.decision.is_proved());
+    println!("without key: {:?}", results[0].verdict().unwrap().decision);
+    assert!(!results[0].verdict().unwrap().decision.is_proved());
 
     // …and prove once the key is declared (rows become duplicate-free).
     let with_key = "
@@ -49,6 +50,6 @@ fn main() {
         SELECT DISTINCT * FROM r x == SELECT * FROM r x;
     ";
     let results = udp::verify(with_key).expect("well-formed program");
-    println!("with key:    {:?}", results[0].verdict.decision);
-    assert!(results[0].verdict.decision.is_proved());
+    println!("with key:    {:?}", results[0].verdict().unwrap().decision);
+    assert!(results[0].verdict().unwrap().decision.is_proved());
 }

@@ -28,9 +28,9 @@ fn main() {
     let results = udp::verify(program).expect("well-formed program");
     println!(
         "Starburst mixed set/bag rewrite: {:?}",
-        results[0].verdict.decision
+        results[0].verdict().unwrap().decision
     );
-    assert!(results[0].verdict.decision.is_proved());
+    assert!(results[0].verdict().unwrap().decision.is_proved());
 
     // Drop the key and the rewrite is no longer valid: the left query can
     // return duplicate (np, type, itemno) rows when two itm rows share an
@@ -54,8 +54,11 @@ fn main() {
         WHERE p.np > 1 AND p.itemno = i2.itemno;
     ";
     let results = udp::verify(no_key).expect("well-formed program");
-    println!("without the key: {:?}", results[0].verdict.decision);
-    assert!(!results[0].verdict.decision.is_proved());
+    println!(
+        "without the key: {:?}",
+        results[0].verdict().unwrap().decision
+    );
+    assert!(!results[0].verdict().unwrap().decision.is_proved());
 
     match udp_eval::check_program(no_key, 500).unwrap() {
         udp_eval::SearchResult::Refuted(ce) => {

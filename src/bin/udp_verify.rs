@@ -42,12 +42,13 @@
 //!
 //! Exit codes: `0` every goal proved, `2` some goal was not proved, `1` a
 //! goal failed (front-end error, contained panic) or input errors, `3` an
-//! unsupported feature, `64` usage errors.
+//! unsupported feature (the parser's, or a construct udp-ext rejects in a
+//! view or goal), `64` usage errors.
 
 use std::process::ExitCode;
 use std::time::Duration;
 use udp_obs::{Recorder, TrackingAlloc};
-use udp_service::{Session, SessionConfig};
+use udp_service::{GoalError, Session, SessionConfig};
 
 /// Route every heap allocation through the `udp-obs` tracking wrapper so
 /// `--metrics-json` runs can attribute bytes to pipeline stages; without an
@@ -186,8 +187,8 @@ fn main() -> ExitCode {
     let mut session = match Session::new(&text, config) {
         Ok(s) => s,
         Err(e) => {
-            if let Some(f) = e.unsupported_feature() {
-                println!("unsupported: {f}");
+            if let Some(m) = e.unsupported_message() {
+                println!("{m}");
                 return ExitCode::from(3);
             }
             eprintln!("error: {e}");
@@ -213,6 +214,7 @@ fn main() -> ExitCode {
     let reports = session.verify_program_goals();
     let mut all_proved = true;
     let mut any_error = false;
+    let mut any_unsupported = false;
     for r in &reports {
         match &r.outcome {
             Ok(v) => {
@@ -221,6 +223,11 @@ fn main() -> ExitCode {
                     println!("{}", v.trace.render());
                 }
                 all_proved &= v.decision.is_proved();
+            }
+            Err(e @ GoalError::Unsupported(_)) => {
+                println!("goal {}: {e}", r.index + 1);
+                all_proved = false;
+                any_unsupported = true;
             }
             // A goal-level failure (front-end error, contained panic)
             // degrades that goal only — the remaining goals still report.
@@ -282,6 +289,8 @@ fn main() -> ExitCode {
 
     if any_error {
         ExitCode::FAILURE
+    } else if any_unsupported {
+        ExitCode::from(3)
     } else if all_proved {
         ExitCode::SUCCESS
     } else {

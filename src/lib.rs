@@ -14,7 +14,9 @@
 //! * [`eval`] (`udp-eval`) — reference bag-semantics evaluator, random
 //!   database generation, and the counterexample-hunting model checker;
 //! * [`corpus`] (`udp-corpus`) — the evaluation corpus (Literature /
-//!   Calcite / Bugs rewrite rules).
+//!   Calcite / Bugs rewrite rules);
+//! * [`service`] (`udp-service`) — the verification [`Session`], through
+//!   which every verdict is reached.
 //!
 //! ## Quick start
 //!
@@ -28,39 +30,24 @@
 //!     ==
 //!     SELECT * FROM r x;
 //! ";
-//! let results = udp::verify(program).unwrap();
-//! assert!(results[0].verdict.decision.is_proved());
+//! let reports = udp::verify(program).unwrap();
+//! assert!(reports[0].verdict().unwrap().decision.is_proved());
 //! ```
 
 pub use udp_core as core;
 pub use udp_corpus as corpus;
 pub use udp_eval as eval;
+pub use udp_service as service;
 pub use udp_sql as sql;
 
-pub use udp_core::{decide, decide_with, DecideConfig, Decision, QueryU, Verdict};
-pub use udp_sql::{verify_program, GoalResult, VerifyError};
+pub use udp_core::{Decision, Verdict};
+pub use udp_service::{GoalReport, Session, SessionConfig};
+pub use udp_sql::VerifyError;
 
-/// Verify every `verify` goal of an input program with default settings
-/// (30 s / 20M-step budget per goal).
-pub fn verify(program: &str) -> Result<Vec<GoalResult>, VerifyError> {
-    udp_sql::verify_program(program, DecideConfig::default())
-}
-
-/// [`verify`] under the extended dialect (Sec 6.4 features: set-semantics
-/// `UNION`, `INTERSECT`, `VALUES`, `CASE`, `NATURAL JOIN`).
-pub fn verify_extended(program: &str) -> Result<Vec<GoalResult>, VerifyError> {
-    udp_sql::verify_program_in(program, udp_sql::Dialect::Extended, DecideConfig::default())
-}
-
-/// Verify with proof-trace recording enabled.
-pub fn verify_traced(program: &str) -> Result<Vec<GoalResult>, VerifyError> {
-    udp_sql::verify_program(
-        program,
-        DecideConfig {
-            record_trace: true,
-            ..Default::default()
-        },
-    )
+/// Verify every `verify` goal of a paper-dialect program on a default
+/// [`Session`] (30 s / 20M-step budget per goal).
+pub fn verify(program: &str) -> Result<Vec<GoalReport>, VerifyError> {
+    Ok(Session::new(program, SessionConfig::default())?.verify_program_goals())
 }
 
 #[cfg(test)]
@@ -73,6 +60,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(results.len(), 1);
-        assert!(results[0].verdict.decision.is_proved());
+        assert!(results[0].verdict().unwrap().decision.is_proved());
     }
 }

@@ -1,27 +1,14 @@
 //! Integration: every corpus rule must produce its expected verdict, and
 //! every `Proved` verdict must survive empirical cross-validation.
 
-use udp_core::budget::Budget;
-use udp_core::DecideConfig;
-use udp_corpus::{all_rules, run_rule, Expectation, Source};
-
-fn budget_for(e: Expectation) -> Budget {
-    match e {
-        // The deliberate-timeout pair exhausts any budget; keep CI fast.
-        Expectation::Timeout => Budget::steps(150_000),
-        _ => Budget::new(Some(20_000_000), Some(std::time::Duration::from_secs(30))),
-    }
-}
+use udp_corpus::{all_rules, parse_rule, run_rule, session_config, Expectation, Source};
+use udp_service::{Session, SessionConfig};
 
 #[test]
 fn every_rule_matches_its_expectation() {
     let mut failures = Vec::new();
     for rule in all_rules() {
-        let config = DecideConfig {
-            budget: Some(budget_for(rule.expect)),
-            ..Default::default()
-        };
-        let out = run_rule(&rule, config);
+        let out = run_rule(&rule, session_config(&rule));
         if out.observed != rule.expect {
             failures.push(format!(
                 "{}: expected {}, observed {} {}",
@@ -100,21 +87,21 @@ fn proved_rules_survive_model_checking() {
 const SLOW_REPLAY: &[&str] = &["calcite/aggregate-subquery-filter-merge"];
 
 fn replay_rule(rule: &udp_corpus::Rule) {
-    let config = DecideConfig {
+    let config = SessionConfig {
         record_trace: true,
-        ..Default::default()
+        ..session_config(rule)
     };
     // Full-dialect rules desugar through udp-ext; the replayed trace then
     // covers the encoded forms (NULL tags included in summation domains).
-    let (results, fe) = if rule.dialect == udp_sql::Dialect::Full {
-        let (results, fe, _warnings) = udp_ext::verify_program(&rule.text, config).unwrap();
-        (results, fe)
-    } else {
-        udp_sql::verify_program_with_frontend_in(&rule.text, rule.dialect, config).unwrap()
-    };
-    assert!(results[0].verdict.decision.is_proved(), "{}", rule.name);
-    let report =
-        udp_core::proof::check_trace(&fe.catalog, &fe.constraints, &results[0].verdict.trace, 2);
+    // Lowering the goal onto the session's frontend first puts its anonymous
+    // subquery schemas into the catalog the trace replays over.
+    let mut session = Session::new(&rule.text, config).unwrap();
+    session.lower_program_goals();
+    let goal = session.verify_program_goals().swap_remove(0);
+    let verdict = goal.verdict().unwrap();
+    assert!(verdict.decision.is_proved(), "{}", rule.name);
+    let fe = session.frontend();
+    let report = udp_core::proof::check_trace(&fe.catalog, &fe.constraints, &verdict.trace, 2);
     assert!(report.ok(), "{}: {:?}", rule.name, report.failures);
 }
 
@@ -194,10 +181,61 @@ fn count_bug_not_proved_and_refuted() {
         .into_iter()
         .find(|r| r.name == "bugs/count-bug")
         .expect("count bug in corpus");
-    let out = run_rule(&rule, DecideConfig::default());
+    let out = run_rule(&rule, session_config(&rule));
     assert_eq!(out.observed, Expectation::NotProved);
     match udp_eval::check_program(&rule.text, 300).unwrap() {
         udp_eval::SearchResult::Refuted(_) => {}
         other => panic!("expected refutation, got {other:?}"),
     }
+}
+
+/// udp-ext rejects an aggregate over an outer join, in a goal or in a
+/// view: the rule lands in the `unsupported` bucket, not in `not-proved`.
+#[test]
+fn ext_rejections_are_unsupported() {
+    const COUNT_OVER_LEFT_JOIN: &str = "SELECT COUNT(*) AS n FROM r x LEFT JOIN s y ON x.k = y.k";
+    for program in [
+        format!("verify {COUNT_OVER_LEFT_JOIN} == SELECT COUNT(*) AS n FROM r x;"),
+        format!(
+            "view v as {COUNT_OVER_LEFT_JOIN};\nverify SELECT * FROM v a == SELECT * FROM v b;"
+        ),
+    ] {
+        let text = format!(
+            "-- name: test/count-over-left-join\n-- source: calcite\n-- dialect: full\n\
+             -- expect: unsupported\n\
+             schema rs(k:int, a:int?);\nschema ss(k:int, b:int);\ntable r(rs);\ntable s(ss);\n\
+             {program}"
+        );
+        let rule = parse_rule("count_over_left_join.sql", &text).unwrap();
+        let out = run_rule(&rule, session_config(&rule));
+        assert_eq!(
+            out.observed,
+            Expectation::Unsupported,
+            "{program}: {}",
+            out.detail
+        );
+    }
+}
+
+/// A prover panic is a crash, never an outcome: the session contains it,
+/// and `run_rule` re-raises it rather than counting the goal as not
+/// proved — which a `not-proved` rule such as the COUNT bug would accept.
+#[test]
+fn a_contained_prover_panic_is_not_a_rule_outcome() {
+    let rule = all_rules()
+        .into_iter()
+        .find(|r| r.name == "bugs/count-bug")
+        .expect("count bug in corpus");
+    assert_eq!(rule.expect, Expectation::NotProved);
+    let plan = udp_obs::FaultPlan::parse("rate=1,probe=backend:udp").unwrap();
+    let config = session_config(&rule).with_chaos(Some(plan));
+    let crash = std::panic::catch_unwind(|| run_rule(&rule, config))
+        .expect_err("a prover panic must not yield an outcome");
+    let msg = crash
+        .downcast_ref::<String>()
+        .expect("run_rule panics with a message");
+    assert!(
+        msg.starts_with("bugs/count-bug: goal aborted:"),
+        "unexpected panic message: {msg}"
+    );
 }

@@ -8,8 +8,8 @@
 //! * Known-inequivalent pairs must be refuted by the model checker AND not
 //!   proved by UDP.
 
-use udp_core::budget::Budget;
-use udp_core::DecideConfig;
+use udp_core::Decision;
+use udp_service::{Session, SessionConfig};
 use udp_sql::Dialect;
 
 const DDL: &str = "schema rs(k:int, a:int);\nschema ts(k:int, b:int);\n\
@@ -41,17 +41,27 @@ const POOL: &[&str] = &[
     "SELECT v.c0 AS v FROM (VALUES (2), (1)) v",
 ];
 
-fn decide_pair(q1: &str, q2: &str) -> udp_core::Decision {
-    let program = format!("{DDL}\nverify {q1} == {q2};");
-    let config = DecideConfig {
-        budget: Some(Budget::new(
-            Some(2_000_000),
-            Some(std::time::Duration::from_secs(10)),
-        )),
-        ..Default::default()
+/// Decide the one goal of `program` under the extended dialect. A program
+/// the front end rejects, or a goal it fails to lower, is an error.
+fn decide(program: &str) -> Result<Decision, String> {
+    let config = SessionConfig {
+        steps: Some(2_000_000),
+        wall: Some(std::time::Duration::from_secs(10)),
+        dialect: Dialect::Extended,
+        ..SessionConfig::default()
     };
-    match udp_sql::verify_program_in(&program, Dialect::Extended, config) {
-        Ok(results) => results[0].verdict.decision.clone(),
+    let session = Session::new(program, config).map_err(|e| e.to_string())?;
+    let report = session.verify_program_goals().swap_remove(0);
+    report
+        .outcome
+        .map(|v| v.decision)
+        .map_err(|e| e.to_string())
+}
+
+fn decide_pair(q1: &str, q2: &str) -> Decision {
+    let program = format!("{DDL}\nverify {q1} == {q2};");
+    match decide(&program) {
+        Ok(decision) => decision,
         Err(e) => panic!("pool query failed the front end: {q1} == {q2}: {e}"),
     }
 }
@@ -110,17 +120,10 @@ fn alias_renamed_clones_prove() {
         // Guard against accidental damage to keywords from the crude
         // replacement: skip if the variant no longer parses.
         let program = format!("{DDL}\nverify {q} == {renamed};");
-        let config = DecideConfig {
-            budget: Some(Budget::new(
-                Some(2_000_000),
-                Some(std::time::Duration::from_secs(10)),
-            )),
-            ..Default::default()
-        };
-        match udp_sql::verify_program_in(&program, Dialect::Extended, config) {
-            Ok(results) => {
+        match decide(&program) {
+            Ok(decision) => {
                 assert!(
-                    results[0].verdict.decision.is_proved(),
+                    decision.is_proved(),
                     "alias-renamed clone not proved:\n  {q}\n  {renamed}"
                 );
             }

@@ -5,25 +5,17 @@
 //! randomized NULL-containing databases.
 
 use udp_core::expr::Value;
-use udp_corpus::{all_rules, run_rule, Expectation, Rule};
+use udp_corpus::{all_rules, run_rule, session_config, Expectation, Rule};
 use udp_eval::{differs_on, random_database, seeded_rng, GenConfig};
+use udp_service::Session;
 use udp_sql::Frontend;
 
+/// The rule's frontend with its goals as written: under the full dialect
+/// the session desugars views once but keeps goals raw, which is what the
+/// oracle evaluates (the differential suite pins desugared ≡ native).
 fn build(rule: &Rule) -> Frontend {
-    let mut fe = match rule.dialect {
-        udp_sql::Dialect::Full => udp_ext::prepare_program(&rule.text).unwrap().0,
-        d => udp_sql::prepare_program_in(&rule.text, d).unwrap(),
-    };
-    // The oracle evaluates the raw goals; for Full-dialect rules the
-    // prepared goals are already desugared, which is equally valid input
-    // (the differential suite pins desugared ≡ native) — but the original
-    // text is what users wrote, so re-parse it for the oracle side.
-    let program = udp_sql::parse_program_with(&rule.text, rule.dialect).unwrap();
-    fe.goals = program
-        .goals()
-        .map(|(a, b)| (a.clone(), b.clone()))
-        .collect();
-    fe
+    let session = Session::new(&rule.text, session_config(rule)).unwrap();
+    session.frontend().clone()
 }
 
 /// Oracle confirmation of a verdict: NotProved pairs must be refuted within
@@ -64,7 +56,7 @@ fn ext_decided_exemplars_match_verdicts_and_oracle() {
 
     let mut definite = 0;
     for rule in &rules {
-        let out = run_rule(rule, udp_core::DecideConfig::default());
+        let out = run_rule(rule, session_config(rule));
         assert_eq!(
             out.observed, rule.expect,
             "{}: expected {} got {} ({})",
@@ -96,7 +88,7 @@ fn b02_oracle_outer_join_refuted_on_null_bearing_database() {
         .find(|r| r.name == "bugs/oracle-outer-join")
         .unwrap();
     assert_eq!(rule.expect, Expectation::NotProved);
-    let out = run_rule(&rule, udp_core::DecideConfig::default());
+    let out = run_rule(&rule, session_config(&rule));
     assert_eq!(out.observed, Expectation::NotProved);
 
     let fe = build(&rule);

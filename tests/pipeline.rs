@@ -3,7 +3,9 @@
 
 fn proved(program: &str) -> bool {
     let results = udp::verify(program).expect("well-formed program");
-    results.iter().all(|g| g.verdict.decision.is_proved())
+    results
+        .iter()
+        .all(|g| g.verdict().expect("goal lowers").decision.is_proved())
 }
 
 const BASE: &str = "schema rs(k:int, a:int, b:int);\nschema ss(k2:int, c:int);\n\

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `udp-verify` binary on corpus rule files: verdict
 //! lines and exit codes (sequential and `--jobs 2`), `--check-trace`,
-//! `--counterexample`, `--spnf`, full-dialect warnings, and usage errors.
+//! `--counterexample`, `--spnf`, full-dialect warnings, unsupported goals,
+//! and usage errors.
 
 use std::process::{Command, Output};
 
@@ -127,6 +128,42 @@ fn full_dialect_warns_about_a_stripped_order_by() {
         stderr(&out)
     );
     assert_eq!(verdicts(&out), ["goal 1: Proved"]);
+}
+
+/// udp-ext rejects an aggregate over an outer join: in a goal, that goal
+/// reports udp-ext's `unsupported` message; in a view, the program does.
+/// Both exit 3.
+#[test]
+fn constructs_udp_ext_rejects_are_unsupported() {
+    const DDL: &str =
+        "schema rs(k:int, a:int?);\nschema ss(k:int, b:int);\ntable r(rs);\ntable s(ss);";
+    const COUNT_OVER_LEFT_JOIN: &str = "SELECT COUNT(*) AS n FROM r x LEFT JOIN s y ON x.k = y.k";
+    let cases = [
+        (
+            "goal",
+            format!("verify {COUNT_OVER_LEFT_JOIN} == SELECT COUNT(*) AS n FROM r x;"),
+            "goal 1: unsupported by udp-ext: ",
+        ),
+        (
+            "view",
+            format!(
+                "view v as {COUNT_OVER_LEFT_JOIN};\nverify SELECT * FROM v a == SELECT * FROM v b;"
+            ),
+            "unsupported by udp-ext: ",
+        ),
+    ];
+    for (name, program, line) in cases {
+        let file = format!("{}/unsupported_{name}.sql", env!("CARGO_TARGET_TMPDIR"));
+        std::fs::write(&file, format!("{DDL}\n{program}\n")).unwrap();
+        let out = udp_verify(&file, &["--full"]);
+        assert_eq!(out.status.code(), Some(3), "{name}: {}", stderr(&out));
+        assert!(
+            stdout(&out).lines().any(|l| l.starts_with(line)),
+            "{name}: want a line starting `{line}` in\n{}",
+            stdout(&out)
+        );
+        assert_eq!(stdout(&out).matches("unsupported").count(), 1, "{name}");
+    }
 }
 
 #[test]
