@@ -31,7 +31,10 @@
 //! * [`MetricsSnapshot`] — a stable, versioned JSON rendering
 //!   (`--metrics-json`) plus human-readable tables (`--stats-every`,
 //!   `--trace-goals`), and [`json`] — a small parser to round-trip and
-//!   validate those snapshots without serde.
+//!   validate those snapshots without serde;
+//! * [`ObsOutputs`] — the one writer for those outputs: the
+//!   `--metrics-json`/`--trace-goals`/`--trace-out` requests, the recorder
+//!   mode they need, and the files and waterfalls written at exit.
 //!
 //! The crate sits at the bottom of the dependency stack (below `udp-core`)
 //! and is deliberately free of workspace and external dependencies; the
@@ -45,6 +48,7 @@ pub mod counter;
 pub mod fault;
 pub mod hist;
 pub mod json;
+pub mod outputs;
 pub mod recorder;
 pub mod snapshot;
 pub mod stage;
@@ -54,6 +58,7 @@ pub use alloc::{MemSession, MemorySnapshot, TrackingAlloc};
 pub use counter::Counter;
 pub use fault::{install_chaos_panic_silencer, FaultAction, FaultInjector, FaultPlan};
 pub use hist::{bucket_of, bucket_of_us, Histogram, LATENCY_BUCKETS};
+pub use outputs::ObsOutputs;
 pub use recorder::{GoalObs, Recorder, Span, TraceSpan, DEFAULT_SLOW_CAPACITY};
 pub use snapshot::{CounterSnapshot, GoalTrace, MetricsSnapshot, StageSnapshot};
 pub use stage::Stage;

@@ -86,8 +86,9 @@ pub struct SessionConfig {
     /// Record proof traces (cache hits replay the memoized trace).
     pub record_trace: bool,
     /// Compute canonical fingerprints for every goal report even when the
-    /// cache is disabled (canonicalization is otherwise skipped for
-    /// `cache_capacity == 0`, since it costs a full SPNF normalization).
+    /// cache is disabled. Every goal is normalized once either way; with
+    /// `cache_capacity == 0` this flag alone decides whether the canonical
+    /// forms are rendered and hashed.
     pub fingerprints: bool,
     /// Stage-metrics recorder threaded through the whole goal path (parse,
     /// desugar, lower, normalize, fingerprint, cache, prove, queue wait).

@@ -53,7 +53,7 @@
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use std::time::Duration;
-use udp_obs::{Recorder, TrackingAlloc};
+use udp_obs::{ObsOutputs, TrackingAlloc};
 use udp_service::{GoalReport, Session, SessionConfig};
 
 /// Route every heap allocation through the `udp-obs` tracking wrapper so
@@ -70,9 +70,7 @@ fn main() -> ExitCode {
     let mut show_stats = false;
     let mut stats_every = 0usize;
     let mut show_fingerprints = false;
-    let mut metrics_json: Option<String> = None;
-    let mut trace_goals = 0usize;
-    let mut trace_out: Option<String> = None;
+    let mut obs = ObsOutputs::default();
 
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
@@ -93,7 +91,7 @@ fn main() -> ExitCode {
                 config.fingerprints = true;
             }
             "--metrics-json" => {
-                metrics_json = Some(
+                obs.metrics_json = Some(
                     it.next()
                         .cloned()
                         .unwrap_or_else(|| usage("missing value for --metrics-json")),
@@ -113,9 +111,9 @@ fn main() -> ExitCode {
                         .unwrap_or_else(|e| usage(&format!("bad --chaos spec: {e}"))),
                 );
             }
-            "--trace-goals" => trace_goals = parse_num(it.next(), "--trace-goals"),
+            "--trace-goals" => obs.trace_goals = parse_num(it.next(), "--trace-goals"),
             "--trace-out" => {
-                trace_out = Some(
+                obs.trace_out = Some(
                     it.next()
                         .cloned()
                         .unwrap_or_else(|| usage("missing value for --trace-out")),
@@ -137,19 +135,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let recorder = if trace_out.is_some() {
-        Recorder::with_trace(
-            trace_goals.max(udp_obs::DEFAULT_SLOW_CAPACITY),
-            udp_obs::DEFAULT_TRACE_CAPACITY,
-        )
-    } else if metrics_json.is_some() || trace_goals > 0 {
-        Recorder::with_slow_capacity(trace_goals.max(udp_obs::DEFAULT_SLOW_CAPACITY))
-    } else {
-        Recorder::disabled()
-    };
-    if metrics_json.is_some() {
-        recorder.track_memory();
-    }
+    let recorder = obs.recorder();
     config.recorder = recorder.clone();
     let session = match Session::new(&text, config) {
         Ok(s) => s,
@@ -265,26 +251,9 @@ fn main() -> ExitCode {
         // count is not a multiple of N.
         eprintln!("[final stats] {}", full_stats());
     }
-    if recorder.is_enabled() {
-        let snapshot = recorder.snapshot();
-        if trace_goals > 0 {
-            eprint!("{}", snapshot.render_slow_goals(trace_goals));
-        }
-        if let Some(path) = &metrics_json {
-            let json = snapshot.to_json();
-            if let Err(e) = std::fs::write(path, json) {
-                eprintln!("error writing metrics to `{path}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        if let Some(path) = &trace_out {
-            if let Some(trace) = recorder.chrome_trace() {
-                if let Err(e) = std::fs::write(path, trace) {
-                    eprintln!("error writing trace to `{path}`: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
+    if let Err(e) = obs.write(&recorder) {
+        eprintln!("error writing metrics: {e}");
+        return ExitCode::FAILURE;
     }
     if any_error {
         ExitCode::FAILURE

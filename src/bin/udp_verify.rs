@@ -47,7 +47,7 @@
 
 use std::process::ExitCode;
 use std::time::Duration;
-use udp_obs::{Recorder, TrackingAlloc};
+use udp_obs::{ObsOutputs, TrackingAlloc};
 use udp_service::{GoalError, Session, SessionConfig};
 
 /// Route every heap allocation through the `udp-obs` tracking wrapper so
@@ -68,9 +68,7 @@ fn main() -> ExitCode {
     let mut jobs = 1usize;
     let mut cache_bytes: Option<usize> = None;
     let mut show_stats = false;
-    let mut metrics_json: Option<String> = None;
-    let mut trace_goals = 0usize;
-    let mut trace_out: Option<String> = None;
+    let mut obs = ObsOutputs::default();
     let mut chaos: Option<udp_obs::FaultPlan> = None;
 
     let mut it = args.iter().peekable();
@@ -106,20 +104,20 @@ fn main() -> ExitCode {
                 );
             }
             "--metrics-json" => {
-                metrics_json = Some(
+                obs.metrics_json = Some(
                     it.next()
                         .cloned()
                         .unwrap_or_else(|| usage("missing value for --metrics-json")),
                 );
             }
             "--trace-goals" => {
-                trace_goals = it
+                obs.trace_goals = it
                     .next()
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage("missing value for --trace-goals"));
             }
             "--trace-out" => {
-                trace_out = Some(
+                obs.trace_out = Some(
                     it.next()
                         .cloned()
                         .unwrap_or_else(|| usage("missing value for --trace-out")),
@@ -159,19 +157,7 @@ fn main() -> ExitCode {
     };
     // Any observability flag enables the recorder; otherwise every
     // instrumentation point in the pipeline stays a no-op.
-    let recorder = if trace_out.is_some() {
-        Recorder::with_trace(
-            trace_goals.max(udp_obs::DEFAULT_SLOW_CAPACITY),
-            udp_obs::DEFAULT_TRACE_CAPACITY,
-        )
-    } else if metrics_json.is_some() || trace_goals > 0 {
-        Recorder::with_slow_capacity(trace_goals.max(udp_obs::DEFAULT_SLOW_CAPACITY))
-    } else {
-        Recorder::disabled()
-    };
-    if metrics_json.is_some() {
-        recorder.track_memory();
-    }
+    let recorder = obs.recorder();
 
     let config = SessionConfig {
         workers: jobs,
@@ -277,12 +263,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Err(e) = emit_observability(
-        &recorder,
-        metrics_json.as_deref(),
-        trace_goals,
-        trace_out.as_deref(),
-    ) {
+    if let Err(e) = obs.write(&recorder) {
         eprintln!("error writing metrics: {e}");
         return ExitCode::FAILURE;
     }
@@ -296,33 +277,6 @@ fn main() -> ExitCode {
     } else {
         ExitCode::from(2)
     }
-}
-
-/// Write the `--metrics-json` snapshot, print the `--trace-goals`
-/// waterfalls, and/or write the `--trace-out` Chrome trace; no-ops when the
-/// recorder is disabled.
-fn emit_observability(
-    recorder: &Recorder,
-    metrics_json: Option<&str>,
-    trace_goals: usize,
-    trace_out: Option<&str>,
-) -> std::io::Result<()> {
-    if !recorder.is_enabled() {
-        return Ok(());
-    }
-    let snapshot = recorder.snapshot();
-    if trace_goals > 0 {
-        eprint!("{}", snapshot.render_slow_goals(trace_goals));
-    }
-    if let Some(path) = metrics_json {
-        std::fs::write(path, snapshot.to_json())?;
-    }
-    if let Some(path) = trace_out {
-        if let Some(trace) = recorder.chrome_trace() {
-            std::fs::write(path, trace)?;
-        }
-    }
-    Ok(())
 }
 
 fn print_verdict(i: usize, v: &udp_core::Verdict) {

@@ -2,7 +2,8 @@
 //! good and bad goal lines produces one in-order response per line (errors
 //! included) and the serving loop survives them; with `--chaos` armed the
 //! process still exits normally and the stdout protocol stays deterministic
-//! across worker counts.
+//! across worker counts; the metrics flags write their outputs without
+//! touching stdout.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -19,6 +20,11 @@ const INPUT: &str = "SELECT x.a AS a FROM r x WHERE x.k = 1 == SELECT x.a AS a F
                      SELECT x.a AS a FROM r x WHERE x.a = 2 == SELECT y.a AS a FROM r y WHERE y.a = 7\n";
 
 fn run_serve(extra: &[&str], input: &str) -> (String, Option<i32>) {
+    let (stdout, _, code) = run_serve_with_stderr(extra, input);
+    (stdout, code)
+}
+
+fn run_serve_with_stderr(extra: &[&str], input: &str) -> (String, String, Option<i32>) {
     let dir = std::env::temp_dir().join(format!(
         "udp-serve-test-{}-{:?}",
         std::process::id(),
@@ -32,7 +38,7 @@ fn run_serve(extra: &[&str], input: &str) -> (String, Option<i32>) {
         .args(extra)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
-        .stderr(Stdio::null())
+        .stderr(Stdio::piped())
         .spawn()
         .expect("spawn udp-serve");
     child
@@ -45,6 +51,7 @@ fn run_serve(extra: &[&str], input: &str) -> (String, Option<i32>) {
     let _ = std::fs::remove_dir_all(&dir);
     (
         String::from_utf8(out.stdout).expect("stdout is UTF-8"),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
         out.status.code(),
     )
 }
@@ -91,4 +98,45 @@ fn chaos_armed_serving_survives_and_is_worker_invariant() {
     for line in outputs[0].lines() {
         assert!(line.starts_with("goal "), "protocol framing intact: {line}");
     }
+}
+
+/// `--metrics-json`, `--trace-out` and `--trace-goals` write a schema-5
+/// snapshot (one goal per served line, balanced spans, tracked memory), a
+/// balanced Chrome trace and two stderr waterfalls, and leave the stdout
+/// protocol byte-identical.
+#[test]
+fn metrics_json_trace_out_and_trace_goals_write_their_outputs() {
+    const GOALS: &str = "SELECT x.a AS a FROM r x WHERE x.k = 1 == SELECT x.a AS a FROM r x WHERE x.k = 1\n\
+                         SELECT x.a AS a FROM r x WHERE x.a = 2 == SELECT y.a AS a FROM r y WHERE y.a = 7\n\
+                         \n\
+                         SELECT DISTINCT x.a AS a FROM r x, s y WHERE x.k = y.k2 \
+                         == SELECT DISTINCT x.a AS a FROM r x WHERE EXISTS (SELECT * FROM s y WHERE y.k2 = x.k)\n";
+    let dir = env!("CARGO_TARGET_TMPDIR");
+    let metrics = format!("{dir}/serve_protocol_metrics.json");
+    let trace = format!("{dir}/serve_protocol_trace.json");
+    let flags = [
+        "--jobs",
+        "2",
+        "--metrics-json",
+        &metrics,
+        "--trace-out",
+        &trace,
+        "--trace-goals",
+        "2",
+    ];
+    let (stdout, stderr, code) = run_serve_with_stderr(&flags, GOALS);
+    assert_eq!((stdout.clone(), code), run_serve(&["--jobs", "2"], GOALS));
+    assert_eq!(stdout.lines().count(), 3, "{stdout}");
+    let snapshot = udp_obs::json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    assert_eq!(
+        snapshot.get("schema_version").and_then(|v| v.as_u64()),
+        Some(5)
+    );
+    assert_eq!(snapshot.get("goals").and_then(|v| v.as_u64()), Some(3));
+    assert_eq!(snapshot.get("open_spans").and_then(|v| v.as_u64()), Some(0));
+    let tracked = snapshot.get("memory").and_then(|m| m.get("tracked"));
+    assert_eq!(tracked.and_then(|v| v.as_bool()), Some(true));
+    let check = udp_obs::validate_chrome_trace(&std::fs::read_to_string(&trace).unwrap());
+    assert!(check.is_ok(), "{check:?}");
+    assert_eq!(stderr.matches("slow goal: ").count(), 2, "{stderr}");
 }

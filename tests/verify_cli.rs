@@ -175,3 +175,40 @@ fn unknown_flags_are_usage_errors() {
         assert!(stderr(&out).contains("usage: udp-verify"), "{flags:?}");
     }
 }
+
+/// `--metrics-json`, `--trace-out` and `--trace-goals` together: a schema-5
+/// snapshot with one goal per program goal, balanced spans and tracked
+/// memory; a Chrome trace that passes the span-balance check; and the two
+/// slowest goals' waterfalls on stderr.
+#[test]
+fn metrics_json_trace_out_and_trace_goals_write_their_outputs() {
+    let perf = format!("{}/ci/perf-corpus.sql", env!("CARGO_MANIFEST_DIR"));
+    let metrics = format!("{}/verify_cli_metrics.json", env!("CARGO_TARGET_TMPDIR"));
+    let trace = format!("{}/verify_cli_trace.json", env!("CARGO_TARGET_TMPDIR"));
+    let out = udp_verify(
+        &perf,
+        &[
+            "--jobs",
+            "2",
+            "--metrics-json",
+            &metrics,
+            "--trace-out",
+            &trace,
+            "--trace-goals",
+            "2",
+        ],
+    );
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    let snapshot = udp_obs::json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    assert_eq!(
+        snapshot.get("schema_version").and_then(|v| v.as_u64()),
+        Some(5)
+    );
+    assert_eq!(snapshot.get("goals").and_then(|v| v.as_u64()), Some(18));
+    assert_eq!(snapshot.get("open_spans").and_then(|v| v.as_u64()), Some(0));
+    let tracked = snapshot.get("memory").and_then(|m| m.get("tracked"));
+    assert_eq!(tracked.and_then(|v| v.as_bool()), Some(true));
+    let check = udp_obs::validate_chrome_trace(&std::fs::read_to_string(&trace).unwrap());
+    assert!(check.is_ok(), "{check:?}");
+    assert_eq!(stderr(&out).matches("slow goal: ").count(), 2);
+}
