@@ -11,19 +11,26 @@
 //!   structural coloring (invariant under alpha-renaming),
 //! * factors and summands are sorted by their canonical rendering (invariant
 //!   under `×`/`+` reordering),
-//! * schemas are rendered by *content* (attribute names, types, openness) and
-//!   relations by *name* — never by catalog id, so forms agree across
-//!   independently-built catalogs of the same program (anonymous subquery
-//!   schemas get arbitrary ids during lowering).
+//! * schemas are rendered by *content* (attribute names, types,
+//!   nullability, openness) and relations by *name* — never by catalog id,
+//!   so forms agree across independently-built catalogs of the same program
+//!   (anonymous subquery schemas get arbitrary ids during lowering).
 //!
 //! A [`Fingerprint`] is a 128-bit FNV-1a hash of the canonical form. The
 //! service layer keys its verdict cache on the full canonical-form pair (so a
 //! hash collision can never produce a wrong verdict) and reports the compact
 //! fingerprints.
 //!
+//! Two queries with equal canonical forms are **equivalent**, not merely
+//! given equal `decide` outcomes: the form determines the normal form up to
+//! renaming bound variables and reordering `+`/`×` operands, and both are
+//! U-semiring axioms. The service's identity shortcut proves such a goal
+//! without running Alg 2; `crates/fuzz/tests/identity_forms.rs` checks the
+//! claim against the oracle and the full search.
+//!
 //! Canonicalization is *sound but not complete*: alpha-equivalent queries
 //! with highly symmetric self-joins may receive different canonical forms
-//! (costing a cache hit, never a wrong one).
+//! (costing a cache hit or a shortcut, never a wrong verdict).
 
 use crate::decide::QueryU;
 use crate::expr::{Expr, Pred, VarId};
@@ -56,8 +63,7 @@ fn fnv128(bytes: &[u8]) -> u128 {
 }
 
 /// Canonical form of a query (see module docs). Two queries with equal
-/// canonical forms are semantically interchangeable for `decide` under the
-/// same catalog, constraints, and options.
+/// canonical forms over the same catalog are equivalent.
 pub fn canonical_form(catalog: &Catalog, q: &QueryU) -> String {
     canonical_form_nf(catalog, &normalize(&q.body), q.out, q.schema)
 }
@@ -88,7 +94,9 @@ pub fn fingerprint_form(form: &str) -> Fingerprint {
     Fingerprint(fnv128(form.as_bytes()))
 }
 
-/// Render a schema by content: `{a:int,b:str}`, with `,??` when open.
+/// Render a schema by content: `{a:Int,b:Str?}`, with `?` marking a
+/// nullable attribute (its summation domain also holds the NULL tag) and
+/// `,??` when open.
 fn schema_desc(catalog: &Catalog, id: SchemaId) -> String {
     let s = catalog.schema(id);
     let mut out = String::from("{");
@@ -99,6 +107,9 @@ fn schema_desc(catalog: &Catalog, id: SchemaId) -> String {
         out.push_str(name);
         out.push(':');
         out.push_str(&format!("{ty:?}"));
+        if s.nullable.get(i).copied().unwrap_or(false) {
+            out.push('?');
+        }
     }
     if !s.is_closed() {
         out.push_str(",??");
@@ -559,6 +570,40 @@ mod tests {
             );
             canonical_form(&cat, &q)
         });
+    }
+
+    /// `R(t0)·Σ_{t:σ}[t.a = NULL]` is 0 when σ's `a` is non-nullable and
+    /// `R(t0)` when it is nullable: the two must not share a form.
+    #[test]
+    fn nullability_is_part_of_the_form() {
+        let (mut cat, sid, r) = setup();
+        let attrs = || vec![("a".to_string(), Ty::Int)];
+        let plain = cat.add_anon_schema(attrs(), false);
+        let nullable = cat.add_anon_schema_nullable(attrs(), false, vec![true]);
+        let query = |sigma: SchemaId| {
+            QueryU::new(
+                v(0),
+                sid,
+                UExpr::mul(
+                    UExpr::rel(r, Expr::Var(v(0))),
+                    UExpr::sum(
+                        v(1),
+                        sigma,
+                        UExpr::eq(Expr::var_attr(v(1), "a"), Expr::null()),
+                    ),
+                ),
+            )
+        };
+        let (q1, q2) = (query(plain), query(nullable));
+        let spec = crate::interp::DomainSpec::default();
+        let cs = ConstraintSet::new();
+        assert!(
+            crate::proof::check_equivalence(&cat, &cs, v(0), sid, &q1.body, &q2.body, 4, &spec)
+                .is_err(),
+            "the two queries must disagree on some model"
+        );
+        assert_ne!(canonical_form(&cat, &q1), canonical_form(&cat, &q2));
+        assert!(canonical_form(&cat, &q2).contains("a:Int?"));
     }
 
     #[test]

@@ -45,6 +45,10 @@ pub enum Rule {
     Minimize,
     /// Top-level term permutation found by UDP.
     Permutation,
+    /// Both sides share one canonical form: they differ only by renaming
+    /// bound variables and reordering `+`/`×` operands (the identity
+    /// shortcut, beyond Alg 2).
+    Identity,
 }
 
 impl fmt::Display for Rule {
@@ -63,6 +67,7 @@ impl fmt::Display for Rule {
             Rule::Containment => "containment homomorphism (SDP)",
             Rule::Minimize => "term minimization (SDP)",
             Rule::Permutation => "term permutation (UDP)",
+            Rule::Identity => "canonical identity (α-renaming, +/× commutativity)",
         };
         f.write_str(s)
     }

@@ -301,8 +301,32 @@ pub fn run(config: &FuzzConfig) -> FuzzStats {
     stats
 }
 
-/// Run one case (exposed for replay-style debugging in tests).
-pub fn run_case(config: &FuzzConfig, index: usize, stats: &mut FuzzStats) {
+/// One drawn query pair: a random catalog, a base query, and its partner
+/// under a rewrite or a mutation.
+#[derive(Debug, Clone)]
+pub struct Case {
+    /// DDL of the case's catalog.
+    pub ddl: String,
+    /// The catalog, built from `ddl`.
+    pub fe: udp_sql::Frontend,
+    /// The generated query.
+    pub base: Query,
+    /// The rewritten or mutated partner of `base`.
+    pub partner: Query,
+    /// The rewrite/mutation rule that built the pair.
+    pub rule: &'static str,
+    /// Was the partner built by a mutation (expected inequivalent)?
+    pub is_mutation: bool,
+    /// Does the rewrite promise a proof (always `false` for mutations)?
+    pub expect_proof: bool,
+    /// First oracle seed of the case.
+    pub oracle_base: u64,
+}
+
+/// Draw case `index` of a campaign: a pure function of `(config.seed,
+/// index)` and the generator profiles, so a case replays independently of
+/// `cases`.
+pub fn draw_case(config: &FuzzConfig, index: usize) -> Case {
     let mut rng = udp_eval::seeded_rng(case_seed(config.seed, index));
     let (ddl, fe) = random_frontend(&mut rng, &config.schema);
     let qg = QueryGen::new(&fe, config.query.clone());
@@ -324,6 +348,31 @@ pub fn run_case(config: &FuzzConfig, index: usize, stats: &mut FuzzStats) {
         // WhereTautology applies to any SELECT, so a pick always exists.
         picked.expect("some rewrite always applies")
     };
+    let oracle_base = rng.next_u64();
+    Case {
+        ddl,
+        fe,
+        base,
+        partner,
+        rule,
+        is_mutation,
+        expect_proof,
+        oracle_base,
+    }
+}
+
+/// Run one case (exposed for replay-style debugging in tests).
+pub fn run_case(config: &FuzzConfig, index: usize, stats: &mut FuzzStats) {
+    let Case {
+        ddl,
+        fe,
+        base,
+        partner,
+        rule,
+        is_mutation,
+        expect_proof,
+        oracle_base,
+    } = draw_case(config, index);
     *stats.rule_counts.entry(rule).or_insert(0) += 1;
     if is_mutation {
         stats.mutant_pairs += 1;
@@ -331,7 +380,6 @@ pub fn run_case(config: &FuzzConfig, index: usize, stats: &mut FuzzStats) {
         stats.rewrite_pairs += 1;
     }
 
-    let oracle_base = rng.next_u64();
     let case = CaseCtx {
         config,
         ddl: &ddl,

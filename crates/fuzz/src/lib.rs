@@ -31,7 +31,7 @@ pub mod shrink;
 
 pub use catalog::{random_ddl, random_frontend, SchemaProfile};
 pub use gen::{GenProfile, QueryGen};
-pub use harness::{run, run_case, Failure, FailureKind, FuzzConfig, FuzzStats};
+pub use harness::{draw_case, run, run_case, Case, Failure, FailureKind, FuzzConfig, FuzzStats};
 pub use mutate::Mutation;
 pub use rewrite::Rewrite;
 pub use shrink::{node_count, shrink_candidates, shrink_pair};

@@ -43,7 +43,8 @@ pub enum Counter {
     RwSquashFlatten,
     /// Generalized-Theorem-4.3 squash introductions (`canonize_term`).
     RwSquashIntro,
-    /// Bytes hashed into goal fingerprints (`udp_service` `process_goal`).
+    /// Bytes of canonical forms rendered for goals: the cache key and the
+    /// identity-shortcut test (`udp_service` `process_goal`).
     FingerprintBytes,
     /// Verdict-cache probes (`udp_service` `process_goal`).
     CacheProbes,
@@ -72,11 +73,15 @@ pub enum Counter {
     /// (`crate::fault::FaultInjector::fire`): panics, forced exhaustions,
     /// and delays combined.
     FaultsInjected,
+    /// Goals proved by the identity shortcut — two sides with one canonical
+    /// form, decided without canonizing or searching
+    /// (`udp_solve::solve_normalized`).
+    IdentityProved,
 }
 
 impl Counter {
     /// Number of counters (the recorder's fixed-size counter table).
-    pub const COUNT: usize = 20;
+    pub const COUNT: usize = 21;
 
     /// Every counter; index in this array == `as_index`.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -100,6 +105,7 @@ impl Counter {
         Counter::BackendFault,
         Counter::GoalAborted,
         Counter::FaultsInjected,
+        Counter::IdentityProved,
     ];
 
     /// Dense index for table lookups.
@@ -125,6 +131,7 @@ impl Counter {
             Counter::BackendFault => 17,
             Counter::GoalAborted => 18,
             Counter::FaultsInjected => 19,
+            Counter::IdentityProved => 20,
         }
     }
 
@@ -151,6 +158,7 @@ impl Counter {
             Counter::BackendFault => "backend-fault",
             Counter::GoalAborted => "goal-aborted",
             Counter::FaultsInjected => "faults-injected",
+            Counter::IdentityProved => "identity-proved",
         }
     }
 
@@ -215,6 +223,7 @@ mod tests {
         assert!(Counter::CanonizeIters.is_deterministic());
         assert!(Counter::TermBytes.is_deterministic());
         assert!(Counter::SpnfBytes.is_deterministic());
+        assert!(Counter::IdentityProved.is_deterministic());
         assert!(!Counter::CacheHitDepth.is_deterministic());
         assert!(!Counter::CacheResidentBytes.is_deterministic());
         assert!(!Counter::BackendFault.is_deterministic());

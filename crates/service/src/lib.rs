@@ -11,6 +11,9 @@
 //!   renaming, conjunct reordering, and join-operand order), and a bounded
 //!   LRU keyed on the form pair short-circuits syntactically distinct but
 //!   canonically identical goals without re-running `decide`;
+//! * an **identity shortcut**: a goal whose two sides share one canonical
+//!   form is `Proved` in one budget step, without canonizing or searching
+//!   (see `udp_solve`'s crate docs);
 //! * a **parallel scheduler** ([`scheduler`]) fans a batch out over a fixed
 //!   pool of OS threads (no external dependencies), preserves input order in
 //!   the results, and enforces the per-goal budget;
@@ -36,7 +39,8 @@
 //! The cache is sound because a canonical form determines the `decide`
 //! outcome given the session's fixed catalog, constraints, and options; keys
 //! are the *full* form pair (not just the 128-bit fingerprint), so hash
-//! collisions cannot produce a wrong verdict.
+//! collisions cannot produce a wrong verdict. The shortcut is sound because
+//! equal forms differ only by alpha-renaming and `+`/`×` operand order.
 
 #![warn(missing_docs)]
 
@@ -85,10 +89,11 @@ pub struct SessionConfig {
     pub dialect: Dialect,
     /// Record proof traces (cache hits replay the memoized trace).
     pub record_trace: bool,
-    /// Compute canonical fingerprints for every goal report even when the
-    /// cache is disabled. Every goal is normalized once either way; with
-    /// `cache_capacity == 0` this flag alone decides whether the canonical
-    /// forms are rendered and hashed.
+    /// Attach canonical fingerprints to every goal report even when the
+    /// cache is disabled. Every goal is normalized and its canonical forms
+    /// are rendered either way (the identity shortcut compares them); with
+    /// `cache_capacity == 0` this flag alone decides whether the forms are
+    /// hashed into fingerprints.
     pub fingerprints: bool,
     /// Stage-metrics recorder threaded through the whole goal path (parse,
     /// desugar, lower, normalize, fingerprint, cache, prove, queue wait).
@@ -430,7 +435,9 @@ impl Session {
     /// pre-building configs here is safe). The goal's batch index becomes
     /// the chaos `fault_key`, keeping any injection schedule a pure function
     /// of the input batch — identical across worker counts.
-    fn solve_config(&self, index: usize) -> SolveConfig {
+    /// `identical_forms` (the two canonical forms are equal) selects the
+    /// identity shortcut.
+    fn solve_config(&self, index: usize, identical_forms: bool) -> SolveConfig {
         SolveConfig {
             steps: self.config.steps,
             wall: self.config.wall,
@@ -439,6 +446,7 @@ impl Session {
             recorder: self.config.recorder.clone(),
             faults: self.faults.clone(),
             fault_key: index as u64,
+            identical_forms,
         }
     }
 
@@ -532,36 +540,33 @@ impl Session {
 
         // Canonical forms resolve schemas by content and relations by name,
         // so keys agree across worker frontends (whose anonymous-schema ids
-        // diverge as they lower different goals). Canonical rendering is
-        // skipped entirely when nothing consumes it.
+        // diverge as they lower different goals). Every goal renders them:
+        // they key the cache and decide the identity shortcut. Only hashing
+        // them into report fingerprints is skipped when nothing asks.
         let caching = self.config.cache_capacity > 0;
-        let (key, fingerprints) = if caching || self.config.fingerprints {
-            obs.time(Stage::Fingerprint, || {
-                let key = Self::canonical_key(fe, &q1, &q2, &nf1, &nf2);
-                recorder.count(
-                    Counter::FingerprintBytes,
-                    (key.0.len() + key.1.len()) as u64,
-                );
-                let fps = (fingerprint_form(&key.0), fingerprint_form(&key.1));
-                (Some(key), Some(fps))
-            })
-        } else {
-            (None, None)
-        };
+        let (key, fingerprints) = obs.time(Stage::Fingerprint, || {
+            let key = Self::canonical_key(fe, &q1, &q2, &nf1, &nf2);
+            recorder.count(
+                Counter::FingerprintBytes,
+                (key.0.len() + key.1.len()) as u64,
+            );
+            let fps = (caching || self.config.fingerprints)
+                .then(|| (fingerprint_form(&key.0), fingerprint_form(&key.1)));
+            (key, fps)
+        });
 
         if caching {
             let hit = obs.time(Stage::CacheLookup, || {
                 let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-                let key = key.as_ref().unwrap();
                 recorder.count(Counter::CacheProbes, 1);
                 // The depth walk is O(position); only pay for it when the
                 // recorder is live.
                 if recorder.is_enabled() {
-                    if let Some(depth) = cache.depth_of(key) {
+                    if let Some(depth) = cache.depth_of(&key) {
                         recorder.count(Counter::CacheHitDepth, depth);
                     }
                 }
-                cache.get(key)
+                cache.get(&key)
             });
             if let Some(verdict) = hit {
                 recorder.instant("cache-hit");
@@ -592,7 +597,7 @@ impl Session {
             schema2: q2.schema,
             nf1: &nf1,
             nf2: &nf2,
-            config: self.solve_config(index),
+            config: self.solve_config(index, key.0 == key.1),
         };
         // A contained prover panic leaves no verdict: an aborted goal,
         // surfaced as an error and never cached.
@@ -628,7 +633,6 @@ impl Session {
         // it would pin a transient, scheduling-dependent answer for every
         // canonically equal goal in the session. Let those re-run.
         if caching && verdict.decision != udp_core::Decision::Timeout {
-            let key = key.unwrap();
             let cost = Self::entry_cost(&key, &verdict);
             let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
             cache.insert_with_cost(key, verdict.clone(), cost);

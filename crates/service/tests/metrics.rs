@@ -77,12 +77,13 @@ fn stage_counts_are_identical_across_worker_counts() {
         }
         assert_eq!(snap.open_spans, 0, "no span may stay open at quiescence");
     }
-    // Every goal passes each exclusive pipeline stage exactly once; with
-    // caching off and fingerprints unrequested, the fingerprint and cache
-    // stages are skipped entirely (their cost would be pure waste).
+    // Every goal passes each exclusive pipeline stage exactly once: the
+    // fingerprint stage renders the canonical forms the identity shortcut
+    // compares. With caching off, the cache stage is skipped entirely.
     for stage in [
         Stage::Lower,
         Stage::Normalize,
+        Stage::Fingerprint,
         Stage::UdpProve,
         Stage::QueueWait,
     ] {
@@ -92,13 +93,11 @@ fn stage_counts_are_identical_across_worker_counts() {
             "stage `{stage}` must run once per goal"
         );
     }
-    for stage in [Stage::Fingerprint, Stage::CacheLookup] {
-        assert_eq!(
-            base.stage(stage).unwrap().calls,
-            0,
-            "stage `{stage}` must be skipped when nothing consumes it"
-        );
-    }
+    assert_eq!(
+        base.stage(Stage::CacheLookup).unwrap().calls,
+        0,
+        "the cache stage must be skipped when nothing consumes it"
+    );
 }
 
 /// A goal's recorded goal-path stage time can never exceed its measured

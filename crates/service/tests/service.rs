@@ -202,7 +202,9 @@ fn stats_report_throughput_and_hit_rate() {
 #[test]
 fn timeout_verdicts_are_not_cached() {
     // A starved budget forces Decision::Timeout; a transient budget
-    // exhaustion must not be pinned as the session-lifetime answer.
+    // exhaustion must not be pinned as the session-lifetime answer. The
+    // two sides have different canonical forms (a pushdown), so the goal
+    // needs the search and cannot take the one-step identity shortcut.
     let config = SessionConfig {
         workers: 1,
         cache_capacity: 16,
@@ -212,7 +214,11 @@ fn timeout_verdicts_are_not_cached() {
     };
     let s = Session::new(DDL, config).unwrap();
     let goal = s
-        .parse_goal("SELECT x.a AS a FROM r x, s y WHERE x.k = y.k2 == SELECT x.a AS a FROM r x, s y WHERE x.k = y.k2")
+        .parse_goal(
+            "SELECT u.a AS a, w.c AS c FROM r u, s w WHERE u.k = w.k2 AND u.a = 3 \
+             == SELECT u.a AS a, w.c AS c FROM (SELECT * FROM r v WHERE v.a = 3) u, s w \
+                WHERE u.k = w.k2",
+        )
         .unwrap();
     let first = s.verify_batch(std::slice::from_ref(&goal));
     assert_eq!(first[0].verdict().unwrap().decision, Decision::Timeout);
@@ -234,10 +240,13 @@ fn fingerprints_are_skipped_when_nothing_consumes_them() {
     let goal = s
         .parse_goal("SELECT * FROM r x == SELECT * FROM r y")
         .unwrap();
+    // Every goal renders its canonical forms (the identity shortcut needs
+    // them), but nothing hashes them into report fingerprints unless the
+    // cache or the caller asks.
     let reports = s.verify_batch(&[goal.clone()]);
     assert!(
         reports[0].fingerprints.is_none(),
-        "canonicalization should be skipped"
+        "fingerprints must not be attached to the report"
     );
 
     let config = SessionConfig {

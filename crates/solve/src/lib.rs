@@ -7,6 +7,14 @@
 //! [`normalize_pair`] brought into SPNF, under a fresh budget built from
 //! the goal's [`SolveConfig`].
 //!
+//! ## Identity shortcut
+//!
+//! When the caller has found that the two sides share a canonical form
+//! ([`SolveConfig::identical_forms`]), the goal is `Proved` in one budget
+//! step: no canonization, colouring or search. Equal forms mean the sides
+//! differ only by renaming bound variables and reordering `+`/`×`
+//! operands, which are U-semiring axioms. Alg 2 has no such step.
+//!
 //! ## Fault containment
 //!
 //! This crate is the workspace's *backend containment boundary*: the prove
@@ -22,15 +30,17 @@
 pub use udp_core::decide::normalize_pair;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use udp_core::budget::Budget;
 use udp_core::constraints::ConstraintSet;
 use udp_core::ctx::Options;
-use udp_core::decide::{decide_normalized_with, DecideConfig};
+use udp_core::decide::{decide_normalized_with, DecideConfig, Stats};
 use udp_core::expr::VarId;
+use udp_core::fingerprint::canonical_form_nf;
 use udp_core::schema::{Catalog, SchemaId};
 use udp_core::spnf::Nf;
-use udp_core::Verdict;
+use udp_core::trace::{Rule, StepData, Trace};
+use udp_core::{Decision, Verdict};
 use udp_obs::fault::{FaultAction, PROBE_BACKEND_UDP};
 use udp_obs::{Counter, Stage};
 
@@ -55,6 +65,10 @@ pub struct SolveConfig {
     /// injection schedule is a pure function of the input batch and stays
     /// byte-identical across worker counts.
     pub fault_key: u64,
+    /// The caller found both sides' canonical forms
+    /// (`udp_core::fingerprint::canonical_form_nf`) equal: prove the goal
+    /// in one budget step instead of running the decision procedure.
+    pub identical_forms: bool,
 }
 
 impl Default for SolveConfig {
@@ -67,6 +81,7 @@ impl Default for SolveConfig {
             recorder: udp_obs::Recorder::disabled(),
             faults: udp_obs::FaultInjector::default(),
             fault_key: 0,
+            identical_forms: false,
         }
     }
 }
@@ -108,11 +123,14 @@ pub enum SolveMode {
     Udp,
 }
 
-/// Prove a normalized goal with UDP (the mode argument has one value).
+/// Prove a normalized goal with UDP (the mode argument has one value), or
+/// with the identity shortcut when [`SolveConfig::identical_forms`] is set.
 ///
 /// `Err` carries the message of a contained panic: the goal produced no
 /// verdict. A chaos `Exhaust` action reruns the attempt with a zero-step
 /// budget, so the goal ends `Timeout` through UDP's ordinary exit path.
+/// The shortcut sits behind the same probe and containment, so injected
+/// faults reach identical goals too.
 pub fn solve_normalized(goal: &Goal, _mode: SolveMode) -> Result<Verdict, String> {
     let config = &goal.config;
     let recorder = &config.recorder;
@@ -140,6 +158,9 @@ pub fn solve_normalized(goal: &Goal, _mode: SolveMode) -> Result<Verdict, String
                 "chaos: injected panic at {PROBE_BACKEND_UDP} (goal {})",
                 config.fault_key
             );
+        }
+        if config.identical_forms {
+            return prove_identity(goal, budget);
         }
         decide_normalized_with(
             goal.catalog,
@@ -174,5 +195,49 @@ pub fn solve_normalized(goal: &Goal, _mode: SolveMode) -> Result<Verdict, String
                 .unwrap_or_else(|| "non-string panic payload".to_string());
             Err(format!("udp backend faulted: {msg}"))
         }
+    }
+}
+
+/// The identity shortcut: charge one budget step, then end the goal
+/// `Proved` with one trace step whose witness is the shared canonical form
+/// (re-rendered only when a trace is recorded).
+fn prove_identity(goal: &Goal, mut budget: Budget) -> Verdict {
+    let start = Instant::now();
+    let config = &goal.config;
+    let mut trace = if config.record_trace {
+        Trace::enabled()
+    } else {
+        Trace::disabled()
+    };
+    let size = (goal.nf1.size(), goal.nf2.size());
+    let mut stats = Stats {
+        size_before: size,
+        size_after: size,
+        ..Stats::default()
+    };
+    let decision = match budget.tick() {
+        Ok(()) => {
+            config.recorder.count(Counter::IdentityProved, 1);
+            trace.record(Rule::Identity, || {
+                StepData::Witness(canonical_form_nf(
+                    goal.catalog,
+                    goal.nf1,
+                    goal.out,
+                    goal.schema1,
+                ))
+            });
+            Decision::Proved
+        }
+        Err(kind) => {
+            stats.exhausted = Some(kind);
+            Decision::Timeout
+        }
+    };
+    stats.steps_used = budget.steps_used();
+    stats.wall = start.elapsed();
+    Verdict {
+        decision,
+        trace,
+        stats,
     }
 }

@@ -65,14 +65,14 @@ fn verdict_lines_and_exit_codes_agree_across_worker_counts() {
 fn check_trace_revalidates_every_step() {
     let cases = [
         ("literature/l01_fig1_index_selection.sql", &[][..], 10),
-        ("literature/l24_where_false_empty.sql", &[][..], 2),
+        ("literature/l24_where_false_empty.sql", &[][..], 3),
         ("calcite/c23_aggregate_project_merge.sql", &[][..], 14),
         (
             "extensions/e07_distinct_unionall_is_union.sql",
             &["--extended"][..],
             9,
         ),
-        ("calcite/u08_order_by.sql", &["--full"][..], 4),
+        ("calcite/u08_order_by.sql", &["--full"][..], 3),
     ];
     for (file, dialect, steps) in cases {
         for jobs in ["1", "2"] {
