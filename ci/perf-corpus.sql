@@ -111,3 +111,17 @@ WHERE x1.a = x2.k AND x2.a = x3.k AND x3.a = x4.k AND x4.a = x5.k AND x5.a = x6.
 ==
 SELECT y1.b AS b FROM r2 y1, r2 y2, r2 y3, r2 y4, r2 y5, r2 y6
 WHERE y1.a = y2.k AND y2.a = y3.k AND y3.a = y1.k AND y4.a = y5.k AND y5.a = y6.k AND y6.a = y4.k;
+
+-- Grouped aggregates with a HAVING count: a join reorder plus a tautology
+-- under a correlated EXISTS, and a table wrapped in SELECT *. Both keep
+-- aggregate bodies alive through canonization and the isomorphism search,
+-- so the gate covers the aggregate path.
+verify
+SELECT x.k AS g, MAX(x.a) AS v FROM r x, s y WHERE x.k = y.k2 AND EXISTS (SELECT * FROM r2 z WHERE z.b = x.a) GROUP BY x.k HAVING COUNT(*) > 1
+==
+SELECT x.k AS g, MAX(x.a) AS v FROM s y, r x WHERE y.k2 = x.k AND EXISTS (SELECT * FROM r2 z WHERE z.b = x.a) AND 1 = 1 GROUP BY x.k HAVING COUNT(*) > 1;
+
+verify
+SELECT x.k AS g, SUM(x.a) AS v FROM r x, s y WHERE x.k = y.k2 GROUP BY x.k HAVING COUNT(*) > 1
+==
+SELECT x.k AS g, SUM(x.a) AS v FROM (SELECT * FROM r x2) x, s y WHERE x.k = y.k2 GROUP BY x.k HAVING COUNT(*) > 1;

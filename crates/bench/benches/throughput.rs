@@ -156,12 +156,13 @@ fn obs_rate(reps: usize, recorder: &Recorder) -> f64 {
     best
 }
 
-/// Verify every corpus rule in its own uncached session under `recorder`.
-/// Rules outside the fragment are skipped.
+/// Verify every corpus rule in its own uncached session under `recorder`,
+/// its goals labelled by rule name (`calcite/… goal 0`). Rules outside the
+/// fragment are skipped.
 fn corpus_sweep(recorder: &Recorder) {
     for rule in all_rules() {
         let config = SessionConfig {
-            recorder: recorder.clone(),
+            recorder: recorder.labelled(&rule.name),
             ..session_config(&rule)
         };
         if let Ok(session) = Session::new(&rule.text, config) {

@@ -404,7 +404,7 @@ mod tests {
             let (l, r) = (Expr::var_attr(v(z), "k"), Expr::var_attr(v(0), "k"));
             let (l, r) = if flipped { (r, l) } else { (l, r) };
             let body = UExpr::mul(UExpr::rel(RelId(0), Expr::Var(v(z))), UExpr::eq(l, r));
-            Expr::Agg("sum".into(), Box::new(UExpr::sum(v(z), SchemaId(0), body)))
+            Expr::agg("sum", UExpr::sum(v(z), SchemaId(0), body))
         };
         let pattern = term(
             &[1, 2],

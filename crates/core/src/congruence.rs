@@ -13,9 +13,12 @@
 //! name plus an alpha-normalized body *skeleton* in which free variables are
 //! replaced by numbered placeholders; the actual free variables become
 //! congruence children, so `sum(… y₁ …) ≈ sum(… y₂ …)` follows from
-//! `y₁ ≈ y₂`.
+//! `y₁ ≈ y₂`. The skeleton is computed once per shared body
+//! ([`crate::expr::AggBody::skeleton`]) and the node holds it by reference,
+//! so interning an aggregate again — in every canonize iteration and every
+//! matcher candidate — copies a pointer and hashes a cached hash.
 
-use crate::expr::{Expr, Pred, Value, VarId};
+use crate::expr::{AggBody, Expr, Pred, Value, VarId};
 use crate::schema::SchemaId;
 use crate::uexpr::UExpr;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -28,9 +31,9 @@ enum Op {
     Const(Value),
     Attr(String),
     App(String),
-    /// Aggregate: name + alpha-normalized body skeleton (free variables
-    /// replaced by placeholders in first-occurrence order).
-    Agg(String, Box<UExpr>),
+    /// Aggregate: name + the body's shared skeleton (free variables
+    /// replaced by placeholders in sorted order, binders alpha-normalized).
+    Agg(String, AggBody),
     Record(Vec<String>),
     Concat(SchemaId),
 }
@@ -100,19 +103,17 @@ pub const ALPHA_BASE: u32 = 1 << 30;
 /// Base id for free-variable placeholders in aggregate skeletons.
 const PLACEHOLDER_BASE: u32 = (1 << 30) + (1 << 29);
 
-/// Abstract an aggregate body: replace each free variable by a numbered
-/// placeholder (order of first occurrence in the sorted free-variable set)
-/// and alpha-normalize binders. Returns the skeleton and the abstracted
-/// variables in placeholder order.
-fn abstract_agg_body(body: &UExpr) -> (UExpr, Vec<VarId>) {
-    let free: Vec<VarId> = body.free_vars().into_iter().collect();
+/// Abstract an aggregate body with free variables `free`: replace each by
+/// a numbered placeholder (in sorted order) and alpha-normalize binders.
+/// [`AggBody::skeleton`] caches the result per body.
+pub(crate) fn abstract_agg_body(body: &UExpr, free: &BTreeSet<VarId>) -> UExpr {
     let mapping: BTreeMap<VarId, VarId> = free
         .iter()
         .enumerate()
         .map(|(i, v)| (*v, VarId(PLACEHOLDER_BASE + i as u32)))
         .collect();
     let abstracted = body.subst_map(&|v| mapping.get(&v).map(|nv| Expr::Var(*nv)));
-    (alpha_normalize(&abstracted), free)
+    alpha_normalize(&abstracted)
 }
 
 impl Congruence {
@@ -145,10 +146,13 @@ impl Congruence {
             Expr::Attr(base, a) => (Op::Attr(a.clone()), vec![base]),
             Expr::App(f, args) => (Op::App(f.clone()), args.iter().collect()),
             Expr::Agg(name, body) => {
-                let (skel, free) = abstract_agg_body(body);
-                let children: Vec<usize> =
-                    free.iter().map(|v| self.intern(&Expr::Var(*v))).collect();
-                return self.intern_node(Op::Agg(name.clone(), Box::new(skel)), children, e);
+                let children: Vec<usize> = body
+                    .free_vars()
+                    .iter()
+                    .map(|v| self.intern(&Expr::Var(*v)))
+                    .collect();
+                let op = Op::Agg(name.clone(), body.skeleton().clone());
+                return self.intern_node(op, children, e);
             }
             Expr::Record(fields) => (
                 Op::Record(fields.iter().map(|(n, _)| n.clone()).collect()),
@@ -599,7 +603,7 @@ mod tests {
                     UExpr::eq(va(inner, "k"), va(outer, "k")),
                 ),
             );
-            Expr::Agg("sum".into(), Box::new(body))
+            Expr::agg("sum", body)
         };
         let mut cc = Congruence::new();
         // different inner binder ids, same outer var → equal immediately

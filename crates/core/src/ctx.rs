@@ -2,16 +2,17 @@
 
 use crate::budget::Budget;
 use crate::constraints::ConstraintSet;
-use crate::expr::{Pred, VarGen, VarId};
+use crate::expr::{AggBody, Pred, VarGen, VarId};
 use crate::schema::{Catalog, SchemaId};
 use crate::trace::Trace;
-use crate::uexpr::UExpr;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Memo key for semantic aggregate comparisons: aggregate name, the two
-/// alpha-normalized bodies, and the ambient predicate context.
-pub type AggKey = (String, UExpr, UExpr, Vec<Pred>);
+/// bodies' alpha-normal forms ([`AggBody::alpha`], shared with the bodies
+/// and hashed by their cached content hash), and the ambient predicate
+/// context.
+pub type AggKey = (String, AggBody, AggBody, Vec<Pred>);
 
 /// Is `UDP_DEBUG` set? Read once per process: the decision procedures ask
 /// on every call, and each environment read takes a lock and allocates.

@@ -9,8 +9,13 @@
 
 use crate::schema::SchemaId;
 use crate::uexpr::UExpr;
+use std::cmp::Ordering;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// A tuple variable. Variables are globally fresh within one verification
 /// problem; [`VarGen`] hands them out.
@@ -123,8 +128,11 @@ pub enum Expr {
     /// Uninterpreted function application `f(e₁, …, eₙ)`.
     App(String, Vec<Expr>),
     /// Uninterpreted aggregate `agg(E)` over a subquery's U-expression. The
-    /// body may reference outer tuple variables (correlated aggregate).
-    Agg(String, Box<UExpr>),
+    /// body may reference outer tuple variables (correlated aggregate). It
+    /// is an [`AggBody`]: built once, shared by reference between every
+    /// copy of the expression, with its free variables, congruence skeleton
+    /// and alpha-normal form computed at most once.
+    Agg(String, AggBody),
     /// Record constructor `{a₁ = e₁, …, aₙ = eₙ}` — a tuple literal.
     Record(Vec<(String, Expr)>),
     /// Tuple concatenation; the `SchemaId` is the schema of the left operand,
@@ -166,6 +174,11 @@ impl Expr {
     /// Uninterpreted function application.
     pub fn app(f: impl Into<String>, args: Vec<Expr>) -> Expr {
         Expr::App(f.into(), args)
+    }
+
+    /// Uninterpreted aggregate `agg(body)`.
+    pub fn agg(name: impl Into<String>, body: UExpr) -> Expr {
+        Expr::Agg(name.into(), AggBody::new(body))
     }
 
     /// Record (tuple literal) constructor.
@@ -243,7 +256,7 @@ impl Expr {
                 f.clone(),
                 args.iter().map(|e| e.subst_map(lookup)).collect(),
             ),
-            Expr::Agg(name, body) => Expr::Agg(name.clone(), Box::new(body.subst_map(lookup))),
+            Expr::Agg(name, body) => Expr::Agg(name.clone(), body.subst_map(lookup)),
             Expr::Record(fields) => Expr::Record(
                 fields
                     .iter()
@@ -303,10 +316,7 @@ impl Expr {
                     .map(|e| e.resolve_attr_with(left_has))
                     .collect(),
             ),
-            Expr::Agg(name, body) => {
-                let mapped = body.map_exprs(&|e| e.clone().resolve_attr_with(left_has));
-                Expr::Agg(name, Box::new(mapped))
-            }
+            Expr::Agg(name, body) => Expr::Agg(name, body.resolve_attr_with(left_has)),
             Expr::Record(fields) => Expr::Record(
                 fields
                     .into_iter()
@@ -348,6 +358,7 @@ impl Expr {
             Expr::Attr(e, name) => e.deep_size() + name.len(),
             Expr::Const(v) => v.heap_size(),
             Expr::App(name, args) => name.len() + args.iter().map(Expr::deep_size).sum::<usize>(),
+            // In full at every occurrence, shared or not (DESIGN.md §9).
             Expr::Agg(name, body) => name.len() + body.deep_size(),
             Expr::Record(fields) => fields
                 .iter()
@@ -412,6 +423,217 @@ impl fmt::Display for Expr {
             }
             Expr::Concat(l, _, r) => write!(f, "({l} ⧺ {r})"),
         }
+    }
+}
+
+/// The argument subquery of an [`Expr::Agg`]: an immutable U-expression
+/// behind an `Arc`, so cloning an aggregate (every substitution, attribute
+/// resolution, congruence node and matcher candidate does) copies a pointer
+/// instead of the whole body.
+///
+/// Built once, the body never changes, and everything cached on it is a
+/// pure function of its content: the free variables, whether it holds a
+/// `Concat` or a record-projection redex, a content hash, and — on first
+/// use — its size, largest variable id, congruence skeleton
+/// ([`AggBody::skeleton`]) and alpha-normal form ([`AggBody::alpha`]).
+/// `Eq`, `Ord` and `Hash` are content-based (pointer equality is only a
+/// fast path), and `deep_size` counts the body once per occurrence, so no
+/// verdict, canonical form, cache key or counter can depend on what is
+/// shared.
+#[derive(Clone)]
+pub struct AggBody(Arc<AggInner>);
+
+struct AggInner {
+    body: UExpr,
+    free: BTreeSet<VarId>,
+    /// Some `Concat` occurs in the body (attribute resolution may rewrite).
+    has_concat: bool,
+    /// Some `⟨…, a = e, …⟩.a` occurs in the body (substitution and
+    /// resolution rewrite it even when no variable is replaced).
+    has_redex: bool,
+    hash: u64,
+    size: OnceLock<usize>,
+    max_var: OnceLock<u32>,
+    skeleton: OnceLock<AggBody>,
+    alpha: OnceLock<AggBody>,
+}
+
+impl AggBody {
+    /// Share `body` as an aggregate argument.
+    pub fn new(body: UExpr) -> AggBody {
+        let free = body.free_vars();
+        let (mut has_concat, mut has_redex) = (false, false);
+        scan_uexpr(&body, &mut has_concat, &mut has_redex);
+        let mut h = DefaultHasher::new();
+        body.hash(&mut h);
+        AggBody(Arc::new(AggInner {
+            body,
+            free,
+            has_concat,
+            has_redex,
+            hash: h.finish(),
+            size: OnceLock::new(),
+            max_var: OnceLock::new(),
+            skeleton: OnceLock::new(),
+            alpha: OnceLock::new(),
+        }))
+    }
+
+    /// Do `a` and `b` share one allocation? (Sharing is invisible to
+    /// `==`; this is for tests of the fast paths.)
+    pub fn ptr_eq(a: &AggBody, b: &AggBody) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// Free variables of the body.
+    pub fn free_vars(&self) -> &BTreeSet<VarId> {
+        &self.0.free
+    }
+
+    /// Structural size of the body ([`UExpr::size`]).
+    pub fn size(&self) -> usize {
+        *self.0.size.get_or_init(|| self.0.body.size())
+    }
+
+    /// Largest variable id in the body, bound ones included
+    /// ([`UExpr::max_var`]).
+    pub fn max_var(&self) -> u32 {
+        *self.0.max_var.get_or_init(|| self.0.body.max_var())
+    }
+
+    /// [`UExpr::subst_map`] on the body, returning this very body when no
+    /// free variable is replaced and nothing else would be rewritten.
+    pub fn subst_map(&self, lookup: &dyn Fn(VarId) -> Option<Expr>) -> AggBody {
+        if !self.0.has_redex && self.0.free.iter().all(|&v| lookup(v).is_none()) {
+            return self.clone();
+        }
+        AggBody::new(self.0.body.subst_map(lookup))
+    }
+
+    /// [`Expr::resolve_attr_with`] on every operand of the body, returning
+    /// this very body when it has no projection to resolve.
+    pub fn resolve_attr_with(&self, left_has: &dyn Fn(SchemaId, &str) -> Option<bool>) -> AggBody {
+        if !self.0.has_concat && !self.0.has_redex {
+            return self.clone();
+        }
+        AggBody::new(
+            self.0
+                .body
+                .map_exprs(&|e| e.clone().resolve_attr_with(left_has)),
+        )
+    }
+
+    /// The congruence skeleton: free variables replaced by numbered
+    /// placeholders in [`AggBody::free_vars`] order, binders
+    /// alpha-normalized (see [`crate::congruence`]).
+    pub fn skeleton(&self) -> &AggBody {
+        self.0.skeleton.get_or_init(|| {
+            AggBody::new(crate::congruence::abstract_agg_body(
+                &self.0.body,
+                &self.0.free,
+            ))
+        })
+    }
+
+    /// The alpha-normal form ([`crate::congruence::alpha_normalize`]).
+    pub fn alpha(&self) -> &AggBody {
+        self.0
+            .alpha
+            .get_or_init(|| AggBody::new(crate::congruence::alpha_normalize(&self.0.body)))
+    }
+}
+
+/// Record whether `e`'s operands hold a `Concat` or a record-projection
+/// redex (nested aggregates answer from their own cache).
+fn scan_uexpr(e: &UExpr, concat: &mut bool, redex: &mut bool) {
+    match e {
+        UExpr::Zero | UExpr::One => {}
+        UExpr::Add(a, b) | UExpr::Mul(a, b) => {
+            scan_uexpr(a, concat, redex);
+            scan_uexpr(b, concat, redex);
+        }
+        UExpr::Pred(Pred::Eq(a, b) | Pred::Ne(a, b)) => {
+            scan_expr(a, concat, redex);
+            scan_expr(b, concat, redex);
+        }
+        UExpr::Pred(Pred::Lift { args, .. }) => {
+            args.iter().for_each(|a| scan_expr(a, concat, redex))
+        }
+        UExpr::Rel(_, a) => scan_expr(a, concat, redex),
+        UExpr::Squash(x) | UExpr::Not(x) | UExpr::Sum(_, _, x) => scan_uexpr(x, concat, redex),
+    }
+}
+
+fn scan_expr(e: &Expr, concat: &mut bool, redex: &mut bool) {
+    match e {
+        Expr::Var(_) | Expr::Const(_) => {}
+        Expr::Attr(base, a) => {
+            if let Expr::Record(fields) = base.as_ref() {
+                *redex |= fields.iter().any(|(n, _)| n == a);
+            }
+            scan_expr(base, concat, redex);
+        }
+        Expr::App(_, args) => args.iter().for_each(|a| scan_expr(a, concat, redex)),
+        Expr::Agg(_, body) => {
+            *concat |= body.0.has_concat;
+            *redex |= body.0.has_redex;
+        }
+        Expr::Record(fields) => fields.iter().for_each(|(_, a)| scan_expr(a, concat, redex)),
+        Expr::Concat(l, _, r) => {
+            *concat = true;
+            scan_expr(l, concat, redex);
+            scan_expr(r, concat, redex);
+        }
+    }
+}
+
+/// The body itself, for readers that walk it.
+impl Deref for AggBody {
+    type Target = UExpr;
+    fn deref(&self) -> &UExpr {
+        &self.0.body
+    }
+}
+
+impl PartialEq for AggBody {
+    fn eq(&self, other: &AggBody) -> bool {
+        AggBody::ptr_eq(self, other) || (self.0.hash == other.0.hash && self.0.body == other.0.body)
+    }
+}
+
+impl Eq for AggBody {}
+
+impl Ord for AggBody {
+    fn cmp(&self, other: &AggBody) -> Ordering {
+        if AggBody::ptr_eq(self, other) {
+            Ordering::Equal
+        } else {
+            self.0.body.cmp(&other.0.body)
+        }
+    }
+}
+
+impl PartialOrd for AggBody {
+    fn partial_cmp(&self, other: &AggBody) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for AggBody {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.hash);
+    }
+}
+
+impl fmt::Debug for AggBody {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.0.body, f)
+    }
+}
+
+impl fmt::Display for AggBody {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&self.0.body, f)
     }
 }
 
@@ -697,6 +919,46 @@ mod tests {
         assert!(Pred::eq(e.clone(), e.clone()).is_trivially_true());
         assert!(Pred::ne(e.clone(), e.clone()).is_trivially_false());
         assert!(!Pred::eq(e.clone(), Expr::int(1)).is_trivially_true());
+    }
+
+    /// `sum(Σ_{t5} R(t5) × [t5.k = t0.k])`, correlated on `t0`.
+    fn correlated_sum() -> Expr {
+        let body = UExpr::mul(
+            UExpr::rel(crate::schema::RelId(0), Expr::Var(VarId(5))),
+            UExpr::eq(Expr::var_attr(VarId(5), "k"), Expr::var_attr(VarId(0), "k")),
+        );
+        Expr::agg("sum", UExpr::sum(VarId(5), SchemaId(0), body))
+    }
+
+    fn body_of(e: &Expr) -> &AggBody {
+        match e {
+            Expr::Agg(_, body) => body,
+            other => panic!("not an aggregate: {other}"),
+        }
+    }
+
+    /// The sharing fast path: a substitution that replaces no free variable
+    /// of the body (`t7` is not in it; `t5` is bound) returns the very same
+    /// body, while one that does builds a new body.
+    #[test]
+    fn substitution_missing_the_body_shares_it() {
+        let agg = correlated_sum();
+        for v in [VarId(7), VarId(5)] {
+            let same = agg.subst(v, &Expr::int(3));
+            assert!(AggBody::ptr_eq(body_of(&agg), body_of(&same)));
+        }
+        let moved = agg.subst(VarId(0), &Expr::Var(VarId(9)));
+        assert!(!AggBody::ptr_eq(body_of(&agg), body_of(&moved)));
+        assert!(moved.contains_var(VarId(9)) && !moved.contains_var(VarId(0)));
+        let resolved = agg.clone().resolve_attr_with(&|_, _| Some(true));
+        assert!(AggBody::ptr_eq(body_of(&agg), body_of(&resolved)));
+    }
+
+    #[test]
+    fn aggregate_bodies_are_send_and_sync() {
+        fn shareable<T: Send + Sync>() {}
+        shareable::<AggBody>();
+        shareable::<Expr>();
     }
 
     #[test]

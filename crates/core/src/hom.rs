@@ -21,6 +21,7 @@ use crate::expr::{Expr, Pred, VarId};
 use crate::schema::SchemaId;
 use crate::spnf::Term;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use udp_obs::Counter;
 
 /// Search mode: exact isomorphism (bag semantics) or homomorphism
 /// (set-semantics containment).
@@ -419,6 +420,7 @@ impl<'a> Matcher<'a> {
     fn verify(&mut self, ctx: &mut Ctx) -> Result<bool, Exhausted> {
         ctx.budget.tick()?;
         if self.mode == MatchMode::Iso {
+            ctx.recorder.count(Counter::IsoCandidates, 1);
             // Complete bijection required.
             if self.mapping.len() != self.pattern.vars.len()
                 || self.used_target_vars.len() != self.target.vars.len()
@@ -656,14 +658,13 @@ pub fn aggs_equiv(ctx: &mut Ctx, a: &Expr, b: &Expr, ambient: &[Pred]) -> Result
     if n1 != n2 {
         return Ok(false);
     }
-    let a1 = crate::congruence::alpha_normalize(b1);
-    let a2 = crate::congruence::alpha_normalize(b2);
+    let (a1, a2) = (b1.alpha(), b2.alpha());
     if a1 == a2 {
         return Ok(true);
     }
     // Semantic comparison is a recursive UDP call; memoize it (keyed on the
     // alpha-normal bodies and the ambient context).
-    let key = (n1.clone(), a1, a2, ambient.to_vec());
+    let key = (n1.clone(), a1.clone(), a2.clone(), ambient.to_vec());
     if let Some(&cached) = ctx.agg_cache.get(&key) {
         return Ok(cached);
     }

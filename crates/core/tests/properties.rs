@@ -6,16 +6,19 @@
 //! * SPNF conversion must preserve the interpreted value over ℕ and ℕ̄;
 //! * canonization must preserve it on constraint-satisfying models;
 //! * queries proved equal by UDP must evaluate identically;
-//! * alpha-renamed, factor-shuffled clones must always be proved equal.
+//! * alpha-renamed, factor-shuffled clones must always be proved equal;
+//! * a shared aggregate body ([`AggBody`]) must behave exactly like the
+//!   body it wraps: its fast paths and caches are invisible.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::hash::{BuildHasher, BuildHasherDefault};
 use udp_core::budget::Budget;
 use udp_core::canonize::canonize_nf;
 use udp_core::constraints::ConstraintSet;
 use udp_core::ctx::Ctx;
 use udp_core::equiv::udp_equiv;
-use udp_core::expr::{Expr, Pred, VarGen, VarId};
+use udp_core::expr::{AggBody, Expr, Pred, VarGen, VarId};
 use udp_core::interp::{DomainSpec, Interp};
 use udp_core::proof::random_model;
 use udp_core::schema::{Catalog, RelId, Schema, SchemaId, Ty};
@@ -135,6 +138,30 @@ fn random_uexpr(bytes: &[u8], sid: SchemaId, r: RelId, s: RelId) -> UExpr {
     };
     let depth = 2 + (bytes.first().copied().unwrap_or(0) % 2);
     b.build(depth, &mut Vec::new())
+}
+
+/// `sum(Σ_z body)` for a random body: the lowering's aggregate shape, with
+/// the body's free variables (the output tuple `t0` among them) left
+/// correlated. `plant` adds, by bit, a projection through a concatenation
+/// (1) and a projection of a record field (2): the shapes substitution or
+/// attribute resolution rewrite even when no variable is replaced.
+fn random_agg(bytes: &[u8], sid: SchemaId, r: RelId, s: RelId, plant: u8) -> UExpr {
+    let body = random_uexpr(bytes, sid, r, s);
+    let z = VarId(body.max_var() + 1);
+    let mut factors = vec![body];
+    if plant & 1 != 0 {
+        let concat = Expr::Concat(Box::new(Expr::Var(z)), sid, Box::new(Expr::Var(VarId(0))));
+        factors.push(UExpr::eq(Expr::attr(concat, "a"), Expr::int(1)));
+    }
+    if plant & 2 != 0 {
+        let field = Expr::attr(Expr::record(vec![("a".into(), Expr::int(1))]), "a");
+        factors.push(UExpr::eq(Expr::var_attr(z, "k"), field));
+    }
+    UExpr::sum(z, sid, UExpr::product(factors))
+}
+
+fn content_hash(e: &Expr) -> u64 {
+    BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default().hash_one(e)
 }
 
 fn eval_both<S: USemiring + std::hash::Hash>(
@@ -332,5 +359,78 @@ proptest! {
         let n2 = normalize_with(&e2, &mut ctx.gen);
         let Ok(verdict) = udp_equiv(&mut ctx, &n1, &n2, &[]) else { return Ok(()) };
         prop_assert!(verdict, "failed to prove an alpha-renamed clone of {}", e1);
+    }
+
+    /// A shared aggregate body agrees with the owned body it wraps:
+    /// substitution and attribute resolution (fast path or not) give the
+    /// aggregate rebuilt from the body's own results, the cached metrics
+    /// equal the body's, and equality, order and hashing see content only.
+    #[test]
+    fn shared_aggregate_bodies_agree_with_owned_ones(
+        bytes in proptest::collection::vec(any::<u8>(), 8..40),
+        other in proptest::collection::vec(any::<u8>(), 8..40),
+        picks in proptest::collection::vec(any::<u8>(), 8..9),
+    ) {
+        let (_, sid, r, s) = catalog();
+        for plant in 0..4 {
+            let body = random_agg(&bytes, sid, r, s, plant);
+            let agg = Expr::agg("sum", body.clone());
+            let Expr::Agg(_, shared) = &agg else { unreachable!() };
+            let pred = Pred::eq(Expr::var_attr(VarId(0), "a"), agg.clone());
+
+            // Substitution under a random lookup: each variable up to the
+            // body's watermark is kept, renamed fresh, or pinned to a record.
+            let top = body.max_var();
+            let fresh = top + 1;
+            let lookup = |v: VarId| match picks[v.0 as usize % picks.len()] % 3 {
+                _ if v.0 > top => None,
+                0 => None,
+                1 => Some(Expr::Var(VarId(fresh + v.0))),
+                _ => Some(Expr::record(vec![
+                    ("k".into(), Expr::int(v.0 as i64)),
+                    ("a".into(), Expr::var_attr(VarId(fresh + v.0), "a")),
+                ])),
+            };
+            let owned = Expr::agg("sum", body.subst_map(&lookup));
+            prop_assert_eq!(&agg.subst_map(&lookup), &owned);
+            prop_assert_eq!(
+                pred.subst_map(&lookup),
+                Pred::eq(Expr::var_attr(VarId(0), "a").subst_map(&lookup), owned)
+            );
+
+            // Attribute resolution, with a planted `Concat` resolving left.
+            let left_has = |_: SchemaId, a: &str| Some(a == "a");
+            let resolved = Expr::agg(
+                "sum",
+                body.map_exprs(&|e| e.clone().resolve_attr_with(&left_has)),
+            );
+            prop_assert_eq!(agg.clone().resolve_attr_with(&left_has), resolved);
+
+            // Cached metrics equal the body's.
+            prop_assert_eq!(agg.free_vars(), body.free_vars());
+            prop_assert_eq!(shared.free_vars(), &body.free_vars());
+            for v in 0..=top + 1 {
+                prop_assert_eq!(agg.contains_var(VarId(v)), body.free_vars().contains(&VarId(v)));
+            }
+            prop_assert_eq!(agg.max_var_all(), body.max_var());
+            prop_assert_eq!(agg.size(), 1 + body.size());
+            prop_assert_eq!(
+                agg.deep_size(),
+                std::mem::size_of::<Expr>() + "sum".len() + body.deep_size()
+            );
+
+            // Two independently built equal aggregates are one value.
+            let twin = Expr::agg("sum", body.clone());
+            let Expr::Agg(_, twin_body) = &twin else { unreachable!() };
+            prop_assert!(!AggBody::ptr_eq(shared, twin_body));
+            prop_assert_eq!(&agg, &twin);
+            prop_assert_eq!(agg.cmp(&twin), std::cmp::Ordering::Equal);
+            prop_assert_eq!(content_hash(&agg), content_hash(&twin));
+
+            // Distinct aggregates order as their bodies do.
+            let body2 = random_agg(&other, sid, r, s, plant);
+            prop_assert_eq!(agg.cmp(&Expr::agg("sum", body2.clone())), body.cmp(&body2));
+            prop_assert_eq!(agg == Expr::agg("sum", body2.clone()), body == body2);
+        }
     }
 }

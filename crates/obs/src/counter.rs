@@ -77,11 +77,15 @@ pub enum Counter {
     /// form, decided without canonizing or searching
     /// (`udp_solve::solve_normalized`).
     IdentityProved,
+    /// Candidate bijections an isomorphism search checked in full: one per
+    /// Iso-mode `udp_core::hom::Matcher::verify` call, the matcher's unit of
+    /// work.
+    IsoCandidates,
 }
 
 impl Counter {
     /// Number of counters (the recorder's fixed-size counter table).
-    pub const COUNT: usize = 21;
+    pub const COUNT: usize = 22;
 
     /// Every counter; index in this array == `as_index`.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -106,6 +110,7 @@ impl Counter {
         Counter::GoalAborted,
         Counter::FaultsInjected,
         Counter::IdentityProved,
+        Counter::IsoCandidates,
     ];
 
     /// Dense index for table lookups.
@@ -132,6 +137,7 @@ impl Counter {
             Counter::GoalAborted => 18,
             Counter::FaultsInjected => 19,
             Counter::IdentityProved => 20,
+            Counter::IsoCandidates => 21,
         }
     }
 
@@ -159,6 +165,7 @@ impl Counter {
             Counter::GoalAborted => "goal-aborted",
             Counter::FaultsInjected => "faults-injected",
             Counter::IdentityProved => "identity-proved",
+            Counter::IsoCandidates => "iso-candidates",
         }
     }
 
@@ -224,6 +231,7 @@ mod tests {
         assert!(Counter::TermBytes.is_deterministic());
         assert!(Counter::SpnfBytes.is_deterministic());
         assert!(Counter::IdentityProved.is_deterministic());
+        assert!(Counter::IsoCandidates.is_deterministic());
         assert!(!Counter::CacheHitDepth.is_deterministic());
         assert!(!Counter::CacheResidentBytes.is_deterministic());
         assert!(!Counter::BackendFault.is_deterministic());

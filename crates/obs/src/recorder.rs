@@ -112,6 +112,9 @@ struct Inner {
 #[derive(Clone, Default)]
 pub struct Recorder {
     inner: Option<Arc<Inner>>,
+    /// Prefix of the goal labels finished through this handle
+    /// ([`Recorder::labelled`]); `None` on a disabled handle.
+    label_prefix: Option<Arc<str>>,
 }
 
 impl std::fmt::Debug for Recorder {
@@ -125,7 +128,7 @@ impl std::fmt::Debug for Recorder {
 impl Recorder {
     /// The free no-op handle (what every config defaults to).
     pub fn disabled() -> Recorder {
-        Recorder { inner: None }
+        Recorder::default()
     }
 
     /// An enabled recorder keeping up to [`DEFAULT_SLOW_CAPACITY`] slowest
@@ -161,6 +164,18 @@ impl Recorder {
                 trace,
                 memory: Mutex::new(None),
             })),
+            label_prefix: None,
+        }
+    }
+
+    /// A handle on the same tables whose goals are labelled
+    /// `"{prefix} {label}"` in the slowest-goal list, so sessions that
+    /// number their goals from 0 can share one recorder and still be told
+    /// apart. A disabled recorder stays disabled and free.
+    pub fn labelled(&self, prefix: &str) -> Recorder {
+        Recorder {
+            inner: self.inner.clone(),
+            label_prefix: self.inner.as_ref().map(|_| prefix.into()),
         }
     }
 
@@ -311,6 +326,7 @@ impl Recorder {
     pub fn goal(&self) -> GoalObs {
         GoalObs {
             inner: self.inner.clone(),
+            label_prefix: self.label_prefix.clone(),
             stages: Vec::new(),
         }
     }
@@ -418,6 +434,7 @@ impl Drop for TraceSpan<'_> {
 /// when the recorder is disabled.
 pub struct GoalObs {
     inner: Option<Arc<Inner>>,
+    label_prefix: Option<Arc<str>>,
     stages: Vec<(Stage, Duration, u64)>,
 }
 
@@ -480,9 +497,13 @@ impl GoalObs {
         let wall_ns = wall.as_nanos() as u64;
         inner.goals.fetch_add(1, Ordering::Relaxed);
         inner.goal_wall_ns.fetch_add(wall_ns, Ordering::Relaxed);
+        let label = match &self.label_prefix {
+            Some(prefix) => format!("{prefix} {}", label()),
+            None => label(),
+        };
         let mut slow = inner.slow.lock().unwrap_or_else(|e| e.into_inner());
         slow.push(GoalTrace {
-            label: label(),
+            label,
             wall_ns,
             steps,
             stages: self

@@ -317,3 +317,29 @@ fn disabled_recorder_stays_empty() {
     assert_eq!(snap.goals, 0);
     assert!(snap.stages.iter().all(|s| s.calls == 0));
 }
+
+/// Sessions number their goals from 0, so two sessions sharing one
+/// recorder (the corpus sweep runs every rule in its own) must be told
+/// apart by the label prefix each gets from `Recorder::labelled`.
+#[test]
+fn sessions_sharing_a_recorder_get_distinct_goal_labels() {
+    let recorder = Recorder::enabled();
+    for name in ["rules/first", "rules/second"] {
+        let config = SessionConfig {
+            cache_capacity: 0,
+            recorder: recorder.labelled(name),
+            ..SessionConfig::default()
+        };
+        let session = Session::new(DDL, config).unwrap();
+        session.verify_batch(&[session.parse_goal(GOAL_LINES[1]).unwrap()]);
+    }
+    let mut labels: Vec<String> = recorder
+        .snapshot()
+        .slow_goals
+        .into_iter()
+        .map(|g| g.label)
+        .collect();
+    labels.sort();
+    assert_eq!(labels, ["rules/first goal 0", "rules/second goal 0"]);
+    assert!(!Recorder::disabled().labelled("x").is_enabled());
+}

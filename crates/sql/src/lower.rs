@@ -497,12 +497,12 @@ impl<'a> Lowerer<'a> {
                 if let AggArg::Expr(inner) = arg {
                     if let ScalarExpr::Subquery(q) = &**inner {
                         let (z, sid, body) = self.query(q, scope, None)?;
-                        return Ok(Expr::Agg(name, Box::new(UExpr::sum(z, sid, body))));
+                        return Ok(Expr::agg(name, UExpr::sum(z, sid, body)));
                     }
                 }
                 let inner = crate::desugar::aggregate_argument_query(s, arg, &[])?;
                 let (z, sid, body) = self.query(&inner, scope, None)?;
-                Ok(Expr::Agg(name, Box::new(UExpr::sum(z, sid, body))))
+                Ok(Expr::agg(name, UExpr::sum(z, sid, body)))
             }
             ScalarExpr::App(f, args) => {
                 let lowered: Result<Vec<Expr>, LowerError> =
@@ -825,7 +825,7 @@ impl<'a> Lowerer<'a> {
                         } else {
                             func.clone()
                         };
-                        return Ok(Expr::Agg(name, Box::new(UExpr::sum(z, sid, body))));
+                        return Ok(Expr::agg(name, UExpr::sum(z, sid, body)));
                     }
                 }
                 Err(LowerError::AggregateMisuse(
@@ -834,10 +834,7 @@ impl<'a> Lowerer<'a> {
             }
             ScalarExpr::Subquery(q) => {
                 let (z, sid, body) = self.query(q, scope, None)?;
-                Ok(Expr::Agg(
-                    "scalar_subquery".into(),
-                    Box::new(UExpr::sum(z, sid, body)),
-                ))
+                Ok(Expr::agg("scalar_subquery", UExpr::sum(z, sid, body)))
             }
             ScalarExpr::Case { .. } => Err(LowerError::CasePosition(
                 "CASE is only supported as a whole projection item or as one side \

@@ -57,7 +57,7 @@ fn verdict_lines_and_exit_codes_agree_across_worker_counts() {
     let one = udp_verify(&perf, &[]);
     let two = udp_verify(&perf, &["--jobs", "2"]);
     assert_eq!(one.status.code(), two.status.code());
-    assert_eq!(verdicts(&one).len(), 18);
+    assert_eq!(verdicts(&one).len(), 20);
     assert_eq!(verdicts(&one), verdicts(&two));
 }
 
@@ -106,7 +106,7 @@ fn spnf_prints_both_sides_of_every_goal() {
     let perf = format!("{}/ci/perf-corpus.sql", env!("CARGO_MANIFEST_DIR"));
     let out = udp_verify(&perf, &["--spnf", "--jobs", "2"]);
     let text = stdout(&out);
-    for goal in 1..=18 {
+    for goal in 1..=20 {
         for side in ["lhs", "rhs"] {
             let head = format!("goal {goal} {side}: λ");
             assert_eq!(
@@ -204,7 +204,7 @@ fn metrics_json_trace_out_and_trace_goals_write_their_outputs() {
         snapshot.get("schema_version").and_then(|v| v.as_u64()),
         Some(5)
     );
-    assert_eq!(snapshot.get("goals").and_then(|v| v.as_u64()), Some(18));
+    assert_eq!(snapshot.get("goals").and_then(|v| v.as_u64()), Some(20));
     assert_eq!(snapshot.get("open_spans").and_then(|v| v.as_u64()), Some(0));
     let tracked = snapshot.get("memory").and_then(|m| m.get("tracked"));
     assert_eq!(tracked.and_then(|v| v.as_bool()), Some(true));
