@@ -70,7 +70,7 @@ pub fn canonize_term(
 ) -> Result<Option<Term>, Exhausted> {
     let mut fk_added: u32 = 0;
     let fk_limit = if ctx.opts.use_constraints {
-        ctx.opts.fk_rounds.saturating_mul(t.atoms.len() as u32 + 1)
+        FK_ROUNDS.saturating_mul(t.atoms.len() as u32 + 1)
     } else {
         0
     };
@@ -508,6 +508,10 @@ fn squash_dedup_step(
     }
     Ok(false)
 }
+
+/// Bound on foreign-key chase rounds per term (the chase may diverge on
+/// cyclic FK graphs, Sec 5.1).
+const FK_ROUNDS: u32 = 2;
 
 /// Def 4.4: for an atom `S(e)` with a foreign key `S.k' → R.k`, materialize
 /// `Σ_u R(u)·[u.k = e.k']` unless an `R`-atom with congruent key already

@@ -1,4 +1,4 @@
-//! Congruence closure over scalar/tuple expressions (Nelson–Oppen [43]).
+//! Congruence closure over scalar/tuple expressions (Nelson–Oppen \[43\]).
 //!
 //! TDP checks predicate-set equivalence by "first computing the equivalence
 //! classes of variables and function applications and then checking for

@@ -6,20 +6,12 @@ use crate::expr::{AggBody, Pred, VarGen, VarId};
 use crate::schema::{Catalog, SchemaId};
 use crate::trace::Trace;
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 /// Memo key for semantic aggregate comparisons: aggregate name, the two
 /// bodies' alpha-normal forms ([`AggBody::alpha`], shared with the bodies
 /// and hashed by their cached content hash), and the ambient predicate
 /// context.
 pub type AggKey = (String, AggBody, AggBody, Vec<Pred>);
-
-/// Is `UDP_DEBUG` set? Read once per process: the decision procedures ask
-/// on every call, and each environment read takes a lock and allocates.
-pub(crate) fn debug_enabled() -> bool {
-    static DEBUG: OnceLock<bool> = OnceLock::new();
-    *DEBUG.get_or_init(|| std::env::var("UDP_DEBUG").is_ok())
-}
 
 /// Feature switches. Defaults reproduce the full algorithm; the ablation
 /// benches toggle individual phases off to quantify their contribution.
@@ -37,9 +29,6 @@ pub struct Options {
     pub use_constraints: bool,
     /// Apply the generalized Theorem 4.3 squash introduction.
     pub squash_intro: bool,
-    /// Bound on foreign-key chase rounds per term (the chase may diverge on
-    /// cyclic FK graphs, Sec 5.1).
-    pub fk_rounds: u32,
 }
 
 impl Default for Options {
@@ -50,7 +39,6 @@ impl Default for Options {
             minimize: true,
             use_constraints: true,
             squash_intro: true,
-            fk_rounds: 2,
         }
     }
 }

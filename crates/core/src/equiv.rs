@@ -8,12 +8,12 @@
 //! * [`sdp_equiv`] — Algorithm 4 (SDP): equivalence of squashed expressions,
 //!   i.e. UCQ set-semantics equivalence — flatten nested squashes
 //!   (Lemma 5.1), canonize, minimize each term, then check mutual
-//!   containment by homomorphisms [47].
+//!   containment by homomorphisms \[47\].
 
 use crate::budget::Exhausted;
 use crate::canonize::canonize_nf;
 use crate::colour::{colour_terms, Colouring};
-use crate::ctx::{debug_enabled, Ctx};
+use crate::ctx::Ctx;
 use crate::expr::Pred;
 use crate::hom::{match_terms, match_terms_with, Colours, MatchMode};
 use crate::minimize::minimize_term;
@@ -25,10 +25,6 @@ use crate::trace::{Rule, StepData};
 pub fn udp_equiv(ctx: &mut Ctx, a: &Nf, b: &Nf, ambient: &[Pred]) -> Result<bool, Exhausted> {
     let ca = canonize_nf(ctx, a.clone(), ambient, false)?;
     let cb = canonize_nf(ctx, b.clone(), ambient, false)?;
-    if debug_enabled() {
-        eprintln!("UDP canon A: {ca}");
-        eprintln!("UDP canon B: {cb}");
-    }
     if ca.terms.len() != cb.terms.len() {
         return Ok(false);
     }
@@ -148,15 +144,6 @@ pub fn sdp_equiv(ctx: &mut Ctx, a: &Nf, b: &Nf, ambient: &[Pred]) -> Result<bool
     let mut tb = Vec::with_capacity(cb.terms.len());
     for t in cb.terms {
         tb.push(minimize_term(ctx, t, ambient)?);
-    }
-
-    if debug_enabled() {
-        for t in &ta {
-            eprintln!("SDP A-term: {t}");
-        }
-        for t in &tb {
-            eprintln!("SDP B-term: {t}");
-        }
     }
     // ‖0‖ = 0: both empty ⇒ equal; one empty ⇒ the other must have at least
     // one satisfiable term — conservatively report inequivalence.

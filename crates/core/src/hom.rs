@@ -10,12 +10,12 @@
 //! * **Homomorphism** (SDP containment, Sec 5.2): a mapping from the pattern
 //!   term's variables to expressions over the target term such that every
 //!   mapped atom exists in the target (modulo congruence) and every mapped
-//!   predicate is implied — the classical CQ-containment test [47].
+//!   predicate is implied — the classical CQ-containment test \[47\].
 
 use crate::budget::Exhausted;
 use crate::colour::{colour_terms, Colouring};
 use crate::congruence::Congruence;
-use crate::ctx::{debug_enabled, Ctx};
+use crate::ctx::Ctx;
 use crate::equiv::{sdp_equiv, udp_equiv};
 use crate::expr::{Expr, Pred, VarId};
 use crate::schema::SchemaId;
@@ -514,9 +514,6 @@ impl<'a> Matcher<'a> {
             .collect();
         for p in &mapped_preds {
             if !entails_pred(ctx, cc_fwd, &target_pool, p) {
-                if debug_enabled() {
-                    eprintln!("forward pred fails: {p}\n  pool: {target_pool:?}");
-                }
                 return Ok(false);
             }
         }

@@ -216,7 +216,7 @@ impl<S: USemiring + Hash> Interp<S> {
         }
     }
 
-    /// Evaluate a predicate to a boolean ([b] ∈ {0, 1}).
+    /// Evaluate a predicate to a boolean (\[b\] ∈ {0, 1}).
     pub fn eval_pred(&self, p: &Pred, env: &BTreeMap<VarId, Val>) -> bool {
         match p {
             Pred::Eq(a, b) => self.eval_expr(a, env) == self.eval_expr(b, env),

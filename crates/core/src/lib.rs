@@ -15,7 +15,7 @@
 //!   `canonize` procedure of Algorithm 1 ([`constraints`], [`canonize`]);
 //! * the **UDP / TDP / SDP** decision procedures of Algorithms 2–4
 //!   ([`equiv`], [`hom`], [`minimize`], [`congruence`]);
-//! * the top-level [`decide`] driver with budgets, proof traces, and
+//! * the top-level [`decide()`] driver with budgets, proof traces, and
 //!   per-run statistics.
 //!
 //! ```

@@ -202,7 +202,7 @@ impl USemiring for Diag2 {
 /// all 2⁵ = 32 valuations (one bit per valuation).
 ///
 /// This is the lineage semiring of the K-relations line of work the paper
-/// builds on (Green et al. [35]): tag each base tuple with its own variable
+/// builds on (Green et al. \[35\]): tag each base tuple with its own variable
 /// `x_i`, evaluate the query under [`crate::interp::Interp`], and the result
 /// annotation records *which* input tuples each output row depends on —
 /// joins AND their inputs' tags, unions OR them. Every element is

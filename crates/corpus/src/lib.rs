@@ -20,6 +20,13 @@
 //! fragment (Fig 5); the 193 out-of-fragment cases are represented here by
 //! one exemplar per blocking feature plus [`CALCITE_TOTAL_RULES`] for the
 //! bookkeeping (see EXPERIMENTS.md).
+//!
+//! The corpus is its directory: [`all_rules`] embeds every file under
+//! `rules/literature`, `rules/calcite`, `rules/extensions` and `rules/bugs`
+//! (in that order, each sorted by file name). To add a rule, drop a `.sql`
+//! file with the metadata header into one of them; there is no list to
+//! edit. An unknown directory or a non-`.sql` file under `rules/` fails the
+//! build.
 
 #![warn(missing_docs)]
 

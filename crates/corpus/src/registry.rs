@@ -1,4 +1,8 @@
-//! Static registry of every corpus rule file (embedded at compile time).
+//! Every rule file under `crates/corpus/rules/`, embedded at compile time.
+//! The table is the directory itself: `build.rs` lists the four dataset
+//! directories, so adding a rule means dropping a file with the metadata
+//! header into one of them — there is no list to edit. An unknown
+//! directory or a non-`.sql` file under `rules/` fails the build.
 
 use crate::{parse_rule, Rule};
 
@@ -11,719 +15,4 @@ pub fn all_rules() -> Vec<Rule> {
         .collect()
 }
 
-static RULE_FILES: &[(&str, &str)] = &[
-    (
-        "rules/literature/l01_fig1_index_selection.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l01_fig1_index_selection.sql"
-        )),
-    ),
-    (
-        "rules/literature/l02_starburst_distinct_pullup.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l02_starburst_distinct_pullup.sql"
-        )),
-    ),
-    (
-        "rules/literature/l03_distinct_pullup.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l03_distinct_pullup.sql"
-        )),
-    ),
-    (
-        "rules/literature/l04_index_lookup_join.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l04_index_lookup_join.sql"
-        )),
-    ),
-    (
-        "rules/literature/l05_self_join_key_elim.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l05_self_join_key_elim.sql"
-        )),
-    ),
-    (
-        "rules/literature/l06_fk_join_elim.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l06_fk_join_elim.sql"
-        )),
-    ),
-    (
-        "rules/literature/l07_distinct_star_key.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l07_distinct_star_key.sql"
-        )),
-    ),
-    (
-        "rules/literature/l08_key_lookup_dedup.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l08_key_lookup_dedup.sql"
-        )),
-    ),
-    (
-        "rules/literature/l09_fk_exists_elim.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l09_fk_exists_elim.sql"
-        )),
-    ),
-    (
-        "rules/literature/l10_distinct_proj_key.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l10_distinct_proj_key.sql"
-        )),
-    ),
-    (
-        "rules/literature/l11_distinct_idempotent.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l11_distinct_idempotent.sql"
-        )),
-    ),
-    (
-        "rules/literature/l12_distinct_product_absorb.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l12_distinct_product_absorb.sql"
-        )),
-    ),
-    (
-        "rules/literature/l13_join_commute.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l13_join_commute.sql"
-        )),
-    ),
-    (
-        "rules/literature/l14_join_assoc.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l14_join_assoc.sql"
-        )),
-    ),
-    (
-        "rules/literature/l15_select_pushdown.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l15_select_pushdown.sql"
-        )),
-    ),
-    (
-        "rules/literature/l16_select_merge.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l16_select_merge.sql"
-        )),
-    ),
-    (
-        "rules/literature/l17_projection_cascade.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l17_projection_cascade.sql"
-        )),
-    ),
-    (
-        "rules/literature/l18_select_project_commute.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l18_select_project_commute.sql"
-        )),
-    ),
-    (
-        "rules/literature/l19_union_all_commute.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l19_union_all_commute.sql"
-        )),
-    ),
-    (
-        "rules/literature/l20_union_all_assoc.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l20_union_all_assoc.sql"
-        )),
-    ),
-    (
-        "rules/literature/l21_join_distribute_union.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l21_join_distribute_union.sql"
-        )),
-    ),
-    (
-        "rules/literature/l22_select_distribute_union.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l22_select_distribute_union.sql"
-        )),
-    ),
-    (
-        "rules/literature/l23_trivial_true_filter.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l23_trivial_true_filter.sql"
-        )),
-    ),
-    (
-        "rules/literature/l24_where_false_empty.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l24_where_false_empty.sql"
-        )),
-    ),
-    (
-        "rules/literature/l25_predicate_transitivity.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l25_predicate_transitivity.sql"
-        )),
-    ),
-    (
-        "rules/literature/l26_alias_invariance.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l26_alias_invariance.sql"
-        )),
-    ),
-    (
-        "rules/literature/l27_subquery_unnest.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l27_subquery_unnest.sql"
-        )),
-    ),
-    (
-        "rules/literature/l28_group_by_commute.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l28_group_by_commute.sql"
-        )),
-    ),
-    (
-        "rules/literature/l29_agg_join_commute.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/literature/l29_agg_join_commute.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c01_filter_merge.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c01_filter_merge.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c02_filter_project_transpose.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c02_filter_project_transpose.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c03_filter_into_join_left.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c03_filter_into_join_left.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c04_filter_into_join_right.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c04_filter_into_join_right.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c05_join_condition_push.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c05_join_condition_push.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c06_project_merge.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c06_project_merge.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c07_project_remove_identity.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c07_project_remove_identity.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c08_join_commute.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c08_join_commute.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c09_join_associate.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c09_join_associate.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c10_cross_to_inner_join.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c10_cross_to_inner_join.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c11_reduce_expr_true_and.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c11_reduce_expr_true_and.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c12_reduce_expr_false_or.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c12_reduce_expr_false_or.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c13_constant_filter_reduce.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c13_constant_filter_reduce.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c14_or_idempotent_filter.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c14_or_idempotent_filter.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c15_union_merge_assoc.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c15_union_merge_assoc.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c16_alias_rename.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c16_alias_rename.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c17_subquery_flatten.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c17_subquery_flatten.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c18_project_filter_merge.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c18_project_filter_merge.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c19_join_filter_extract.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c19_join_filter_extract.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c20_in_to_exists.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c20_in_to_exists.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c21_semijoin_remove_fk.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c21_semijoin_remove_fk.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c22_distinct_key_remove.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c22_distinct_key_remove.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c23_aggregate_project_merge.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c23_aggregate_project_merge.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c24_group_by_column_commute.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c24_group_by_column_commute.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c25_filter_aggregate_transpose.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c25_filter_aggregate_transpose.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c26_group_alias_rename.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c26_group_alias_rename.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c27_count_star_vs_count_one.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c27_count_star_vs_count_one.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c28_having_true_drop.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c28_having_true_drop.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c29_having_duplicate_conjunct.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c29_having_duplicate_conjunct.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c30_agg_join_commute.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c30_agg_join_commute.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c31_whole_table_agg_where_order.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c31_whole_table_agg_where_order.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c32_count_distinct_consistent.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c32_count_distinct_consistent.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c33_agg_subquery_filter_merge.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c33_agg_subquery_filter_merge.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c34_arith_filter_reduce.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c34_arith_filter_reduce.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c35_arith_commute.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c35_arith_commute.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c36_cast_string.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c36_cast_string.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c37_arith_fold.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c37_arith_fold.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c38_cast_date.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c38_cast_date.sql"
-        )),
-    ),
-    (
-        "rules/calcite/c39_timeout_large_join.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/c39_timeout_large_join.sql"
-        )),
-    ),
-    (
-        "rules/calcite/u01_case_when.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/u01_case_when.sql"
-        )),
-    ),
-    (
-        "rules/calcite/u02_is_null.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/u02_is_null.sql"
-        )),
-    ),
-    (
-        "rules/calcite/u03_set_union.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/u03_set_union.sql"
-        )),
-    ),
-    (
-        "rules/calcite/u04_intersect.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/u04_intersect.sql"
-        )),
-    ),
-    (
-        "rules/calcite/u05_left_join.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/u05_left_join.sql"
-        )),
-    ),
-    (
-        "rules/calcite/u06_right_join.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/u06_right_join.sql"
-        )),
-    ),
-    (
-        "rules/calcite/u07_full_join.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/u07_full_join.sql"
-        )),
-    ),
-    (
-        "rules/calcite/u08_order_by.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/u08_order_by.sql"
-        )),
-    ),
-    (
-        "rules/calcite/u09_window_over.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/u09_window_over.sql"
-        )),
-    ),
-    (
-        "rules/calcite/u10_values.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/u10_values.sql"
-        )),
-    ),
-    (
-        "rules/calcite/u11_null_literal.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/u11_null_literal.sql"
-        )),
-    ),
-    (
-        "rules/calcite/u12_is_not_null.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/u12_is_not_null.sql"
-        )),
-    ),
-    (
-        "rules/calcite/u13_case_in_filter.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/u13_case_in_filter.sql"
-        )),
-    ),
-    (
-        "rules/calcite/u14_natural_join.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/calcite/u14_natural_join.sql"
-        )),
-    ),
-    (
-        "rules/extensions/e01_union_dedup.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/extensions/e01_union_dedup.sql"
-        )),
-    ),
-    (
-        "rules/extensions/e02_union_commute.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/extensions/e02_union_commute.sql"
-        )),
-    ),
-    (
-        "rules/extensions/e03_union_assoc.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/extensions/e03_union_assoc.sql"
-        )),
-    ),
-    (
-        "rules/extensions/e04_union_absorbs_distinct.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/extensions/e04_union_absorbs_distinct.sql"
-        )),
-    ),
-    (
-        "rules/extensions/e05_intersect_commute.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/extensions/e05_intersect_commute.sql"
-        )),
-    ),
-    (
-        "rules/extensions/e06_intersect_idempotent.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/extensions/e06_intersect_idempotent.sql"
-        )),
-    ),
-    (
-        "rules/extensions/e07_distinct_unionall_is_union.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/extensions/e07_distinct_unionall_is_union.sql"
-        )),
-    ),
-    (
-        "rules/extensions/e08_intersect_via_exists.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/extensions/e08_intersect_via_exists.sql"
-        )),
-    ),
-    (
-        "rules/extensions/e09_values_commute.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/extensions/e09_values_commute.sql"
-        )),
-    ),
-    (
-        "rules/extensions/e10_values_dedup.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/extensions/e10_values_dedup.sql"
-        )),
-    ),
-    (
-        "rules/extensions/e11_case_fold.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/extensions/e11_case_fold.sql"
-        )),
-    ),
-    (
-        "rules/extensions/e12_case_branch_swap.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/extensions/e12_case_branch_swap.sql"
-        )),
-    ),
-    (
-        "rules/extensions/e13_case_simple_form.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/extensions/e13_case_simple_form.sql"
-        )),
-    ),
-    (
-        "rules/extensions/e14_case_projection.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/extensions/e14_case_projection.sql"
-        )),
-    ),
-    (
-        "rules/extensions/e15_natural_join_equijoin.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/extensions/e15_natural_join_equijoin.sql"
-        )),
-    ),
-    (
-        "rules/extensions/e16_natural_join_star.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/extensions/e16_natural_join_star.sql"
-        )),
-    ),
-    (
-        "rules/extensions/e17_union_vs_union_all.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/extensions/e17_union_vs_union_all.sql"
-        )),
-    ),
-    (
-        "rules/bugs/b01_count_bug.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/bugs/b01_count_bug.sql"
-        )),
-    ),
-    (
-        "rules/bugs/b02_oracle_outer_join.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/bugs/b02_oracle_outer_join.sql"
-        )),
-    ),
-    (
-        "rules/bugs/b03_mysql_strange_plan.sql",
-        include_str!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/rules/bugs/b03_mysql_strange_plan.sql"
-        )),
-    ),
-];
+include!(concat!(env!("OUT_DIR"), "/rule_files.rs"));

@@ -1,9 +1,9 @@
 //! Bounded counterexample search — the "model checker" companion of UDP
-//! (the authors' prior work [21], used on the Bugs dataset in Sec 6.2).
+//! (the authors' prior work \[21\], used on the Bugs dataset in Sec 6.2).
 //!
 //! UDP only proves equivalence; when it fails, this module hunts for a
 //! witness database on which the two queries disagree (as bags). Finding one
-//! refutes the rewrite — this is how the COUNT bug [32] is exposed.
+//! refutes the rewrite — this is how the COUNT bug \[32\] is exposed.
 
 use crate::db::Database;
 use crate::eval::{eval_query, EvalError};

@@ -4,7 +4,7 @@
 //! `⟦q⟧(db)` is a bag of rows. It is used to *validate* the prover
 //! empirically (UDP-proved pairs must agree on randomized databases) and to
 //! hunt counterexamples for unproved pairs (the companion model checker of
-//! the authors' prior work [21]).
+//! the authors' prior work \[21\]).
 //!
 //! Semantics notes, matching the paper's IR (Fig 12):
 //! * `EXCEPT` is `q₁(t) × not(q₂(t))` — rows of `q₁` (with multiplicity)

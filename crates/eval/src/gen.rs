@@ -1,7 +1,7 @@
 //! Random database generation honoring integrity constraints.
 //!
 //! Small active domains and table sizes (the "small scope hypothesis" the
-//! authors' model checker [21] relies on): counterexamples to buggy rewrites
+//! authors' model checker \[21\] relies on): counterexamples to buggy rewrites
 //! almost always exist within a handful of rows.
 
 use crate::db::{Database, Row, Table};

@@ -7,7 +7,7 @@
 //!   U-semiring semantics);
 //! * [`gen`] — random constraint-satisfying database generation;
 //! * [`counterexample`] — the bounded model checker that refutes buggy
-//!   rewrites (companion of UDP per the authors' prior work [21]; exposes
+//!   rewrites (companion of UDP per the authors' prior work \[21\]; exposes
 //!   the COUNT bug of the Bugs dataset).
 
 #![warn(missing_docs)]

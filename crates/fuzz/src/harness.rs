@@ -262,18 +262,12 @@ fn shuffled<T: Copy>(items: &[T], rng: &mut StdRng) -> Vec<T> {
     v
 }
 
-fn session_config(
-    steps: u64,
-    cache_capacity: usize,
-    fingerprints: bool,
-    dialect: udp_sql::Dialect,
-) -> SessionConfig {
+fn session_config(steps: u64, cache_capacity: usize, dialect: udp_sql::Dialect) -> SessionConfig {
     SessionConfig {
         workers: 1,
         cache_capacity,
         steps: Some(steps),
         wall: None, // steps-only: verdicts must be deterministic
-        fingerprints,
         dialect,
         ..SessionConfig::default()
     }
@@ -502,16 +496,10 @@ impl CaseCtx<'_> {
 
         // 2. Prover + service parity.
         let goal = (q1.clone(), q2.clone());
-        let uncached = Session::new(
-            self.ddl,
-            session_config(self.config.steps, 0, false, dialect),
-        )
-        .map_err(|e| (FailureKind::Frontend, format!("uncached session: {e}")))?;
-        let cached = Session::new(
-            self.ddl,
-            session_config(self.config.steps, 64, true, dialect),
-        )
-        .map_err(|e| (FailureKind::Frontend, format!("cached session: {e}")))?;
+        let uncached = Session::new(self.ddl, session_config(self.config.steps, 0, dialect))
+            .map_err(|e| (FailureKind::Frontend, format!("uncached session: {e}")))?;
+        let cached = Session::new(self.ddl, session_config(self.config.steps, 64, dialect))
+            .map_err(|e| (FailureKind::Frontend, format!("cached session: {e}")))?;
         let goals = [goal.clone()];
         let r_u = &uncached.verify_batch(&goals)[0];
         let r_c1 = &cached.verify_batch(&goals)[0];
@@ -558,7 +546,7 @@ impl CaseCtx<'_> {
             let plan = plan.with_seed(plan.seed ^ self.oracle_base);
             let chaotic = Session::new(
                 self.ddl,
-                session_config(self.config.steps, 0, false, dialect).with_chaos(Some(plan)),
+                session_config(self.config.steps, 0, dialect).with_chaos(Some(plan)),
             )
             .map_err(|e| (FailureKind::Frontend, format!("chaos session: {e}")))?;
             let r_x = &chaotic.verify_batch(&goals)[0];
@@ -586,15 +574,23 @@ impl CaseCtx<'_> {
         }
 
         // 3. Fingerprint stability: repeated computations, a fresh session,
-        //    and the worker-side report must all agree.
+        //    and the worker-side reports (cache off and on) must all agree.
         let f_a = cached.fingerprint_goal(&goal);
         let f_b = cached.fingerprint_goal(&goal);
         let f_c = uncached.fingerprint_goal(&goal);
         let f_report = r_c1.fingerprints;
-        if f_a != f_b || f_a != f_c || f_a.as_ref().ok() != f_report.as_ref() {
+        if f_a != f_b
+            || f_a != f_c
+            || f_a.as_ref().ok() != f_report.as_ref()
+            || r_u.fingerprints != f_report
+        {
             return Err((
                 FailureKind::FingerprintUnstable,
-                format!("fingerprints diverge: {f_a:?} / {f_b:?} / {f_c:?} / report {f_report:?}"),
+                format!(
+                    "fingerprints diverge: {f_a:?} / {f_b:?} / {f_c:?} / report {f_report:?} \
+                     / uncached report {:?}",
+                    r_u.fingerprints
+                ),
             ));
         }
 

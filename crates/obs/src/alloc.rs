@@ -5,7 +5,7 @@
 //!
 //! [`TrackingAlloc`] wraps [`System`]. Binaries that want memory metrics
 //! install it with `#[global_allocator]`. The wrapper is dormant until a
-//! *memory session* ([`MemSession::start`]) flips the global [`ENABLED`]
+//! *memory session* ([`MemSession::start`]) flips the global `ENABLED`
 //! flag; from then on every allocation and free is charged to the stage
 //! named by a **thread-local stage tag**. The tag is pushed/popped by the
 //! recorder's span machinery ([`crate::Recorder::span`],
@@ -26,16 +26,16 @@
 //! recorder.
 //!
 //! With a session active the counters are **sharded per thread**: each
-//! allocating thread owns a private [`ThreadCells`] table and bumps its
+//! allocating thread owns a private `ThreadCells` table and bumps its
 //! rows with plain relaxed load/store pairs (single-writer, so no atomic
 //! read-modify-write on the per-stage path at all). Snapshots sum the
 //! shards. The only shared state is the live-bytes watermark, and even
 //! that is batched: each thread accumulates a signed `live_delta` and
-//! folds it into the global [`LIVE`]/[`PEAK`] pair only when the
-//! magnitude crosses [`LIVE_FLUSH`] bytes. Balanced scratch churn (the
+//! folds it into the global `LIVE`/`PEAK` pair only when the
+//! magnitude crosses `LIVE_FLUSH` bytes. Balanced scratch churn (the
 //! overwhelming majority of prover traffic) therefore almost never
 //! touches a contended cache line, while any single allocation of
-//! [`LIVE_FLUSH`] bytes or more flushes immediately — big spikes are
+//! `LIVE_FLUSH` bytes or more flushes immediately — big spikes are
 //! always visible in the watermark, and the residual blur is bounded by
 //! `LIVE_FLUSH` bytes per live thread (snapshots fold unflushed deltas
 //! back in, and report `peak >= live` by construction).

@@ -15,6 +15,7 @@
 
 use crate::counter::Counter;
 use crate::recorder::Recorder;
+use std::any::Any;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -247,6 +248,16 @@ fn unit_float(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// The message a panic carried: its `&str` or `String` payload, or
+/// `"non-string panic payload"` for any other payload type.
+pub fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
+}
+
 /// Install a process-wide panic hook that suppresses the default stderr
 /// backtrace banner for `chaos: `-prefixed panics (injected ones) while
 /// forwarding everything else to the previous hook. Idempotent; call once
@@ -258,13 +269,7 @@ pub fn install_chaos_panic_silencer() {
     ONCE.call_once(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let msg = info
-                .payload()
-                .downcast_ref::<&str>()
-                .copied()
-                .map(str::to_string)
-                .or_else(|| info.payload().downcast_ref::<String>().cloned());
-            if msg.as_deref().is_some_and(|m| m.starts_with("chaos: ")) {
+            if panic_message(info.payload()).starts_with("chaos: ") {
                 return; // expected, injected — keep stderr clean
             }
             previous(info);
@@ -275,6 +280,16 @@ pub fn install_chaos_panic_silencer() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn panic_message_reads_str_and_string_payloads() {
+        let str_payload: Box<dyn Any + Send> = Box::new("static");
+        assert_eq!(panic_message(&*str_payload), "static");
+        let string_payload: Box<dyn Any + Send> = Box::new(String::from("owned"));
+        assert_eq!(panic_message(&*string_payload), "owned");
+        let other: Box<dyn Any + Send> = Box::new(7u32);
+        assert_eq!(panic_message(&*other), "non-string panic payload");
+    }
 
     #[test]
     fn parse_defaults_and_overrides() {

@@ -26,7 +26,7 @@ pub enum Stage {
     /// SQL text → AST (program DDL or a protocol goal line).
     Parse,
     /// Full-dialect desugaring: outer-join elimination + 3VL encoding
-    /// (`udp-ext`; a no-op outside [`Dialect::Full`]).
+    /// (`udp-ext`; a no-op outside `Dialect::Full`).
     Desugar,
     /// AST → U-expression lowering (`udp-sql`).
     Lower,

@@ -89,12 +89,6 @@ pub struct SessionConfig {
     pub dialect: Dialect,
     /// Record proof traces (cache hits replay the memoized trace).
     pub record_trace: bool,
-    /// Attach canonical fingerprints to every goal report even when the
-    /// cache is disabled. Every goal is normalized and its canonical forms
-    /// are rendered either way (the identity shortcut compares them); with
-    /// `cache_capacity == 0` this flag alone decides whether the forms are
-    /// hashed into fingerprints.
-    pub fingerprints: bool,
     /// Stage-metrics recorder threaded through the whole goal path (parse,
     /// desugar, lower, normalize, fingerprint, cache, prove, queue wait).
     /// The default disabled handle makes every instrumentation point free.
@@ -117,7 +111,6 @@ impl Default for SessionConfig {
             options: Options::default(),
             dialect: Dialect::Paper,
             record_trace: false,
-            fingerprints: false,
             recorder: Recorder::disabled(),
             chaos: None,
         }
@@ -375,11 +368,11 @@ impl Session {
     }
 
     /// Lower one goal on a fresh frontend clone and return its canonical
-    /// fingerprints, regardless of the `cache_capacity` / `fingerprints`
-    /// configuration. This is the stability hook the `udp-fuzz` harness
-    /// asserts against: the same goal must fingerprint identically across
-    /// repeated calls, fresh sessions, and worker counts — otherwise the
-    /// verdict cache could silently stop deduplicating (or worse, collide).
+    /// fingerprints without verifying it. This is the stability hook the
+    /// `udp-fuzz` harness asserts against: the same goal must fingerprint
+    /// identically across repeated calls, fresh sessions, and worker counts
+    /// — otherwise the verdict cache could silently stop deduplicating (or
+    /// worse, collide).
     pub fn fingerprint_goal(
         &self,
         goal: &(Query, Query),
@@ -541,8 +534,8 @@ impl Session {
         // Canonical forms resolve schemas by content and relations by name,
         // so keys agree across worker frontends (whose anonymous-schema ids
         // diverge as they lower different goals). Every goal renders them:
-        // they key the cache and decide the identity shortcut. Only hashing
-        // them into report fingerprints is skipped when nothing asks.
+        // they key the cache, decide the identity shortcut and are hashed
+        // into the report's fingerprints.
         let caching = self.config.cache_capacity > 0;
         let (key, fingerprints) = obs.time(Stage::Fingerprint, || {
             let key = Self::canonical_key(fe, &q1, &q2, &nf1, &nf2);
@@ -550,9 +543,8 @@ impl Session {
                 Counter::FingerprintBytes,
                 (key.0.len() + key.1.len()) as u64,
             );
-            let fps = (caching || self.config.fingerprints)
-                .then(|| (fingerprint_form(&key.0), fingerprint_form(&key.1)));
-            (key, fps)
+            let fps = (fingerprint_form(&key.0), fingerprint_form(&key.1));
+            (key, Some(fps))
         });
 
         if caching {

@@ -11,6 +11,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Instant;
+use udp_obs::fault::panic_message;
 use udp_obs::Stage;
 use udp_sql::ast::Query;
 
@@ -35,11 +36,7 @@ fn supervise(
     match catch_unwind(AssertUnwindSafe(|| session.process_goal(fe, index, goal))) {
         Ok(report) => report,
         Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
+            let msg = panic_message(&*payload).to_string();
             // The half-used frontend may hold partially lowered state;
             // replace it so later goals on this worker start clean.
             *fe = session.base_clone();

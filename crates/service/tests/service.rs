@@ -235,35 +235,19 @@ fn timeout_verdicts_are_not_cached() {
 }
 
 #[test]
-fn fingerprints_are_skipped_when_nothing_consumes_them() {
-    let s = session(1, 0); // cache disabled, fingerprints not requested
-    let goal = s
-        .parse_goal("SELECT * FROM r x == SELECT * FROM r y")
-        .unwrap();
-    // Every goal renders its canonical forms (the identity shortcut needs
-    // them), but nothing hashes them into report fingerprints unless the
-    // cache or the caller asks.
-    let reports = s.verify_batch(&[goal.clone()]);
-    assert!(
-        reports[0].fingerprints.is_none(),
-        "fingerprints must not be attached to the report"
-    );
-
-    let config = SessionConfig {
-        workers: 1,
-        cache_capacity: 0,
-        fingerprints: true,
-        ..SessionConfig::default()
+fn cache_off_reports_carry_the_same_fingerprints_as_cache_on() {
+    let line = "SELECT * FROM r x == SELECT * FROM r y";
+    let fingerprints = |cache: usize| {
+        let s = session(1, cache);
+        let goal = s.parse_goal(line).unwrap();
+        s.verify_batch(&[goal])[0].fingerprints
     };
-    let s2 = Session::new(DDL, config).unwrap();
-    let goal2 = s2
-        .parse_goal("SELECT * FROM r x == SELECT * FROM r y")
-        .unwrap();
-    let reports2 = s2.verify_batch(&[goal2]);
+    let uncached = fingerprints(0);
     assert!(
-        reports2[0].fingerprints.is_some(),
-        "explicitly requested fingerprints"
+        uncached.is_some(),
+        "a cache-off report still carries fingerprints"
     );
+    assert_eq!(uncached, fingerprints(64), "cache-on and cache-off agree");
 }
 
 /// Cached and uncached sessions agree with the plain sequential pipeline on

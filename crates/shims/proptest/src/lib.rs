@@ -155,7 +155,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         len: std::ops::Range<usize>,

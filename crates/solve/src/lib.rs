@@ -41,7 +41,7 @@ use udp_core::schema::{Catalog, SchemaId};
 use udp_core::spnf::Nf;
 use udp_core::trace::{Rule, StepData, Trace};
 use udp_core::{Decision, Verdict};
-use udp_obs::fault::{FaultAction, PROBE_BACKEND_UDP};
+use udp_obs::fault::{panic_message, FaultAction, PROBE_BACKEND_UDP};
 use udp_obs::{Counter, Stage};
 
 /// Per-goal resource and feature configuration.
@@ -188,12 +188,7 @@ pub fn solve_normalized(goal: &Goal, _mode: SolveMode) -> Result<Verdict, String
         Err(payload) => {
             recorder.count(Counter::BackendFault, 1);
             recorder.instant("backend-fault");
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(format!("udp backend faulted: {msg}"))
+            Err(format!("udp backend faulted: {}", panic_message(&*payload)))
         }
     }
 }

@@ -10,7 +10,7 @@ use std::fmt;
 /// A recognized-but-unsupported SQL feature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Feature {
-    /// NULL literals, IS [NOT] NULL.
+    /// NULL literals, IS \[NOT\] NULL.
     Null,
     /// CASE WHEN … expressions.
     Case,

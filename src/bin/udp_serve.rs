@@ -86,10 +86,7 @@ fn main() -> ExitCode {
             "--full" => config.dialect = udp_sql::Dialect::Full,
             "--stats" => show_stats = true,
             "--stats-every" => stats_every = parse_num(it.next(), "--stats-every"),
-            "--fingerprints" => {
-                show_fingerprints = true;
-                config.fingerprints = true;
-            }
+            "--fingerprints" => show_fingerprints = true,
             "--metrics-json" => {
                 obs.metrics_json = Some(
                     it.next()
