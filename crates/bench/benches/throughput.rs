@@ -3,12 +3,14 @@
 //! distinct / group-by rewrite goals plus alias-renamed duplicates, the mix
 //! the evaluation corpus exercises rule by rule).
 //!
-//! Run with `cargo bench --bench throughput`. The stdout summary prints
-//! the measured rate at each worker count and its speedup over 1 worker,
-//! then the `udp-obs` recorder's overhead (enabled vs the default disabled
-//! handle) and the allocation tracker's overhead over a plain enabled
-//! recorder, all on the uncached 1-worker workload. These are single-shot
-//! numbers; timed claims belong to the repo benchmark (`udpbench/`).
+//! Run with `cargo bench -p udp-bench --bench throughput` (a plain `main`,
+//! no bench harness). The stdout summary prints the measured rate at each
+//! worker count and its speedup over 1 worker, the rate of the same batch
+//! on a warm verdict cache, then the `udp-obs` recorder's overhead (enabled
+//! vs the default disabled handle) and the allocation tracker's overhead
+//! over a plain enabled recorder, both on the uncached 1-worker workload.
+//! These are single-shot numbers; timed claims belong to the repo
+//! benchmark (`udpbench/`).
 //!
 //! The bench also sweeps the evaluation corpus under one enabled,
 //! memory-tracking recorder and writes its metrics snapshot (schema 5,
@@ -16,15 +18,13 @@
 //! to `BENCH.json` at the repo root. CI checks it with
 //! `validate-metrics --min-coverage 0.9 BENCH.json`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
 use std::time::{Duration, Instant};
 use udp_corpus::{all_rules, session_config};
 use udp_obs::{ObsOutputs, Recorder, TrackingAlloc};
 use udp_service::{Session, SessionConfig};
 use udp_sql::ast::Query;
 
-/// The bench harness installs the tracking allocator so `BENCH.json`'s
+/// The bench installs the tracking allocator so `BENCH.json`'s
 /// memory section holds real attributed bytes and the tracking-overhead
 /// number reflects the shipping binaries (which install the same wrapper).
 #[global_allocator]
@@ -94,39 +94,27 @@ fn session_with_recorder(workers: usize, cache: usize, recorder: Recorder) -> Se
 
 const GOALS: usize = 240;
 
-fn bench_throughput(c: &mut Criterion) {
+/// Workload rate (goals/s) of one `verify_batch` call on `session`.
+fn rate(session: &Session, goals: &[(Query, Query)]) -> f64 {
+    let t0 = Instant::now();
+    let reports = session.verify_batch(goals);
+    let secs = t0.elapsed().as_secs_f64();
+    assert_eq!(reports.len(), goals.len());
+    goals.len() as f64 / secs
+}
+
+fn main() {
     let max_workers = std::thread::available_parallelism()
         .map_or(4, |n| n.get())
         .min(8);
     let mut counts = vec![1, (max_workers / 2).max(2), max_workers];
     counts.dedup();
 
-    for &workers in &counts {
-        c.bench_function(&format!("throughput/uncached/workers-{workers}"), |b| {
-            b.iter(|| {
-                let session = session_with(workers, 0);
-                let goals = workload(&session, GOALS);
-                black_box(session.verify_batch(&goals));
-            })
-        });
-    }
-    c.bench_function("throughput/cached/workers-max", |b| {
-        let session = session_with(max_workers, 4096);
-        let goals = workload(&session, GOALS);
-        session.verify_batch(&goals); // warm the cache
-        b.iter(|| black_box(session.verify_batch(&goals)))
-    });
-
-    // Direct speedup summary (single measurement per configuration, goals/s).
     let mut rates = Vec::new();
     for &workers in &counts {
         let session = session_with(workers, 0);
         let goals = workload(&session, GOALS);
-        let t0 = Instant::now();
-        let reports = session.verify_batch(&goals);
-        let secs = t0.elapsed().as_secs_f64();
-        assert_eq!(reports.len(), GOALS);
-        rates.push((workers, GOALS as f64 / secs));
+        rates.push((workers, rate(&session, &goals)));
     }
     let base = rates[0].1;
     for (workers, rate) in &rates {
@@ -135,6 +123,16 @@ fn bench_throughput(c: &mut Criterion) {
             rate / base
         );
     }
+    // The cached path: the same batch again on a warm verdict cache.
+    let session = session_with(max_workers, 4096);
+    let goals = workload(&session, GOALS);
+    session.verify_batch(&goals);
+    let cached = rate(&session, &goals);
+    println!(
+        "throughput summary: {max_workers} workers, warm cache → {cached:.0} goals/s \
+         ({:.2}× vs 1 worker)",
+        cached / base
+    );
 
     obs_summary();
 }
@@ -147,11 +145,7 @@ fn obs_rate(reps: usize, recorder: &Recorder) -> f64 {
     for _ in 0..reps {
         let session = session_with_recorder(1, 0, recorder.clone());
         let goals = workload(&session, GOALS);
-        let t0 = Instant::now();
-        let reports = session.verify_batch(&goals);
-        let secs = t0.elapsed().as_secs_f64();
-        assert_eq!(reports.len(), GOALS);
-        best = best.max(GOALS as f64 / secs);
+        best = best.max(rate(&session, &goals));
     }
     best
 }
@@ -205,10 +199,3 @@ fn obs_summary() {
     // must not pass for a fresh one.
     outputs.write(&recorder).expect("write BENCH.json");
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_throughput
-}
-criterion_main!(benches);

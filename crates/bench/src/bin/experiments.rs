@@ -8,17 +8,17 @@
 //! Sections: `fig5`, `fig6`, `fig7`, `spnf`, `cosette`, `bugs`, `ablation`,
 //! `extensions`.
 
-use udp_bench::{ablation_configs, run_corpus, CorpusRun};
+use udp_bench::{ablation_configs, model_check, run_corpus, CorpusRun};
 use udp_core::ctx::Options;
-use udp_corpus::{Category, CosetteStatus, Expectation, Source};
-use udp_eval::{check_program, GenConfig, SearchResult};
+use udp_corpus::{Category, CosetteStatus, Expectation, Rule, Source};
+use udp_eval::SearchResult;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
 
     println!("== UDP evaluation reproduction ==");
-    println!("(paper: Chu et al., VLDB 2018; see EXPERIMENTS.md for the side-by-side)\n");
+    println!("(paper: Chu et al., VLDB 2018; each table prints the paper's figures beneath it)\n");
 
     let run = run_corpus(Options::default());
     report_mismatches(&run);
@@ -158,18 +158,7 @@ fn bugs() {
     let rules = udp_corpus::all_rules();
     for rule in rules.iter().filter(|r| r.source == Source::Bugs) {
         match rule.expect {
-            Expectation::NotProved => {
-                let result = check_program(&rule.text, 200).unwrap_or_else(|e| {
-                    SearchResult::Inconclusive(udp_eval::EvalError::Unsupported(e))
-                });
-                match result {
-                    SearchResult::Refuted(ce) => println!(
-                        "{:<32} refuted by the model checker (seed {})",
-                        rule.name, ce.seed
-                    ),
-                    other => println!("{:<32} {other:?}", rule.name),
-                }
-            }
+            Expectation::NotProved => print_model_check(rule),
             Expectation::Unsupported => {
                 println!(
                     "{:<32} outside the fragment (NULL semantics), as in the paper",
@@ -179,8 +168,18 @@ fn bugs() {
             _ => {}
         }
     }
-    let _ = GenConfig::default();
     println!();
+}
+
+/// One line: the rule and what the model checker found for it.
+fn print_model_check(rule: &Rule) {
+    match model_check(rule) {
+        SearchResult::Refuted(ce) => println!(
+            "{:<32} refuted by the model checker (seed {})",
+            rule.name, ce.seed
+        ),
+        other => println!("{:<32} {other:?}", rule.name),
+    }
 }
 
 fn ablation() {
@@ -241,16 +240,7 @@ fn extensions(run: &CorpusRun) {
     // model checker refuting it.
     for (r, o) in &ext {
         if r.expect == Expectation::NotProved && o.observed == Expectation::NotProved {
-            match udp_eval::check_program_in(&r.text, r.dialect, 200) {
-                Ok(SearchResult::Refuted(ce)) => {
-                    println!(
-                        "{:<32} refuted by the model checker (seed {})",
-                        r.name, ce.seed
-                    )
-                }
-                Ok(other) => println!("{:<32} {other:?}", r.name),
-                Err(e) => println!("{:<32} model checker error: {e}", r.name),
-            }
+            print_model_check(r);
         }
     }
     println!();

@@ -1,15 +1,19 @@
 //! # udp-bench
 //!
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (Sec 6), plus ablation studies of the design choices called
-//! out in DESIGN.md. The `experiments` binary prints the tables; the
-//! Criterion benches measure the same workloads statistically.
+//! evaluation (Sec 6), plus an ablation table of the prover's phases. The
+//! `experiments` binary prints the tables. The `throughput` bench
+//! (`cargo bench -p udp-bench --bench throughput`) prints batch goals/s and
+//! the recorder's overhead, and writes the corpus sweep's metrics snapshot
+//! to `BENCH.json`. Timed comparisons go through the repo benchmark
+//! (`udpbench/`), not through either.
 
 use std::collections::BTreeMap;
 use udp_core::ctx::Options;
 use udp_corpus::{
     all_rules, run_rule, session_config, Category, Expectation, Rule, RuleOutcome, Source,
 };
+use udp_eval::{EvalError, SearchResult};
 use udp_service::SessionConfig;
 
 /// Outcome of running the full corpus once.
@@ -149,7 +153,16 @@ impl CorpusRun {
     }
 }
 
-/// Named ablation configurations (DESIGN.md §6, "Ablations").
+/// Hunt a counterexample to a rule's goal over 200 random databases,
+/// parsing the rule in its own dialect. A rule the evaluator cannot parse or
+/// build is `Inconclusive`.
+pub fn model_check(rule: &Rule) -> SearchResult {
+    udp_eval::check_program_in(&rule.text, rule.dialect, 200)
+        .unwrap_or_else(|e| SearchResult::Inconclusive(EvalError::Unsupported(e)))
+}
+
+/// Named ablation configurations: the full prover, then each phase of
+/// [`Options`] switched off on its own (the `experiments ablation` table).
 pub fn ablation_configs() -> Vec<(&'static str, Options)> {
     let base = Options::default();
     vec![
@@ -201,5 +214,25 @@ mod tests {
         let configs = ablation_configs();
         assert_eq!(configs.len(), 6);
         assert!(configs[1].1.canonize != configs[0].1.canonize);
+    }
+
+    #[test]
+    fn model_checker_refutes_every_not_proved_bug_and_extension_rule() {
+        let rules: Vec<Rule> = all_rules()
+            .into_iter()
+            .filter(|r| {
+                matches!(r.source, Source::Bugs | Source::Extension)
+                    && r.expect == Expectation::NotProved
+            })
+            .collect();
+        assert_eq!(rules.len(), 4);
+        for rule in &rules {
+            let result = model_check(rule);
+            assert!(
+                matches!(result, SearchResult::Refuted(_)),
+                "{}: {result:?}",
+                rule.name
+            );
+        }
     }
 }

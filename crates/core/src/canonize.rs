@@ -217,9 +217,7 @@ pub fn canonize_term(
             if inner.is_zero() {
                 return Ok(None);
             }
-            let mut wrapped = Term::one();
-            wrapped.squash = Some(Box::new(inner));
-            return Ok(Some(wrapped));
+            return Ok(Some(Term::squash_of(inner)));
         }
     }
 
@@ -497,8 +495,10 @@ fn squash_dedup_step(
                     let after = t.clone();
                     ctx.trace
                         .record(Rule::SquashFlatten, || StepData::TermRewrite {
-                            before: wrap_in_squash(before),
-                            after: vec![wrap_in_squash(after)],
+                            before: Term::squash_of(Nf {
+                                terms: vec![before],
+                            }),
+                            after: vec![Term::squash_of(Nf { terms: vec![after] })],
                             ambient: ambient.to_vec(),
                         });
                 }
@@ -571,13 +571,6 @@ fn fk_chase_step(
         }
     }
     Ok(false)
-}
-
-/// Wrap a term in a squash factor (for recording under-squash identities).
-fn wrap_in_squash(t: Term) -> Term {
-    let mut wrapped = Term::one();
-    wrapped.squash = Some(Box::new(Nf { terms: vec![t] }));
-    wrapped
 }
 
 /// Generalized Theorem 4.3 precondition: every summation variable is

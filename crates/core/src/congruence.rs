@@ -253,16 +253,6 @@ impl Congruence {
         self.class_constants().remove(&r)
     }
 
-    /// Is `a ≠ b` *entailed* by the closure — both classes carry constants
-    /// and the constants differ? (The dual of [`Congruence::inconsistent`]:
-    /// such a disequality predicate is vacuously true and can be dropped.)
-    pub fn entails_ne(&mut self, a: &Expr, b: &Expr) -> bool {
-        match (self.constant_of(a), self.constant_of(b)) {
-            (Some(ca), Some(cb)) => ca != cb,
-            _ => false,
-        }
-    }
-
     /// Are `a` and `b` in the same class?
     pub fn same(&mut self, a: &Expr, b: &Expr) -> bool {
         let na = self.intern(a);
@@ -444,11 +434,6 @@ impl Congruence {
             .min_by_key(Expr::size)
     }
 
-    /// Does the closure entail `a = b` given the asserted equalities?
-    pub fn entails_eq(&mut self, a: &Expr, b: &Expr) -> bool {
-        self.same(a, b)
-    }
-
     /// Number of interned nodes (diagnostics).
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -488,6 +473,13 @@ mod tests {
         cc.assert_eq(&va(1, "a"), &va(2, "a"));
         assert!(cc.same(&va(0, "a"), &va(2, "a")));
         assert!(!cc.same(&va(0, "a"), &va(3, "a")));
+        // A long chain closes end to end, also under a function symbol.
+        let mut cc = Congruence::new();
+        for i in 0..128 {
+            cc.assert_eq(&va(i, "a"), &va(i + 1, "a"));
+        }
+        let f = |i| Expr::app("f", vec![va(i, "a")]);
+        assert!(cc.same(&f(0), &f(128)));
     }
 
     #[test]

@@ -14,7 +14,8 @@ use std::collections::HashMap;
 pub type AggKey = (String, AggBody, AggBody, Vec<Pred>);
 
 /// Feature switches. Defaults reproduce the full algorithm; the ablation
-/// benches toggle individual phases off to quantify their contribution.
+/// table of the `experiments` binary toggles individual phases off to
+/// quantify their contribution.
 #[derive(Debug, Clone)]
 pub struct Options {
     /// Run `canonize` (Alg 1) at all. Off = pure SPNF + matching.

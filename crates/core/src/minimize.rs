@@ -14,7 +14,7 @@ use crate::congruence::Congruence;
 use crate::ctx::Ctx;
 use crate::expr::{Expr, Pred, VarId};
 use crate::hom::entails_pred;
-use crate::spnf::Term;
+use crate::spnf::{Nf, Term};
 use crate::trace::{Rule, StepData};
 
 /// Minimize a term under set semantics (only valid inside a squash).
@@ -53,8 +53,10 @@ pub fn minimize_term(ctx: &mut Ctx, mut t: Term, ambient: &[Pred]) -> Result<Ter
                         // both sides under a squash.
                         let after = t.clone();
                         ctx.trace.record(Rule::Minimize, || StepData::TermRewrite {
-                            before: wrap_squash(before),
-                            after: vec![wrap_squash(after)],
+                            before: Term::squash_of(Nf {
+                                terms: vec![before],
+                            }),
+                            after: vec![Term::squash_of(Nf { terms: vec![after] })],
                             ambient: ambient.to_vec(),
                         });
                     }
@@ -66,13 +68,6 @@ pub fn minimize_term(ctx: &mut Ctx, mut t: Term, ambient: &[Pred]) -> Result<Ter
     }
     t.sort_factors();
     Ok(t)
-}
-
-/// Wrap a term in a squash factor (for recording set-semantics identities).
-fn wrap_squash(t: Term) -> Term {
-    let mut wrapped = Term::one();
-    wrapped.squash = Some(Box::new(crate::spnf::Nf { terms: vec![t] }));
-    wrapped
 }
 
 /// Collapse congruent duplicate atoms (valid under squash: `‖x·x‖ = ‖x‖`).

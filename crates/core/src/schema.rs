@@ -90,11 +90,6 @@ impl Schema {
             .is_some_and(|i| self.nullable.get(i).copied().unwrap_or(false))
     }
 
-    /// Does any attribute admit the NULL tag?
-    pub fn has_nullable_attr(&self) -> bool {
-        self.nullable.iter().any(|&n| n)
-    }
-
     /// Position of an attribute, if declared.
     pub fn attr_index(&self, attr: &str) -> Option<usize> {
         self.attrs.iter().position(|(a, _)| a == attr)

@@ -86,6 +86,14 @@ impl Term {
         }
     }
 
+    /// The term `1 · ‖nf‖`: a squash factor and nothing else.
+    pub fn squash_of(nf: Nf) -> Term {
+        Term {
+            squash: Some(Box::new(nf)),
+            ..Term::one()
+        }
+    }
+
     /// Is this the term `1`?
     pub fn is_one(&self) -> bool {
         self.vars.is_empty()
@@ -556,9 +564,7 @@ pub fn squash_nf(mut nf: Nf) -> Nf {
             return nf;
         }
     }
-    let mut t = Term::one();
-    t.squash = Some(Box::new(nf));
-    Nf::from_term(t)
+    Nf::from_term(Term::squash_of(nf))
 }
 
 fn normalize_not(e: &UExpr, gen: &mut VarGen) -> Nf {

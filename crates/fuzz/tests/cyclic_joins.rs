@@ -1,4 +1,4 @@
-//! Seeded cyclic self-joins of 3–9 atoms in the style of the paper's
+//! Seeded cyclic self-joins of 3–10 atoms in the style of the paper's
 //! timed-out Calcite pair: rotations must be `Proved`, and attribute-swap
 //! and split-cycle mismatches must be `NotProved` and refuted by the
 //! bag-semantics oracle — all within a small step budget, which only
@@ -103,7 +103,7 @@ fn decide(fe: &Frontend, q1: &str, q2: &str) -> Decision {
 }
 
 fn oracle_refutes(fe: &Frontend, q1: &str, q2: &str) -> bool {
-    // Small tables keep a 9-way join cheap to evaluate; a two-valued
+    // Small tables keep a 10-way join cheap to evaluate; a two-valued
     // domain makes equal and unequal attributes both likely.
     let config = udp_eval::GenConfig {
         max_rows: 3,
@@ -126,7 +126,7 @@ fn oracle_refutes(fe: &Frontend, q1: &str, q2: &str) -> bool {
 fn cyclic_self_joins_decide_within_a_small_budget() {
     let fe = udp_sql::prepare_program(DDL).unwrap();
     let mut rng = StdRng::seed_from_u64(0x0c39);
-    for k in 3..=9 {
+    for k in 3..=10 {
         for (round, attr) in ATTRS.into_iter().enumerate() {
             let mut shapes = vec![Shape::Rotation, Shape::AttributeSwap];
             if k >= 4 {

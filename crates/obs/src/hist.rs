@@ -51,11 +51,6 @@ impl Histogram {
         self.buckets[bucket_of(wall)] += 1;
     }
 
-    /// Record one latency observation given in microseconds.
-    pub fn record_us(&mut self, us: u64) {
-        self.buckets[bucket_of_us(us)] += 1;
-    }
-
     /// Total observations.
     pub fn total(&self) -> u64 {
         self.buckets.iter().sum()

@@ -194,17 +194,6 @@ impl Recorder {
         }
     }
 
-    /// Is an active memory session attached?
-    pub fn has_memory(&self) -> bool {
-        self.inner.as_ref().is_some_and(|i| {
-            i.memory
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .as_ref()
-                .is_some_and(MemSession::is_active)
-        })
-    }
-
     /// Is this handle recording?
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()

@@ -161,14 +161,18 @@ fn forced_exhaustion_ends_the_goal_as_a_step_timeout() {
 #[test]
 fn step_cap_is_a_steps_exhaustion() {
     let f = fixture();
-    let pair = cyclic_join_pair(&f, 4);
-    // A tight step cap trips deterministically as `Steps`.
-    let capped = SolveConfig {
-        steps: Some(10_000),
-        wall: None,
-        ..SolveConfig::default()
-    };
-    let verdict = run(&f, &pair, capped).unwrap();
-    assert_eq!(verdict.decision, Decision::Timeout);
-    assert_eq!(verdict.stats.exhausted, Some(Exhausted::Steps));
+    // A step cap trips deterministically as `Steps`: an 8-cycle against two
+    // 4-cycles under a tight cap, and a 12-cycle against two 6-cycles, whose
+    // search outgrows even 300k steps.
+    for (n, steps) in [(4, 10_000), (6, 300_000)] {
+        let pair = cyclic_join_pair(&f, n);
+        let capped = SolveConfig {
+            steps: Some(steps),
+            wall: None,
+            ..SolveConfig::default()
+        };
+        let verdict = run(&f, &pair, capped).unwrap();
+        assert_eq!(verdict.decision, Decision::Timeout, "n = {n}");
+        assert_eq!(verdict.stats.exhausted, Some(Exhausted::Steps), "n = {n}");
+    }
 }

@@ -228,9 +228,12 @@ fn main() -> ExitCode {
         eprintln!("{}", session.stats().render());
     }
 
-    if check_trace && all_proved {
+    // Every `Proved` verdict's trace is replayed, whatever its sibling
+    // goals decided.
+    if check_trace {
         let fe = session.frontend();
-        for v in reports.iter().filter_map(|r| r.verdict()) {
+        let proved = reports.iter().filter_map(|r| r.verdict());
+        for v in proved.filter(|v| v.decision.is_proved()) {
             let report = udp_core::proof::check_trace(&fe.catalog, &fe.constraints, &v.trace, 8);
             if report.ok() {
                 println!(

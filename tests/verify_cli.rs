@@ -1,7 +1,7 @@
 //! End-to-end tests of the `udp-verify` binary on corpus rule files: verdict
-//! lines and exit codes (sequential and `--jobs 2`), `--check-trace`,
-//! `--counterexample`, `--spnf`, full-dialect warnings, unsupported goals,
-//! and usage errors.
+//! lines and exit codes (sequential and `--jobs 2`), `--check-trace` (also
+//! beside an unproved goal), `--counterexample`, `--spnf`, full-dialect
+//! warnings, unsupported goals, and usage errors.
 
 use std::process::{Command, Output};
 
@@ -89,6 +89,34 @@ fn check_trace_revalidates_every_step() {
             );
         }
     }
+}
+
+/// A proved goal's trace is checked even when another goal is not proved:
+/// one `trace check:` line, and the exit code of the unproved goal.
+#[test]
+fn check_trace_checks_proved_goals_beside_an_unproved_one() {
+    let file = format!("{}/check_trace_mixed.sql", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(
+        &file,
+        "schema s(k:int, a:int);\ntable r(s);\n\
+         verify SELECT x.a AS a FROM r x WHERE x.a = 1 AND x.k = 2 \
+             == SELECT y.a AS a FROM r y WHERE y.k = 2 AND y.a = 1;\n\
+         verify SELECT x.a AS a FROM r x WHERE x.a = 1 \
+             == SELECT x.a AS a FROM r x WHERE x.a = 2;\n",
+    )
+    .unwrap();
+    let out = udp_verify(&file, &["--check-trace"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert_eq!(verdicts(&out)[0], "goal 1: Proved");
+    assert_eq!(
+        stdout(&out)
+            .lines()
+            .filter(|l| l.starts_with("trace check: "))
+            .count(),
+        1,
+        "{}",
+        stdout(&out)
+    );
 }
 
 #[test]
