@@ -182,13 +182,6 @@ pub fn ablation_configs() -> Vec<(&'static str, Options)> {
             },
         ),
         (
-            "no-minimize",
-            Options {
-                minimize: false,
-                ..base.clone()
-            },
-        ),
-        (
             "no-constraints",
             Options {
                 use_constraints: false,
@@ -212,7 +205,7 @@ mod tests {
     #[test]
     fn ablation_configs_are_distinct() {
         let configs = ablation_configs();
-        assert_eq!(configs.len(), 6);
+        assert_eq!(configs.len(), 5);
         assert!(configs[1].1.canonize != configs[0].1.canonize);
     }
 

@@ -226,7 +226,7 @@ pub fn canonize_term(
 }
 
 /// Build the congruence closure from ambient + term equalities.
-pub fn build_congruence(ctx: &Ctx, t: &Term, ambient: &[Pred]) -> Congruence {
+fn build_congruence(ctx: &Ctx, t: &Term, ambient: &[Pred]) -> Congruence {
     let _span = ctx.recorder.span(udp_obs::Stage::Congruence);
     let mut cc = Congruence::with_recorder(ctx.recorder.clone());
     if ctx.opts.congruence {

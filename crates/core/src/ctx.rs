@@ -23,9 +23,6 @@ pub struct Options {
     /// Use congruence closure for predicate equivalence (Sec 5.2). Off =
     /// syntactic predicate matching (orientation + exact equality).
     pub congruence: bool,
-    /// Minimize terms inside squashes (SDP). Off = direct hom search on the
-    /// unminimized terms.
-    pub minimize: bool,
     /// Use key / foreign-key identities (Sec 4). Off = ignore constraints.
     pub use_constraints: bool,
     /// Apply the generalized Theorem 4.3 squash introduction.
@@ -37,7 +34,6 @@ impl Default for Options {
         Options {
             canonize: true,
             congruence: true,
-            minimize: true,
             use_constraints: true,
             squash_intro: true,
         }

@@ -7,8 +7,10 @@
 //!   recursive factor equivalence).
 //! * [`sdp_equiv`] — Algorithm 4 (SDP): equivalence of squashed expressions,
 //!   i.e. UCQ set-semantics equivalence — flatten nested squashes
-//!   (Lemma 5.1), canonize, minimize each term, then check mutual
-//!   containment by homomorphisms \[47\].
+//!   (Lemma 5.1), canonize, then check mutual containment by homomorphisms
+//!   \[47\]. Unlike Alg 4, terms are not first minimized to their cores:
+//!   a CQ maps homomorphically into another exactly when its core does, so
+//!   the test is complete without them and minimizing only spends steps.
 
 use crate::budget::Exhausted;
 use crate::canonize::canonize_nf;
@@ -16,7 +18,6 @@ use crate::colour::{colour_terms, Colouring};
 use crate::ctx::Ctx;
 use crate::expr::Pred;
 use crate::hom::{match_terms, match_terms_with, Colours, MatchMode};
-use crate::minimize::minimize_term;
 use crate::spnf::{Nf, Term};
 use crate::trace::{Rule, StepData};
 
@@ -132,19 +133,11 @@ fn tdp_with(
 
 /// Algorithm 4: equivalence of squashed expressions `‖a‖ = ‖b‖`.
 pub fn sdp_equiv(ctx: &mut Ctx, a: &Nf, b: &Nf, ambient: &[Pred]) -> Result<bool, Exhausted> {
-    // Lemma 5.1 flattening + canonization under the squash context.
-    let ca = canonize_nf(ctx, a.clone().flatten_under_squash(), ambient, true)?;
-    let cb = canonize_nf(ctx, b.clone().flatten_under_squash(), ambient, true)?;
-
-    // Minimize every term (core computation).
-    let mut ta = Vec::with_capacity(ca.terms.len());
-    for t in ca.terms {
-        ta.push(minimize_term(ctx, t, ambient)?);
-    }
-    let mut tb = Vec::with_capacity(cb.terms.len());
-    for t in cb.terms {
-        tb.push(minimize_term(ctx, t, ambient)?);
-    }
+    // Lemma 5.1 flattening + canonization under the squash context. The
+    // terms are not minimized to their cores: a homomorphism test decides
+    // CQ containment without them (DESIGN.md §7).
+    let ta = canonize_nf(ctx, a.clone().flatten_under_squash(), ambient, true)?.terms;
+    let tb = canonize_nf(ctx, b.clone().flatten_under_squash(), ambient, true)?.terms;
     // ‖0‖ = 0: both empty ⇒ equal; one empty ⇒ the other must have at least
     // one satisfiable term — conservatively report inequivalence.
     if ta.is_empty() || tb.is_empty() {

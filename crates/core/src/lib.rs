@@ -14,7 +14,8 @@
 //! * **integrity constraints as identities** (Sec 4) and the chase-like
 //!   `canonize` procedure of Algorithm 1 ([`constraints`], [`canonize`]);
 //! * the **UDP / TDP / SDP** decision procedures of Algorithms 2–4
-//!   ([`equiv`], [`hom`], [`minimize`], [`congruence`]);
+//!   ([`equiv`], [`hom`], [`congruence`]), SDP testing containment by
+//!   homomorphisms without Alg 4's minimization to cores;
 //! * the top-level [`decide()`] driver with budgets, proof traces, and
 //!   per-run statistics.
 //!
@@ -60,7 +61,6 @@ pub mod expr;
 pub mod fingerprint;
 pub mod hom;
 pub mod interp;
-pub mod minimize;
 pub mod proof;
 pub mod schema;
 pub mod semiring;

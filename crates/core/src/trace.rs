@@ -41,8 +41,6 @@ pub enum Rule {
     TermMatch,
     /// A homomorphism/containment found by SDP.
     Containment,
-    /// Term minimization (core computation) inside SDP.
-    Minimize,
     /// Top-level term permutation found by UDP.
     Permutation,
     /// Both sides share one canonical form: they differ only by renaming
@@ -65,7 +63,6 @@ impl fmt::Display for Rule {
             Rule::PredEquiv => "predicate equivalence (congruence)",
             Rule::TermMatch => "term isomorphism (TDP)",
             Rule::Containment => "containment homomorphism (SDP)",
-            Rule::Minimize => "term minimization (SDP)",
             Rule::Permutation => "term permutation (UDP)",
             Rule::Identity => "canonical identity (α-renaming, +/× commutativity)",
         };

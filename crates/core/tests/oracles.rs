@@ -7,8 +7,7 @@
 //!   universe;
 //! * homomorphism search vs. enumeration of all variable mappings
 //!   (completeness) and Boolean-model containment (soundness);
-//! * isomorphism search vs. ℕ-model equality (soundness);
-//! * term minimization vs. squash-semantics preservation and idempotence.
+//! * isomorphism search vs. ℕ-model equality (soundness).
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -18,12 +17,10 @@ use udp_core::ctx::Ctx;
 use udp_core::expr::{Expr, Pred, VarId};
 use udp_core::hom::{match_terms, MatchMode};
 use udp_core::interp::{DomainSpec, Interp};
-use udp_core::minimize::minimize_term;
 use udp_core::proof::random_model;
 use udp_core::schema::{Catalog, RelId, Schema, SchemaId, Ty};
 use udp_core::semiring::{Bools, USemiring};
 use udp_core::spnf::{Atom, Term};
-use udp_core::uexpr::UExpr;
 
 fn catalog() -> (Catalog, SchemaId, RelId, RelId) {
     let mut cat = Catalog::new();
@@ -361,38 +358,6 @@ proptest! {
         let v1 = eval_term(&interp, sid, &t1);
         let v2 = eval_term(&interp, sid, &t2);
         prop_assert_eq!(v1, v2, "iso reported for ℕ-inequal terms:\n  {}\n  {}", t1, t2);
-    }
-
-    /// Minimization (SDP's `minimize`) is idempotent and preserves the
-    /// squash semantics `‖t‖` on random models.
-    #[test]
-    fn minimize_is_idempotent_and_squash_preserving(
-        bytes in proptest::collection::vec(any::<u8>(), 8..24),
-        seed in 0u64..500,
-    ) {
-        let (cat, sid, r, s) = catalog();
-        let cs = udp_core::constraints::ConstraintSet::new();
-        let t = random_cq_term(&bytes, sid, [r, s]);
-        let mut ctx = Ctx::new(&cat, &cs).with_budget(Budget::steps(2_000_000));
-        ctx.gen.reserve(VarId(64));
-        let Ok(m1) = minimize_term(&mut ctx, t.clone(), &[]) else { return Ok(()) };
-        let Ok(m2) = minimize_term(&mut ctx, m1.clone(), &[]) else { return Ok(()) };
-        prop_assert_eq!(&m1, &m2, "minimize not idempotent on {}", t);
-        let interp = random_model(&cat, &cs, &DomainSpec { ints: vec![0, 1], strs: vec![] }, seed);
-        let squash = |term: &Term| {
-            let domain = interp.domains.get(&sid).cloned().unwrap_or_default();
-            domain
-                .iter()
-                .map(|out| {
-                    let env = BTreeMap::from([(VarId(0), out.clone())]);
-                    interp.eval_uexpr(&UExpr::squash(term.to_uexpr()), &env)
-                })
-                .collect::<Vec<udp_core::semiring::Nat>>()
-        };
-        prop_assert_eq!(
-            squash(&t), squash(&m1),
-            "minimize changed ‖t‖ for {}", t
-        );
     }
 }
 

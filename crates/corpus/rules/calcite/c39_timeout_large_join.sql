@@ -3,7 +3,7 @@
 -- categories: ucq
 -- expect: not-proved
 -- cosette: expressible
--- note: Two 9-way cyclic self-joins, one equated on deptno and one on empno. The paper reports a timeout (no result after 30 minutes); colour refinement of the equality classes refutes the pair before any bijection search.
+-- note: Two 9-way cyclic self-joins, one equated on deptno and one on empno. The paper reports a timeout (no result after 30 minutes); colour refinement of the equality classes rules out every bijection before any search, so the verdict is NotProved(NoProofFound) — no proof found, which is not a refutation.
 schema emp_s(empno:int, deptno:int, sal:int);
 schema dept_s(deptno:int, dname:string);
 table emp(emp_s);

@@ -71,7 +71,7 @@ impl Source {
 
 impl fmt::Display for Source {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+        f.pad(match self {
             Source::Literature => "Literature",
             Source::Calcite => "Calcite",
             Source::Bugs => "Bugs",
@@ -378,6 +378,11 @@ pub struct RuleOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn source_display_honours_width() {
+        assert_eq!(format!("{:<12}|", Source::Bugs), "Bugs        |");
+    }
 
     #[test]
     fn parse_rule_header() {

@@ -149,18 +149,6 @@ pub fn check_program_in(
     dialect: udp_sql::Dialect,
     trials: usize,
 ) -> Result<SearchResult, String> {
-    check_program_in_with(text, dialect, trials, &Recorder::disabled())
-}
-
-/// [`check_program_in`] recording the search on `recorder`. Parsing and
-/// frontend construction are deliberately outside the probe — only the
-/// database-generation/evaluation loop is counterexample-search time.
-pub fn check_program_in_with(
-    text: &str,
-    dialect: udp_sql::Dialect,
-    trials: usize,
-    recorder: &Recorder,
-) -> Result<SearchResult, String> {
     let program = udp_sql::parse_program_with(text, dialect).map_err(|e| e.to_string())?;
     let fe = udp_sql::build_frontend(&program).map_err(|e| e.to_string())?;
     let (q1, q2) = fe.goals.first().cloned().ok_or("no verify goal")?;
@@ -170,7 +158,7 @@ pub fn check_program_in_with(
         &q2,
         trials,
         &GenConfig::default(),
-        recorder,
+        &Recorder::disabled(),
     ))
 }
 

@@ -18,8 +18,8 @@ pub mod eval;
 pub mod gen;
 
 pub use counterexample::{
-    check_program, check_program_in, check_program_in_with, differs_on, find_counterexample,
-    find_counterexample_seeded, find_counterexample_with, CounterExample, SearchResult,
+    check_program, check_program_in, differs_on, find_counterexample, find_counterexample_seeded,
+    find_counterexample_with, CounterExample, SearchResult,
 };
 pub use db::{Database, ResultBag, Row, Table};
 pub use eval::{eval_query, EvalError};

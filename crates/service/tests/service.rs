@@ -4,6 +4,7 @@
 use std::time::Duration;
 use udp_core::Decision;
 use udp_service::{Session, SessionConfig};
+use udp_sql::Dialect;
 
 const DDL: &str = "schema rs(k:int, a:int, b:int);\nschema ss(k2:int, c:int);\n\
                    table r(rs);\ntable s(ss);\nkey r(k);\n";
@@ -232,6 +233,34 @@ fn timeout_verdicts_are_not_cached() {
         !second[0].cached,
         "the goal must re-run, not replay the Timeout"
     );
+}
+
+/// A goal that proves in under 1,000 steps only because SDP tests
+/// containment without first minimizing terms to their cores (a shrunk
+/// seed-11 udpbench stream goal; with minimization it needs 1,152 steps).
+#[test]
+fn sdp_goal_proves_within_a_thousand_steps() {
+    let program = "schema s0(k:int, a:int?, b:int?, c:int);\n\
+        table t0(s0);\ntable t2(s0);\nkey t2(k);\n\
+        foreign key t2(a) references t0(k);\n\
+        verify (SELECT x2.b AS u0 FROM t2 x2 WHERE (x2.b IS NOT NULL AND x2.c = x2.b)) \
+        UNION ALL (SELECT SUM(x3.k) AS u0 FROM t2 x3 WHERE (x3.b < x3.k AND \
+        EXISTS (SELECT * FROM t2 x4 WHERE x4.b = x3.k)) GROUP BY x3.k) \
+        == (SELECT x2.b AS u0 FROM (SELECT * FROM t2 x2 WHERE x2.b IS NOT NULL) x2 \
+        WHERE x2.c = x2.b) UNION ALL (SELECT SUM(x3.k) AS u0 FROM t2 x3 WHERE \
+        (x3.b < x3.k AND EXISTS (SELECT * FROM t2 x4 WHERE x4.b = x3.k)) GROUP BY x3.k);\n";
+    let config = SessionConfig {
+        workers: 1,
+        steps: Some(1000),
+        wall: Some(Duration::from_secs(60)),
+        dialect: Dialect::Full,
+        ..SessionConfig::default()
+    };
+    let reports = Session::new(program, config)
+        .unwrap()
+        .verify_program_goals();
+    assert_eq!(reports.len(), 1);
+    assert_eq!(reports[0].verdict().unwrap().decision, Decision::Proved);
 }
 
 #[test]

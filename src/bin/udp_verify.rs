@@ -13,7 +13,7 @@
 //! verdict cache, printing one verdict line per goal. Every flag runs on
 //! that one session: `--trace` prints the recorded proof script,
 //! `--check-trace` replays it through the independent checker,
-//! `--counterexample` hunts for a refuting database when no proof is found,
+//! `--counterexample` hunts for a refuting database for every unproved goal,
 //! `--spnf` prints each goal's lowered U-expressions in sum-product normal
 //! form, `--extended` enables the Sec 6.4 dialect extensions (set-semantics
 //! UNION, INTERSECT, VALUES, CASE, NATURAL JOIN), and `--full` additionally
@@ -47,6 +47,7 @@
 
 use std::process::ExitCode;
 use std::time::Duration;
+use udp_eval::SearchResult;
 use udp_obs::{ObsOutputs, TrackingAlloc};
 use udp_service::{GoalError, Session, SessionConfig};
 
@@ -250,17 +251,33 @@ fn main() -> ExitCode {
     }
 
     if counterexample && !all_proved {
-        // The search records `Stage::Counterexample` inside udp-eval itself
-        // (single-writer rule) — no wrapper timing here.
-        match udp_eval::check_program_in_with(&text, dialect, 500, &recorder) {
-            Ok(udp_eval::SearchResult::Refuted(ce)) => {
-                println!("{}", ce.render(session.frontend()));
-            }
-            Ok(udp_eval::SearchResult::NoCounterexample { trials }) => {
-                println!("no counterexample in {trials} random databases (inconclusive)");
-            }
-            Ok(udp_eval::SearchResult::Inconclusive(e)) => {
-                println!("model checker inconclusive: {e}");
+        // The model checker evaluates the parsed queries, not the session's
+        // lowered ones: parse the program once for it, then search every
+        // goal that was not proved. The search records
+        // `Stage::Counterexample` inside udp-eval itself (single-writer
+        // rule) — no wrapper timing here.
+        let parsed = udp_sql::parse_program_with(&text, dialect)
+            .map_err(|e| e.to_string())
+            .and_then(|p| udp_sql::build_frontend(&p).map_err(|e| e.to_string()));
+        match parsed {
+            Ok(fe) => {
+                let gen = udp_eval::GenConfig::default();
+                let unproved = reports
+                    .iter()
+                    .filter(|r| !r.verdict().is_some_and(|v| v.decision.is_proved()));
+                for r in unproved {
+                    let (q1, q2) = &fe.goals[r.index];
+                    let found =
+                        udp_eval::find_counterexample_with(&fe, q1, q2, 500, &gen, &recorder);
+                    let line = match found {
+                        SearchResult::Refuted(ce) => ce.render(&fe),
+                        SearchResult::NoCounterexample { trials } => {
+                            format!("no counterexample in {trials} random databases (inconclusive)")
+                        }
+                        SearchResult::Inconclusive(e) => format!("model checker inconclusive: {e}"),
+                    };
+                    println!("goal {}: {line}", r.index + 1);
+                }
             }
             Err(e) => eprintln!("model checker error: {e}"),
         }

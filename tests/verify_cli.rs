@@ -1,7 +1,7 @@
 //! End-to-end tests of the `udp-verify` binary on corpus rule files: verdict
 //! lines and exit codes (sequential and `--jobs 2`), `--check-trace` (also
-//! beside an unproved goal), `--counterexample`, `--spnf`, full-dialect
-//! warnings, unsupported goals, and usage errors.
+//! beside an unproved goal), `--counterexample` (on every unproved goal),
+//! `--spnf`, full-dialect warnings, unsupported goals, and usage errors.
 
 use std::process::{Command, Output};
 
@@ -127,6 +127,35 @@ fn counterexample_refutes_the_count_bug() {
     assert!(text.contains("counterexample (seed"), "{text}");
     assert!(text.contains("left  ⇒"), "{text}");
     assert!(text.contains("right ⇒"), "{text}");
+}
+
+#[test]
+fn counterexample_searches_every_unproved_goal() {
+    let file = format!(
+        "{}/counterexample_second_goal.sql",
+        env!("CARGO_TARGET_TMPDIR")
+    );
+    std::fs::write(
+        &file,
+        "schema rs(k:int, a:int);\ntable r(rs);\n\
+         verify SELECT * FROM r x == SELECT * FROM r y;\n\
+         verify SELECT x.a AS a FROM r x == SELECT DISTINCT x.a AS a FROM r x;\n",
+    )
+    .unwrap();
+    let out = udp_verify(&file, &["--counterexample"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert_eq!(
+        verdicts(&out),
+        ["goal 1: Proved", "goal 2: NotProved(NoProofFound)"]
+    );
+    assert!(
+        text.lines()
+            .any(|l| l.starts_with("goal 2: counterexample (seed")),
+        "{text}"
+    );
+    assert!(!text.contains("goal 1: counterexample"), "{text}");
+    assert!(!text.contains("no counterexample"), "{text}");
 }
 
 #[test]
