@@ -125,3 +125,11 @@ verify
 SELECT x.k AS g, SUM(x.a) AS v FROM r x, s y WHERE x.k = y.k2 GROUP BY x.k HAVING COUNT(*) > 1
 ==
 SELECT x.k AS g, SUM(x.a) AS v FROM (SELECT * FROM r x2) x, s y WHERE x.k = y.k2 GROUP BY x.k HAVING COUNT(*) > 1;
+
+-- The fingerprint path: an aggregate body holding a UNION ALL of two joins
+-- (commuted, with the join operands swapped) under GROUP BY … HAVING
+-- COUNT(*) > 1. Its body renders in several colouring contexts per form.
+verify
+SELECT u.k AS g, COUNT(*) AS n FROM (SELECT x.k AS k FROM r x, s y WHERE x.k = y.k2 UNION ALL SELECT z.k AS k FROM r2 z, s w WHERE z.a = w.k2) u GROUP BY u.k HAVING COUNT(*) > 1
+==
+SELECT u.k AS g, COUNT(*) AS n FROM (SELECT z.k AS k FROM s w, r2 z WHERE w.k2 = z.a UNION ALL SELECT x.k AS k FROM s y, r x WHERE y.k2 = x.k) u GROUP BY u.k HAVING COUNT(*) > 1;

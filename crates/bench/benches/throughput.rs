@@ -9,7 +9,8 @@
 //! on a warm verdict cache, then the `udp-obs` recorder's overhead (enabled
 //! vs the default disabled handle) and the allocation tracker's overhead
 //! over a plain enabled recorder, both on the uncached 1-worker workload.
-//! These are single-shot numbers; timed claims belong to the repo
+//! One unmeasured batch warms the process first, and each rate is the best
+//! of `REPS` fresh sessions. Timed claims still belong to the repo
 //! benchmark (`udpbench/`).
 //!
 //! The bench also sweeps the evaluation corpus under one enabled,
@@ -93,6 +94,8 @@ fn session_with_recorder(workers: usize, cache: usize, recorder: Recorder) -> Se
 }
 
 const GOALS: usize = 240;
+/// Timed runs per configuration; each rate is the best of them.
+const REPS: usize = 3;
 
 /// Workload rate (goals/s) of one `verify_batch` call on `session`.
 fn rate(session: &Session, goals: &[(Query, Query)]) -> f64 {
@@ -110,12 +113,14 @@ fn main() {
     let mut counts = vec![1, (max_workers / 2).max(2), max_workers];
     counts.dedup();
 
-    let mut rates = Vec::new();
-    for &workers in &counts {
-        let session = session_with(workers, 0);
-        let goals = workload(&session, GOALS);
-        rates.push((workers, rate(&session, &goals)));
-    }
+    // Warm-up: without it the first timed batch, the 1-worker baseline,
+    // also pays for cold code and a cold allocator.
+    let session = session_with(1, 0);
+    session.verify_batch(&workload(&session, GOALS));
+    let rates: Vec<(usize, f64)> = counts
+        .iter()
+        .map(|&workers| (workers, best_rate(workers, &Recorder::disabled())))
+        .collect();
     let base = rates[0].1;
     for (workers, rate) in &rates {
         println!(
@@ -137,13 +142,12 @@ fn main() {
     obs_summary();
 }
 
-/// Best-of-`reps` workload rate (goals/s) under a given recorder, 1 worker,
-/// no cache — the configuration where per-goal instrumentation cost is most
-/// visible (nothing amortizes over threads or cache hits).
-fn obs_rate(reps: usize, recorder: &Recorder) -> f64 {
+/// Best-of-`REPS` workload rate (goals/s) at `workers` workers under
+/// `recorder`, no cache, each run on a fresh session.
+fn best_rate(workers: usize, recorder: &Recorder) -> f64 {
     let mut best = 0.0f64;
-    for _ in 0..reps {
-        let session = session_with_recorder(1, 0, recorder.clone());
+    for _ in 0..REPS {
+        let session = session_with_recorder(workers, 0, recorder.clone());
         let goals = workload(&session, GOALS);
         best = best.max(rate(&session, &goals));
     }
@@ -151,7 +155,7 @@ fn obs_rate(reps: usize, recorder: &Recorder) -> f64 {
 }
 
 /// Verify every corpus rule in its own uncached session under `recorder`,
-/// its goals labelled by rule name (`calcite/… goal 0`). Rules outside the
+/// its goals labelled by rule name (`calcite/… goal 1`). Rules outside the
 /// fragment are skipped.
 fn corpus_sweep(recorder: &Recorder) {
     for rule in all_rules() {
@@ -165,18 +169,19 @@ fn corpus_sweep(recorder: &Recorder) {
     }
 }
 
-/// Recorder and tracking overhead on the uncached workload, printed to
-/// stdout, then the corpus sweep's snapshot written to `BENCH.json`.
+/// Recorder and tracking overhead on the uncached 1-worker workload — the
+/// configuration where per-goal instrumentation cost is most visible
+/// (nothing amortizes over threads or cache hits) — printed to stdout, then
+/// the corpus sweep's snapshot written to `BENCH.json`.
 fn obs_summary() {
-    const REPS: usize = 3;
-    let disabled_rate = obs_rate(REPS, &Recorder::disabled());
-    let enabled_rate = obs_rate(REPS, &Recorder::enabled());
+    let disabled_rate = best_rate(1, &Recorder::disabled());
+    let enabled_rate = best_rate(1, &Recorder::enabled());
     // The tracking recorder, and with it the process-wide memory session,
     // must drop before the corpus sweep opens its own.
     let tracking_rate = {
         let tracking = Recorder::enabled();
         tracking.track_memory();
-        obs_rate(REPS, &tracking)
+        best_rate(1, &tracking)
     };
 
     let outputs = ObsOutputs {

@@ -31,14 +31,36 @@
 //! Canonicalization is *sound but not complete*: alpha-equivalent queries
 //! with highly symmetric self-joins may receive different canonical forms
 //! (costing a cache hit or a shortcut, never a wrong verdict).
+//!
+//! # Cost
+//!
+//! The service renders both forms of every goal before any proving, so
+//! their cost lands on every served goal. Rendering a term whose factors
+//! are `f_1 … f_n` costs:
+//!
+//! * one allocation-free occurrence walk over the factors, recording which
+//!   of the term's binders each one mentions (a factor carrying a literal
+//!   `§` counts as mentioning every binder);
+//! * for each binder, one rendering of each factor that mentions it: the
+//!   binder's colour;
+//! * one final rendering of each factor once the binders are numbered.
+//!
+//! So factor `f_i` renders `1 + m_i` times, `m_i` the number of binders it
+//! mentions, where colouring from every factor would cost `1 + B` for `B`
+//! binders. An aggregate body renders at most once per distinct context
+//! within one form — the body's identity, the next free canonical id and
+//! the state of each of its free variables — and every other occurrence
+//! appends the memoized text. Renderers append to one output buffer; text
+//! that must be sorted before it is emitted goes through scratch strings
+//! that are reused, so a form allocates little beyond its own text.
 
 use crate::decide::QueryU;
-use crate::expr::{Expr, Pred, VarId};
-use crate::schema::{Catalog, SchemaId};
-use crate::spnf::{normalize, Nf, Term};
+use crate::expr::{AggBody, Expr, Pred, Value, VarId};
+use crate::schema::{Catalog, RelId, SchemaId};
+use crate::spnf::{normalize, Atom, Nf, Term};
 use crate::uexpr::UExpr;
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// A 128-bit hash of a query's canonical form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -77,10 +99,16 @@ pub fn canonical_form_nf(catalog: &Catalog, nf: &Nf, out: VarId, schema: SchemaI
         catalog,
         env: HashMap::new(),
         next: 0,
+        bodies: HashMap::new(),
+        key: Vec::new(),
+        pool: Vec::new(),
     };
     cx.bind(out); // the output variable is canonical id 0
-    let body = cx.render_nf(nf);
-    format!("λ{}:{}. {}", 0, schema_desc(catalog, schema), body)
+    let mut form = String::from("λ0:");
+    schema_desc(catalog, schema, &mut form);
+    form.push_str(". ");
+    cx.nf(nf, &mut form);
+    form
 }
 
 /// Fingerprint of a query: a 128-bit hash of [`canonical_form`].
@@ -97,16 +125,14 @@ pub fn fingerprint_form(form: &str) -> Fingerprint {
 /// Render a schema by content: `{a:Int,b:Str?}`, with `?` marking a
 /// nullable attribute (its summation domain also holds the NULL tag) and
 /// `,??` when open.
-fn schema_desc(catalog: &Catalog, id: SchemaId) -> String {
+fn schema_desc(catalog: &Catalog, id: SchemaId, out: &mut String) {
     let s = catalog.schema(id);
-    let mut out = String::from("{");
+    out.push('{');
     for (i, (name, ty)) in s.attrs.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(name);
-        out.push(':');
-        out.push_str(&format!("{ty:?}"));
+        let _ = write!(out, "{name}:{ty:?}");
         if s.nullable.get(i).copied().unwrap_or(false) {
             out.push('?');
         }
@@ -115,16 +141,26 @@ fn schema_desc(catalog: &Catalog, id: SchemaId) -> String {
         out.push_str(",??");
     }
     out.push('}');
-    out
 }
 
 /// Rendering context: maps numbered variables to canonical ids. Variables
 /// absent from `env` are term-bound but not yet numbered; they render as the
 /// mask `?` (or `§` for the variable currently being colored).
+///
+/// Every renderer appends to an `out` buffer. Text that must be sorted
+/// before it is emitted (factors, summands, the operands of `=`, `≠`, `+`
+/// and `·`) is rendered into scratch strings drawn from `pool` and handed
+/// back after use, so a form allocates little beyond its own text.
 struct Canon<'a> {
     catalog: &'a Catalog,
     env: HashMap<VarId, u32>,
     next: u32,
+    /// Aggregate-body renderings, keyed by `Canon::agg_body`.
+    bodies: HashMap<Box<[u32]>, String>,
+    /// Scratch buffer for building a `bodies` key.
+    key: Vec<u32>,
+    /// Cleared scratch strings, reused by `take`.
+    pool: Vec<String>,
 }
 
 /// Sentinel for the binder currently being colored (renders `§`).
@@ -135,6 +171,9 @@ const SELF_MARK: u32 = u32::MAX;
 /// — two queries differing only in which free variable they mention must
 /// not share a canonical form.
 const MASK: u32 = u32::MAX - 1;
+/// A free variable's state in an aggregate-body memo key (`env` has no
+/// entry for it, so it renders `fN`).
+const FREE: u32 = u32::MAX - 2;
 
 impl<'a> Canon<'a> {
     fn bind(&mut self, v: VarId) -> u32 {
@@ -144,19 +183,66 @@ impl<'a> Canon<'a> {
         id
     }
 
-    fn render_nf(&mut self, nf: &Nf) -> String {
-        let mut terms: Vec<String> = nf.terms.iter().map(|t| self.render_term(t)).collect();
-        terms.sort();
-        if terms.is_empty() {
-            "0".into()
-        } else {
-            terms.join(" + ")
+    /// An empty scratch string.
+    fn take(&mut self) -> String {
+        self.pool.pop().unwrap_or_default()
+    }
+
+    /// Hand scratch strings back to the pool.
+    fn recycle(&mut self, parts: impl IntoIterator<Item = String>) {
+        for mut part in parts {
+            part.clear();
+            self.pool.push(part);
         }
+    }
+
+    /// Append `parts` joined by `sep`, recycling them.
+    fn join(&mut self, parts: Vec<String>, sep: &str, out: &mut String) {
+        for (i, part) in parts.iter().enumerate() {
+            if i > 0 {
+                out.push_str(sep);
+            }
+            out.push_str(part);
+        }
+        self.recycle(parts);
+    }
+
+    /// Append `x` and `y` in sorted order, `sep` between them, recycling
+    /// both.
+    fn join_sorted(&mut self, x: String, y: String, sep: &str, out: &mut String) {
+        let (x, y) = if x > y { (y, x) } else { (x, y) };
+        out.push_str(&x);
+        out.push_str(sep);
+        out.push_str(&y);
+        self.recycle([x, y]);
+    }
+
+    fn nf(&mut self, nf: &Nf, out: &mut String) {
+        if nf.terms.is_empty() {
+            out.push('0');
+            return;
+        }
+        let mut terms = Vec::with_capacity(nf.terms.len());
+        for t in &nf.terms {
+            let mut s = self.take();
+            self.term(t, &mut s);
+            terms.push(s);
+        }
+        terms.sort();
+        self.join(terms, " + ", out);
+    }
+
+    /// An atom `R(e)`.
+    fn atom(&mut self, rel: RelId, arg: &Expr, out: &mut String) {
+        out.push_str(&self.catalog.relation(rel).name);
+        out.push('(');
+        self.expr(arg, out);
+        out.push(')');
     }
 
     /// Canonicalize one SPNF term: color its binders, number them, then
     /// render all factors under the extended environment, sorted.
-    fn render_term(&mut self, t: &Term) -> String {
+    fn term(&mut self, t: &Term, out: &mut String) {
         let saved_env = self.env.clone();
         let saved_next = self.next;
 
@@ -168,36 +254,26 @@ impl<'a> Canon<'a> {
         for v in &bound {
             self.env.insert(*v, MASK);
         }
+        // Only a factor that mentions the binder can render `§` — except
+        // one carrying a literal `§`, which `Mentions` marks as mentioning
+        // every binder. So the loop renders each factor only for the
+        // binders it mentions and keeps exactly the renderings that a loop
+        // over every factor would.
+        let mentions = Mentions::of(self.catalog, t);
         let mut colored: Vec<(Vec<String>, usize, VarId)> = Vec::with_capacity(bound.len());
         for (i, v) in bound.iter().enumerate() {
             let mut color = Vec::new();
             self.env.insert(*v, SELF_MARK); // render as `§`
-            for p in &t.preds {
-                let r = self.render_pred(p);
+            for (f, factor) in factors(t).enumerate() {
+                if !mentions.has(f, i) {
+                    continue;
+                }
+                let mut r = self.take();
+                self.factor(factor, true, &mut r);
                 if r.contains('§') {
                     color.push(r);
-                }
-            }
-            for a in &t.atoms {
-                let r = format!(
-                    "{}({})",
-                    self.catalog.relation(a.rel).name,
-                    self.render_expr(&a.arg)
-                );
-                if r.contains('§') {
-                    color.push(r);
-                }
-            }
-            if let Some(nf) = &t.squash {
-                let r = self.render_nf_masked(nf);
-                if r.contains('§') {
-                    color.push(format!("‖{r}‖"));
-                }
-            }
-            if let Some(nf) = &t.negation {
-                let r = self.render_nf_masked(nf);
-                if r.contains('§') {
-                    color.push(format!("¬({r})"));
+                } else {
+                    self.recycle([r]);
                 }
             }
             self.env.insert(*v, MASK);
@@ -209,195 +285,250 @@ impl<'a> Canon<'a> {
         }
         // Number binders by (color, original position) — the positional
         // tie-break only fires between same-colored (symmetric) binders,
-        // where either choice renders identically.
+        // where either choice renders identically. Ids are handed out in
+        // that order, so the `Σ{…}` list below is sorted by id.
         colored.sort();
-        let mut binders: Vec<(u32, String)> = Vec::with_capacity(colored.len());
-        for (_, i, v) in &colored {
-            let id = self.bind(*v);
-            binders.push((id, schema_desc(self.catalog, t.vars[*i].1)));
-        }
-        binders.sort();
-
-        let mut factors: Vec<String> = Vec::new();
-        for p in &t.preds {
-            factors.push(self.render_pred(p));
-        }
-        for a in &t.atoms {
-            factors.push(format!(
-                "{}({})",
-                self.catalog.relation(a.rel).name,
-                self.render_expr(&a.arg)
-            ));
-        }
-        factors.sort();
-        if let Some(nf) = &t.squash {
-            factors.push(format!("‖{}‖", self.render_nf(nf)));
-        }
-        if let Some(nf) = &t.negation {
-            factors.push(format!("¬({})", self.render_nf(nf)));
-        }
-
-        let mut out = String::new();
-        if !binders.is_empty() {
+        if !colored.is_empty() {
             out.push_str("Σ{");
-            for (i, (id, desc)) in binders.iter().enumerate() {
-                if i > 0 {
+            for (n, (color, i, v)) in colored.into_iter().enumerate() {
+                let id = self.bind(v);
+                if n > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!("{id}:{desc}"));
+                let _ = write!(out, "{id}:");
+                schema_desc(self.catalog, t.vars[i].1, out);
+                self.recycle(color);
             }
             out.push_str("} ");
         }
-        if factors.is_empty() {
+
+        // Predicates and atoms sorted, then the squash and the negation.
+        let mut rendered = Vec::with_capacity(t.preds.len() + t.atoms.len() + 2);
+        for factor in factors(t) {
+            let mut s = self.take();
+            self.factor(factor, false, &mut s);
+            rendered.push(s);
+        }
+        rendered[..t.preds.len() + t.atoms.len()].sort();
+        if rendered.is_empty() {
             out.push('1');
         } else {
-            out.push_str(&factors.join("·"));
+            self.join(rendered, "·", out);
         }
 
         self.env = saved_env;
         self.next = saved_next;
-        out
+    }
+
+    /// Render one factor. `masked` renders a nested normal form as the
+    /// coloring loop does, with its binders unnumbered.
+    fn factor(&mut self, factor: Factor<'_>, masked: bool, out: &mut String) {
+        let (nf, open, close) = match factor {
+            Factor::Pred(p) => return self.pred(p, out),
+            Factor::Atom(a) => return self.atom(a.rel, &a.arg, out),
+            Factor::Squash(nf) => (nf, "‖", "‖"),
+            Factor::Negation(nf) => (nf, "¬(", ")"),
+        };
+        out.push_str(open);
+        if masked {
+            self.nf_masked(nf, out);
+        } else {
+            self.nf(nf, out);
+        }
+        out.push_str(close);
     }
 
     /// Render a nested normal form during coloring, without numbering its
     /// binders (they render masked).
-    fn render_nf_masked(&mut self, nf: &Nf) -> String {
-        let mut terms: Vec<String> = nf
-            .terms
-            .iter()
-            .map(|t| {
-                // The nested term's own binders are alpha-renameable: mask
-                // them so they cannot leak as free variables.
-                for (v, _) in &t.vars {
-                    self.env.insert(*v, MASK);
-                }
-                let mut factors: Vec<String> = Vec::new();
-                for p in &t.preds {
-                    factors.push(self.render_pred(p));
-                }
-                for a in &t.atoms {
-                    factors.push(format!(
-                        "{}({})",
-                        self.catalog.relation(a.rel).name,
-                        self.render_expr(&a.arg)
-                    ));
-                }
-                if let Some(inner) = &t.squash {
-                    factors.push(format!("‖{}‖", self.render_nf_masked(inner)));
-                }
-                if let Some(inner) = &t.negation {
-                    factors.push(format!("¬({})", self.render_nf_masked(inner)));
-                }
-                for (v, _) in &t.vars {
-                    self.env.remove(v);
-                }
-                factors.sort();
-                factors.join("·")
-            })
-            .collect();
+    fn nf_masked(&mut self, nf: &Nf, out: &mut String) {
+        let mut terms = Vec::with_capacity(nf.terms.len());
+        for t in &nf.terms {
+            // The nested term's own binders are alpha-renameable: mask
+            // them so they cannot leak as free variables.
+            for (v, _) in &t.vars {
+                self.env.insert(*v, MASK);
+            }
+            let mut rendered = Vec::with_capacity(t.preds.len() + t.atoms.len() + 2);
+            for factor in factors(t) {
+                let mut s = self.take();
+                self.factor(factor, true, &mut s);
+                rendered.push(s);
+            }
+            for (v, _) in &t.vars {
+                self.env.remove(v);
+            }
+            rendered.sort();
+            let mut s = self.take();
+            self.join(rendered, "·", &mut s);
+            terms.push(s);
+        }
         terms.sort();
-        terms.join(" + ")
+        self.join(terms, " + ", out);
     }
 
-    fn render_pred(&mut self, p: &Pred) -> String {
+    /// An expression rendered into a scratch string.
+    fn expr_text(&mut self, e: &Expr) -> String {
+        let mut s = self.take();
+        self.expr(e, &mut s);
+        s
+    }
+
+    fn pred(&mut self, p: &Pred, out: &mut String) {
         match p {
-            Pred::Eq(a, b) => {
-                let (mut x, mut y) = (self.render_expr(a), self.render_expr(b));
-                if x > y {
-                    std::mem::swap(&mut x, &mut y);
-                }
-                format!("[{x}={y}]")
-            }
-            Pred::Ne(a, b) => {
-                let (mut x, mut y) = (self.render_expr(a), self.render_expr(b));
-                if x > y {
-                    std::mem::swap(&mut x, &mut y);
-                }
-                format!("[{x}≠{y}]")
-            }
+            Pred::Eq(a, b) => self.comparison(a, b, "=", out),
+            Pred::Ne(a, b) => self.comparison(a, b, "≠", out),
             Pred::Lift {
                 name,
                 args,
                 negated,
             } => {
-                let args: Vec<String> = args.iter().map(|e| self.render_expr(e)).collect();
-                format!(
-                    "[{}{}({})]",
-                    if *negated { "¬" } else { "" },
-                    name,
-                    args.join(",")
-                )
+                out.push('[');
+                if *negated {
+                    out.push('¬');
+                }
+                out.push_str(name);
+                out.push('(');
+                self.exprs(args, out);
+                out.push_str(")]");
             }
         }
     }
 
-    fn render_expr(&mut self, e: &Expr) -> String {
+    /// `[a op b]`, operands sorted.
+    fn comparison(&mut self, a: &Expr, b: &Expr, op: &str, out: &mut String) {
+        let (x, y) = (self.expr_text(a), self.expr_text(b));
+        out.push('[');
+        self.join_sorted(x, y, op, out);
+        out.push(']');
+    }
+
+    /// Comma-separated expressions.
+    fn exprs(&mut self, args: &[Expr], out: &mut String) {
+        for (i, e) in args.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            self.expr(e, out);
+        }
+    }
+
+    fn expr(&mut self, e: &Expr, out: &mut String) {
         match e {
             Expr::Var(v) => match self.env.get(v) {
-                Some(&SELF_MARK) => "§".into(),
-                Some(&MASK) => "?".into(),
-                Some(id) => format!("t{id}"),
+                Some(&SELF_MARK) => out.push('§'),
+                Some(&MASK) => out.push('?'),
+                Some(id) => {
+                    let _ = write!(out, "t{id}");
+                }
                 // Genuinely free: identity is semantic, render it verbatim.
-                None => format!("f{}", v.0),
+                None => {
+                    let _ = write!(out, "f{}", v.0);
+                }
             },
-            Expr::Attr(base, a) => format!("{}.{a}", self.render_expr(base)),
-            Expr::Const(c) => format!("{c}"),
+            Expr::Attr(base, a) => {
+                self.expr(base, out);
+                out.push('.');
+                out.push_str(a);
+            }
+            Expr::Const(c) => {
+                let _ = write!(out, "{c}");
+            }
             Expr::App(f, args) => {
-                let args: Vec<String> = args.iter().map(|e| self.render_expr(e)).collect();
-                format!("{f}({})", args.join(","))
+                out.push_str(f);
+                out.push('(');
+                self.exprs(args, out);
+                out.push(')');
             }
-            Expr::Agg(name, body) => format!("{name}({})", self.render_uexpr(body)),
+            Expr::Agg(name, body) => {
+                out.push_str(name);
+                out.push('(');
+                self.agg_body(body, out);
+                out.push(')');
+            }
             Expr::Record(fields) => {
-                let fields: Vec<String> = fields
-                    .iter()
-                    .map(|(n, e)| format!("{n}={}", self.render_expr(e)))
-                    .collect();
-                format!("⟨{}⟩", fields.join(","))
+                out.push('⟨');
+                for (i, (n, e)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    out.push_str(n);
+                    out.push('=');
+                    self.expr(e, out);
+                }
+                out.push('⟩');
             }
-            Expr::Concat(l, s, r) => format!(
-                "({}⧺{}:{})",
-                self.render_expr(l),
-                schema_desc(self.catalog, *s),
-                self.render_expr(r)
-            ),
+            Expr::Concat(l, s, r) => {
+                out.push('(');
+                self.expr(l, out);
+                out.push('⧺');
+                schema_desc(self.catalog, *s, out);
+                out.push(':');
+                self.expr(r, out);
+                out.push(')');
+            }
         }
+    }
+
+    /// Render an aggregate body, at most once per distinct context. A
+    /// rendering reads only the body, `next` (the first id its own binders
+    /// take) and the `env` state of each of its free variables (its bound
+    /// ones are rebound inside), so a memo hit under the same key appends
+    /// exactly the text a fresh rendering would.
+    fn agg_body(&mut self, body: &AggBody, out: &mut String) {
+        // Identity is the shared allocation: every body reachable from the
+        // normal form outlives this `Canon`, so no address is reused.
+        let id = std::ptr::from_ref::<UExpr>(body) as usize as u64;
+        self.key.clear();
+        self.key.extend([id as u32, (id >> 32) as u32, self.next]);
+        for v in body.free_vars() {
+            self.key.push(self.env.get(v).copied().unwrap_or(FREE));
+        }
+        if let Some(text) = self.bodies.get(self.key.as_slice()) {
+            out.push_str(text);
+            return;
+        }
+        let key: Box<[u32]> = self.key.as_slice().into();
+        let start = out.len();
+        self.uexpr(body, out);
+        self.bodies.insert(key, out[start..].to_string());
     }
 
     /// Render a raw U-expression (aggregate bodies are not in SPNF).
     /// Binders are numbered in traversal order — deterministic, and stable
     /// under alpha-renaming because the structure fixes the traversal.
-    fn render_uexpr(&mut self, e: &UExpr) -> String {
+    fn uexpr(&mut self, e: &UExpr, out: &mut String) {
         match e {
-            UExpr::Zero => "0".into(),
-            UExpr::One => "1".into(),
+            UExpr::Zero => out.push('0'),
+            UExpr::One => out.push('1'),
             UExpr::Add(a, b) => {
-                let (mut x, mut y) = (self.render_uexpr(a), self.render_uexpr(b));
-                if x > y {
-                    std::mem::swap(&mut x, &mut y);
-                }
-                format!("({x} + {y})")
+                let (x, y) = (self.uexpr_text(a), self.uexpr_text(b));
+                out.push('(');
+                self.join_sorted(x, y, " + ", out);
+                out.push(')');
             }
             UExpr::Mul(a, b) => {
-                let (mut x, mut y) = (self.render_uexpr(a), self.render_uexpr(b));
-                if x > y {
-                    std::mem::swap(&mut x, &mut y);
-                }
-                format!("{x}·{y}")
+                let (x, y) = (self.uexpr_text(a), self.uexpr_text(b));
+                self.join_sorted(x, y, "·", out);
             }
-            UExpr::Pred(p) => self.render_pred(p),
-            UExpr::Rel(r, arg) => {
-                format!(
-                    "{}({})",
-                    self.catalog.relation(*r).name,
-                    self.render_expr(arg)
-                )
+            UExpr::Pred(p) => self.pred(p, out),
+            UExpr::Rel(r, arg) => self.atom(*r, arg, out),
+            UExpr::Squash(inner) => {
+                out.push('‖');
+                self.uexpr(inner, out);
+                out.push('‖');
             }
-            UExpr::Squash(inner) => format!("‖{}‖", self.render_uexpr(inner)),
-            UExpr::Not(inner) => format!("¬({})", self.render_uexpr(inner)),
+            UExpr::Not(inner) => {
+                out.push_str("¬(");
+                self.uexpr(inner, out);
+                out.push(')');
+            }
             UExpr::Sum(v, s, body) => {
                 let saved = self.env.get(v).copied();
                 let id = self.bind(*v);
-                let body = self.render_uexpr(body);
+                let _ = write!(out, "Σ{{{id}:");
+                schema_desc(self.catalog, *s, out);
+                out.push_str("} ");
+                self.uexpr(body, out);
                 match saved {
                     Some(old) => {
                         self.env.insert(*v, old);
@@ -407,7 +538,181 @@ impl<'a> Canon<'a> {
                     }
                 }
                 self.next -= 1;
-                format!("Σ{{{id}:{}}} {body}", schema_desc(self.catalog, *s))
+            }
+        }
+    }
+
+    /// A U-expression rendered into a scratch string.
+    fn uexpr_text(&mut self, e: &UExpr) -> String {
+        let mut s = self.take();
+        self.uexpr(e, &mut s);
+        s
+    }
+}
+
+/// One factor of an SPNF term.
+#[derive(Clone, Copy)]
+enum Factor<'t> {
+    Pred(&'t Pred),
+    Atom(&'t Atom),
+    Squash(&'t Nf),
+    Negation(&'t Nf),
+}
+
+/// The factors of `t`: the predicates, the atoms, then the squash and the
+/// negation when present.
+fn factors(t: &Term) -> impl Iterator<Item = Factor<'_>> {
+    t.preds
+        .iter()
+        .map(Factor::Pred)
+        .chain(t.atoms.iter().map(Factor::Atom))
+        .chain(t.squash.as_deref().map(Factor::Squash))
+        .chain(t.negation.as_deref().map(Factor::Negation))
+}
+
+/// Which of a term's binders each of its factors mentions, as one bit row
+/// per factor, in `factors` order. A factor mentions a binder it has free
+/// (an aggregate body counts its free variables). A factor carrying a
+/// literal `§` — a string constant or a name — renders `§` whichever
+/// binder is coloured, so it mentions every binder.
+struct Mentions {
+    words: usize,
+    rows: Vec<u64>,
+}
+
+impl Mentions {
+    fn of(catalog: &Catalog, t: &Term) -> Mentions {
+        let words = t.vars.len().div_ceil(64);
+        let mut rows = vec![0; factors(t).count() * words];
+        if words > 0 {
+            for (factor, row) in factors(t).zip(rows.chunks_mut(words)) {
+                let mut occurs = Occurs {
+                    catalog,
+                    bound: &t.vars,
+                    row,
+                };
+                occurs.factor(factor);
+            }
+        }
+        Mentions { words, rows }
+    }
+
+    /// Does factor `f` mention binder `i`?
+    fn has(&self, f: usize, i: usize) -> bool {
+        self.rows[f * self.words + i / 64] >> (i % 64) & 1 == 1
+    }
+}
+
+/// Allocation-free occurrence walk over one factor, setting the bits of
+/// `row` (see `Mentions`).
+struct Occurs<'a> {
+    catalog: &'a Catalog,
+    bound: &'a [(VarId, SchemaId)],
+    row: &'a mut [u64],
+}
+
+impl Occurs<'_> {
+    fn name(&mut self, name: &str) {
+        if name.contains('§') {
+            self.row.fill(u64::MAX);
+        }
+    }
+
+    fn schema(&mut self, id: SchemaId) {
+        for (name, _) in &self.catalog.schema(id).attrs {
+            self.name(name);
+        }
+    }
+
+    fn atom(&mut self, rel: RelId, arg: &Expr) {
+        self.name(&self.catalog.relation(rel).name);
+        self.expr(arg);
+    }
+
+    fn var(&mut self, v: VarId) {
+        if let Some(i) = self.bound.iter().position(|(w, _)| *w == v) {
+            self.row[i / 64] |= 1 << (i % 64);
+        }
+    }
+
+    fn factor(&mut self, factor: Factor<'_>) {
+        match factor {
+            Factor::Pred(p) => self.pred(p),
+            Factor::Atom(a) => self.atom(a.rel, &a.arg),
+            Factor::Squash(nf) | Factor::Negation(nf) => {
+                for t in &nf.terms {
+                    factors(t).for_each(|f| self.factor(f));
+                }
+            }
+        }
+    }
+
+    fn pred(&mut self, p: &Pred) {
+        match p {
+            Pred::Eq(a, b) | Pred::Ne(a, b) => {
+                self.expr(a);
+                self.expr(b);
+            }
+            Pred::Lift { name, args, .. } => {
+                self.name(name);
+                args.iter().for_each(|e| self.expr(e));
+            }
+        }
+    }
+
+    fn expr(&mut self, e: &Expr) {
+        match e {
+            Expr::Var(v) => self.var(*v),
+            Expr::Attr(base, a) => {
+                self.name(a);
+                self.expr(base);
+            }
+            Expr::Const(Value::Str(s)) => self.name(s),
+            Expr::Const(_) => {}
+            Expr::App(f, args) => {
+                self.name(f);
+                args.iter().for_each(|e| self.expr(e));
+            }
+            Expr::Agg(name, body) => {
+                self.name(name);
+                body.free_vars().iter().for_each(|v| self.var(*v));
+                self.uexpr(body);
+            }
+            Expr::Record(fields) => {
+                for (n, e) in fields {
+                    self.name(n);
+                    self.expr(e);
+                }
+            }
+            Expr::Concat(l, s, r) => {
+                self.schema(*s);
+                self.expr(l);
+                self.expr(r);
+            }
+        }
+    }
+
+    /// Walk an aggregate body for literal marks only: its mentions are its
+    /// free variables, which `expr` already counted.
+    fn uexpr(&mut self, e: &UExpr) {
+        let bound = std::mem::take(&mut self.bound);
+        self.uexpr_in(e);
+        self.bound = bound;
+    }
+
+    fn uexpr_in(&mut self, e: &UExpr) {
+        match e {
+            UExpr::Zero | UExpr::One => {}
+            UExpr::Add(a, b) | UExpr::Mul(a, b) => {
+                self.uexpr_in(a);
+                self.uexpr_in(b);
+            }
+            UExpr::Pred(p) => self.pred(p),
+            UExpr::Rel(r, arg) => self.atom(*r, arg),
+            UExpr::Squash(inner) | UExpr::Not(inner) => self.uexpr_in(inner),
+            UExpr::Sum(_, s, body) => {
+                self.schema(*s);
+                self.uexpr_in(body);
             }
         }
     }

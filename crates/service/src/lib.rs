@@ -333,10 +333,25 @@ impl Session {
     }
 
     /// Verify a batch of goals, fanning out over the configured worker pool.
-    /// Results come back in input order.
+    /// Results come back in input order. Goal `i`'s metrics are labelled
+    /// `goal {i + 1}`, the number `udp-verify` prints for it.
     pub fn verify_batch(&self, goals: &[(Query, Query)]) -> Vec<GoalReport> {
+        let numbers: Vec<usize> = (1..=goals.len()).collect();
+        self.verify_numbered(goals, &numbers)
+    }
+
+    /// [`Session::verify_batch`], labelling goal `i`'s metrics
+    /// `goal {numbers[i]}`: the number the caller prints for it (for
+    /// `udp-serve`, its protocol sequence number). The batch index stays
+    /// the chaos `fault_key`.
+    ///
+    /// # Panics
+    ///
+    /// When `numbers` and `goals` differ in length.
+    pub fn verify_numbered(&self, goals: &[(Query, Query)], numbers: &[usize]) -> Vec<GoalReport> {
+        assert_eq!(goals.len(), numbers.len(), "one number per goal");
         let started = Instant::now();
-        let reports = scheduler::run_batch(self, goals);
+        let reports = scheduler::run_batch(self, goals, numbers);
         self.stats
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -461,10 +476,13 @@ impl Session {
 
     /// Process one goal on a worker's private frontend clone. Shared state
     /// touched: the verdict cache and the stats aggregate (both mutexed).
+    /// `index` is the goal's position in its batch, `number` the one its
+    /// metrics label carries.
     pub(crate) fn process_goal(
         &self,
         fe: &mut Frontend,
         index: usize,
+        number: usize,
         goal: &(Query, Query),
     ) -> GoalReport {
         let started = Instant::now();
@@ -499,7 +517,7 @@ impl Session {
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
                     .record(wall, false, false, true);
-                obs.finish(|| format!("goal {index} (front-end error)"), wall, 0);
+                obs.finish(|| format!("goal {number} (front-end error)"), wall, 0);
                 return GoalReport {
                     index,
                     outcome: Err(e),
@@ -568,7 +586,7 @@ impl Session {
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
                     .record(wall, true, proved, false);
-                obs.finish(|| format!("goal {index} (cache hit)"), wall, 0);
+                obs.finish(|| format!("goal {number} (cache hit)"), wall, 0);
                 return GoalReport {
                     index,
                     outcome: Ok(verdict),
@@ -602,7 +620,7 @@ impl Session {
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
                     .record(wall, false, false, true);
-                obs.finish(|| format!("goal {index} (aborted)"), wall, 0);
+                obs.finish(|| format!("goal {number} (aborted)"), wall, 0);
                 return GoalReport {
                     index,
                     outcome: Err(GoalError::Failed(format!("goal aborted: {reason}"))),
@@ -639,7 +657,7 @@ impl Session {
             verdict.decision.is_proved(),
             false,
         );
-        obs.finish(|| format!("goal {index}"), wall, steps);
+        obs.finish(|| format!("goal {number}"), wall, steps);
         GoalReport {
             index,
             outcome: Ok(verdict),

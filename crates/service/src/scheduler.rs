@@ -30,10 +30,13 @@ fn supervise(
     session: &Session,
     fe: &mut udp_sql::Frontend,
     index: usize,
+    number: usize,
     goal: &(Query, Query),
 ) -> GoalReport {
     let started = Instant::now();
-    match catch_unwind(AssertUnwindSafe(|| session.process_goal(fe, index, goal))) {
+    match catch_unwind(AssertUnwindSafe(|| {
+        session.process_goal(fe, index, number, goal)
+    })) {
         Ok(report) => report,
         Err(payload) => {
             let msg = panic_message(&*payload).to_string();
@@ -46,13 +49,18 @@ fn supervise(
 }
 
 /// Run `goals` through the session's worker pool, preserving input order.
+/// `numbers[i]` labels goal `i`'s metrics.
 ///
 /// Queue wait (batch submission → a worker picking a goal up) is recorded
 /// as the `queue-wait` stage once per goal, *in both branches*: sequential
 /// execution is just a one-worker queue, and recording it there too keeps
 /// per-stage call counts identical across worker counts (an invariant the
 /// metrics tests pin down).
-pub(crate) fn run_batch(session: &Session, goals: &[(Query, Query)]) -> Vec<GoalReport> {
+pub(crate) fn run_batch(
+    session: &Session,
+    goals: &[(Query, Query)],
+    numbers: &[usize],
+) -> Vec<GoalReport> {
     let workers = session.config().workers.max(1).min(goals.len().max(1));
     let recorder = session.config().recorder.clone();
     let batch_start = Instant::now();
@@ -65,7 +73,7 @@ pub(crate) fn run_batch(session: &Session, goals: &[(Query, Query)]) -> Vec<Goal
                 if recorder.is_enabled() {
                     recorder.record(Stage::QueueWait, batch_start.elapsed(), 0);
                 }
-                supervise(session, &mut fe, i, g)
+                supervise(session, &mut fe, i, numbers[i], g)
             })
             .collect();
     }
@@ -88,7 +96,7 @@ pub(crate) fn run_batch(session: &Session, goals: &[(Query, Query)]) -> Vec<Goal
                     if recorder.is_enabled() {
                         recorder.record(Stage::QueueWait, batch_start.elapsed(), 0);
                     }
-                    let report = supervise(session, &mut fe, i, &goals[i]);
+                    let report = supervise(session, &mut fe, i, numbers[i], &goals[i]);
                     if tx.send((i, report)).is_err() {
                         break; // collector gone; nothing useful left to do
                     }

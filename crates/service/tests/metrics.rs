@@ -318,7 +318,7 @@ fn disabled_recorder_stays_empty() {
     assert!(snap.stages.iter().all(|s| s.calls == 0));
 }
 
-/// Sessions number their goals from 0, so two sessions sharing one
+/// Sessions number their goals from 1, so two sessions sharing one
 /// recorder (the corpus sweep runs every rule in its own) must be told
 /// apart by the label prefix each gets from `Recorder::labelled`.
 #[test]
@@ -340,6 +340,6 @@ fn sessions_sharing_a_recorder_get_distinct_goal_labels() {
         .map(|g| g.label)
         .collect();
     labels.sort();
-    assert_eq!(labels, ["rules/first goal 0", "rules/second goal 0"]);
+    assert_eq!(labels, ["rules/first goal 1", "rules/second goal 1"]);
     assert!(!Recorder::disabled().labelled("x").is_enabled());
 }

@@ -185,11 +185,11 @@ fn main() -> ExitCode {
                      out: &mut dyn Write,
                      all_proved: &mut bool,
                      any_error: &mut bool| {
-        let goals: Vec<_> = pending
+        let (numbers, goals): (Vec<usize>, Vec<_>) = pending
             .iter()
-            .filter_map(|(_, g)| g.as_ref().ok().cloned())
-            .collect();
-        let mut reports = session.verify_batch(&goals).into_iter();
+            .filter_map(|(seq, g)| Some((*seq, g.as_ref().ok()?.clone())))
+            .unzip();
+        let mut reports = session.verify_numbered(&goals, &numbers).into_iter();
         for (line_seq, parsed) in pending.drain(..) {
             match parsed {
                 Ok(_) => match reports.next() {

@@ -140,3 +140,26 @@ fn metrics_json_trace_out_and_trace_goals_write_their_outputs() {
     assert!(check.is_ok(), "{check:?}");
     assert_eq!(stderr.matches("slow goal: ").count(), 2, "{stderr}");
 }
+
+/// Slow-goal labels carry the number each goal's protocol line prints,
+/// also when every goal arrives in a chunk of its own (each chunk is a
+/// batch of one).
+#[test]
+fn slow_goal_labels_are_protocol_sequence_numbers() {
+    const GOALS: &str = "SELECT x.a AS a FROM r x WHERE x.k = 1 == SELECT x.a AS a FROM r x WHERE x.k = 1\n\
+                         \n\
+                         SELECT x.a AS a FROM r x WHERE x.a = 2 == SELECT y.a AS a FROM r y WHERE y.a = 7\n";
+    let metrics = format!("{}/serve_protocol_labels.json", env!("CARGO_TARGET_TMPDIR"));
+    let (stdout, _) = run_serve(&["--metrics-json", &metrics], GOALS);
+    assert!(stdout.starts_with("goal 1: Proved\ngoal 2: "), "{stdout}");
+    let snapshot = udp_obs::json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    let mut labels: Vec<&str> = snapshot
+        .get("slow_goals")
+        .and_then(|v| v.as_array())
+        .unwrap()
+        .iter()
+        .filter_map(|g| g.get("label").and_then(|l| l.as_str()))
+        .collect();
+    labels.sort();
+    assert_eq!(labels, ["goal 1", "goal 2"]);
+}

@@ -57,7 +57,7 @@ fn verdict_lines_and_exit_codes_agree_across_worker_counts() {
     let one = udp_verify(&perf, &[]);
     let two = udp_verify(&perf, &["--jobs", "2"]);
     assert_eq!(one.status.code(), two.status.code());
-    assert_eq!(verdicts(&one).len(), 20);
+    assert_eq!(verdicts(&one).len(), 21);
     assert_eq!(verdicts(&one), verdicts(&two));
 }
 
@@ -261,7 +261,7 @@ fn metrics_json_trace_out_and_trace_goals_write_their_outputs() {
         snapshot.get("schema_version").and_then(|v| v.as_u64()),
         Some(5)
     );
-    assert_eq!(snapshot.get("goals").and_then(|v| v.as_u64()), Some(20));
+    assert_eq!(snapshot.get("goals").and_then(|v| v.as_u64()), Some(21));
     assert_eq!(snapshot.get("open_spans").and_then(|v| v.as_u64()), Some(0));
     let tracked = snapshot.get("memory").and_then(|m| m.get("tracked"));
     assert_eq!(tracked.and_then(|v| v.as_bool()), Some(true));
