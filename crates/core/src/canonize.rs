@@ -312,13 +312,15 @@ fn eliminate_variable(
     // variables (shared between the two sides of a goal), then smaller, then
     // Ord — so both sides of an equivalence pick the same representative.
     let pick = |cc: &mut Congruence, e: &Expr, v: VarId, bound: &[VarId]| -> Option<Expr> {
-        cc.members_without_var(e, v).into_iter().min_by(|a, b| {
-            let key = |x: &Expr| {
-                let uses_bound = x.free_vars().iter().any(|w| bound.contains(w));
-                (uses_bound, x.size())
-            };
-            key(a).cmp(&key(b)).then_with(|| a.cmp(b))
-        })
+        cc.members_without_var(e, v)
+            .min_by(|a, b| {
+                let key = |x: &Expr| {
+                    let uses_bound = bound.iter().any(|&w| x.contains_var(w));
+                    (uses_bound, x.size())
+                };
+                key(a).cmp(&key(b)).then_with(|| a.cmp(b))
+            })
+            .cloned()
     };
     for i in 0..t.vars.len() {
         ctx.budget.tick()?;
@@ -599,7 +601,7 @@ pub fn is_squash_invariant(ctx: &mut Ctx, t: &Term, cc: &mut Congruence) -> bool
             let bound_ref = &bound;
             let ok = move |w: VarId| is_fixed(w, &det, bound_ref);
             // (a) directly congruent to a determined expression
-            if cc.rep_where(&Expr::Var(v), &ok).is_some() {
+            if cc.has_rep_where(&Expr::Var(v), &ok) {
                 determined.insert(v);
                 progressed = true;
                 continue;
@@ -613,7 +615,7 @@ pub fn is_squash_invariant(ctx: &mut Ctx, t: &Term, cc: &mut Congruence) -> bool
                     key.iter().all(|k| {
                         let det = determined.clone();
                         let ok = move |w: VarId| is_fixed(w, &det, bound_ref);
-                        cc.rep_where(&Expr::var_attr(v, k), &ok).is_some()
+                        cc.has_rep_where(&Expr::var_attr(v, k), &ok)
                     })
                 })
             });

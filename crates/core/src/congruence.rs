@@ -17,11 +17,23 @@
 //! ([`crate::expr::AggBody::skeleton`]) and the node holds it by reference,
 //! so interning an aggregate again — in every canonize iteration and every
 //! matcher candidate — copies a pointer and hashes a cached hash.
+//!
+//! # Cost
+//!
+//! A closure is rebuilt for every canonize iteration and every matcher
+//! candidate, so its construction is on the hot path. Interning an
+//! expression that is already present allocates only its operator and
+//! child list, the signature key it is looked up by. A new node stores
+//! its source expression, nothing derived from it. Classes are indexed by
+//! root in plain vectors, and a flag per class skips the tuple theories
+//! unless the class holds a record or a concatenation.
 
 use crate::expr::{AggBody, Expr, Pred, Value, VarId};
 use crate::schema::SchemaId;
 use crate::uexpr::UExpr;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use udp_obs::{Counter, Recorder};
 
 /// Node operator: the un-curried head symbol of an expression.
@@ -44,9 +56,48 @@ struct Node {
     children: Vec<usize>,
     /// A representative source expression for reporting / witness search.
     expr: Expr,
-    /// Free variables occurring anywhere below this node.
-    vars: BTreeSet<VarId>,
 }
+
+/// The signature table's hasher: one multiply-rotate step per word, with
+/// no per-table random key. Nothing iterates over the table, so its order
+/// is never observed. Keys carry names from the query text, but a table
+/// holds one goal's terms, so a crafted collision can slow only that goal.
+#[derive(Default)]
+struct SigHasher(u64);
+
+impl Hasher for SigHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.write_u64(u64::from_le_bytes(c.try_into().expect("an 8-byte chunk")));
+        }
+        for &b in chunks.remainder() {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_u8(&mut self, b: u8) {
+        self.write_u64(u64::from(b));
+    }
+
+    fn write_u32(&mut self, w: u32) {
+        self.write_u64(u64::from(w));
+    }
+
+    fn write_usize(&mut self, w: usize) {
+        self.write_u64(w as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type SigTable = HashMap<(Op, Vec<usize>), usize, BuildHasherDefault<SigHasher>>;
 
 /// Congruence closure engine. Build one per SPNF term, assert its equality
 /// predicates, then query.
@@ -56,11 +107,17 @@ pub struct Congruence {
     /// Union-find parent links.
     uf: Vec<usize>,
     /// Hash-consing / congruence signatures: (op, canonical child roots).
-    sig: HashMap<(Op, Vec<usize>), usize>,
-    /// Application nodes that have a member of the keyed class as a child.
-    parents: HashMap<usize, Vec<usize>>,
-    /// Members of each class (keyed by root).
-    members: HashMap<usize, Vec<usize>>,
+    sig: SigTable,
+    /// By root: application nodes that have a member of its class as a
+    /// child.
+    parents: Vec<Vec<usize>>,
+    /// By root: the members of its class, in insertion-then-merge order
+    /// (the first record or concat member anchors the tuple theories).
+    /// Empty for non-roots.
+    members: Vec<Vec<usize>>,
+    /// By root: does its class hold a record or concat member? Only such a
+    /// class has tuple-theory work.
+    tuple: Vec<bool>,
     /// Pending merges discovered during congruence propagation.
     worklist: Vec<(usize, usize)>,
     /// Counter sink: [`Counter::TermNodes`], [`Counter::CongruenceUnions`],
@@ -140,57 +197,69 @@ impl Congruence {
 
     /// Intern an expression, returning its node id.
     pub fn intern(&mut self, e: &Expr) -> usize {
-        let (op, child_exprs): (Op, Vec<&Expr>) = match e {
+        let (op, children) = match e {
             Expr::Var(v) => (Op::Var(*v), vec![]),
             Expr::Const(c) => (Op::Const(c.clone()), vec![]),
-            Expr::Attr(base, a) => (Op::Attr(a.clone()), vec![base]),
-            Expr::App(f, args) => (Op::App(f.clone()), args.iter().collect()),
+            Expr::Attr(base, a) => (Op::Attr(a.clone()), vec![self.intern(base)]),
+            Expr::App(f, args) => {
+                let children = args.iter().map(|a| self.intern(a)).collect();
+                (Op::App(f.clone()), children)
+            }
             Expr::Agg(name, body) => {
-                let children: Vec<usize> = body
+                let children = body
                     .free_vars()
                     .iter()
                     .map(|v| self.intern(&Expr::Var(*v)))
                     .collect();
-                let op = Op::Agg(name.clone(), body.skeleton().clone());
-                return self.intern_node(op, children, e);
+                (Op::Agg(name.clone(), body.skeleton().clone()), children)
             }
-            Expr::Record(fields) => (
-                Op::Record(fields.iter().map(|(n, _)| n.clone()).collect()),
-                fields.iter().map(|(_, v)| v).collect(),
-            ),
-            Expr::Concat(l, s, r) => (Op::Concat(*s), vec![l.as_ref(), r.as_ref()]),
+            Expr::Record(fields) => {
+                let children = fields.iter().map(|(_, v)| self.intern(v)).collect();
+                (
+                    Op::Record(fields.iter().map(|(n, _)| n.clone()).collect()),
+                    children,
+                )
+            }
+            Expr::Concat(l, s, r) => (Op::Concat(*s), vec![self.intern(l), self.intern(r)]),
         };
-        let children: Vec<usize> = child_exprs.into_iter().map(|c| self.intern(c)).collect();
         self.intern_node(op, children, e)
     }
 
-    fn intern_node(&mut self, op: Op, children: Vec<usize>, expr: &Expr) -> usize {
-        let canon: Vec<usize> = children.iter().map(|&c| self.root(c)).collect();
-        if let Some(&existing) = self.sig.get(&(op.clone(), canon.clone())) {
-            return existing;
+    /// Look `op` over `children` up in the signature table, or add it.
+    /// Children are stored as the roots they have now: a root stays in its
+    /// class, so every later `root` of a child is unchanged.
+    fn intern_node(&mut self, op: Op, mut children: Vec<usize>, expr: &Expr) -> usize {
+        for c in children.iter_mut() {
+            *c = self.root(*c);
         }
         let id = self.nodes.len();
-        self.recorder.count(Counter::TermNodes, 1);
-        let mut vars = BTreeSet::new();
-        expr.collect_vars(&mut vars);
-        self.nodes.push(Node {
-            op: op.clone(),
-            children: children.clone(),
-            expr: expr.clone(),
-            vars,
-        });
-        self.uf.push(id);
-        self.members.insert(id, vec![id]);
-        self.sig.insert((op, canon.clone()), id);
-        for c in canon {
-            self.parents.entry(c).or_default().push(id);
+        match self.sig.entry((op, children)) {
+            Entry::Occupied(hit) => return *hit.get(),
+            Entry::Vacant(slot) => {
+                let (op, children) = slot.key();
+                for &c in children {
+                    self.parents[c].push(id);
+                }
+                self.nodes.push(Node {
+                    op: op.clone(),
+                    children: children.clone(),
+                    expr: expr.clone(),
+                });
+                slot.insert(id);
+            }
         }
+        self.recorder.count(Counter::TermNodes, 1);
+        self.uf.push(id);
+        self.members.push(vec![id]);
+        self.parents.push(Vec::new());
+        self.tuple
+            .push(matches!(self.nodes[id].op, Op::Record(_) | Op::Concat(_)));
         // Theory propagation: the new node may be an Attr over a class that
         // already holds a record (projection alignment fires on the child's
         // class), or may itself join a class with records later.
         self.propagate_theories(id);
-        for c in self.nodes[id].children.clone() {
-            let rc = self.root(c);
+        for i in 0..self.nodes[id].children.len() {
+            let rc = self.root(self.nodes[id].children[i]);
             self.propagate_theories(rc);
         }
         self.process_worklist();
@@ -235,8 +304,7 @@ impl Congruence {
     }
 
     /// One-pass map from class root to the constant the class carries (if
-    /// any). Built once and probed per predicate — the batch counterpart of
-    /// [`Congruence::constant_of`] for hot paths.
+    /// any). Built once and probed per predicate.
     pub fn class_constants(&self) -> HashMap<usize, Value> {
         let mut out = HashMap::new();
         for (i, n) in self.nodes.iter().enumerate() {
@@ -245,12 +313,6 @@ impl Congruence {
             }
         }
         out
-    }
-
-    /// The constant (if any) in the class of `e`.
-    pub fn constant_of(&mut self, e: &Expr) -> Option<Value> {
-        let r = self.class_of(e);
-        self.class_constants().remove(&r)
     }
 
     /// Are `a` and `b` in the same class?
@@ -278,22 +340,19 @@ impl Congruence {
         }
         self.recorder.count(Counter::CongruenceUnions, 1);
         // Union by member count.
-        let (big, small) = {
-            let la = self.members.get(&ra).map_or(0, Vec::len);
-            let lb = self.members.get(&rb).map_or(0, Vec::len);
-            if la >= lb {
-                (ra, rb)
-            } else {
-                (rb, ra)
-            }
+        let (big, small) = if self.members[ra].len() >= self.members[rb].len() {
+            (ra, rb)
+        } else {
+            (rb, ra)
         };
         self.uf[small] = big;
-        let small_members = self.members.remove(&small).unwrap_or_default();
-        self.members.entry(big).or_default().extend(small_members);
+        let small_members = std::mem::take(&mut self.members[small]);
+        self.members[big].extend(small_members);
+        self.tuple[big] |= self.tuple[small];
 
         // Re-canonicalize parent signatures of the absorbed class; congruent
         // parents get scheduled for merging.
-        let moved_parents = self.parents.remove(&small).unwrap_or_default();
+        let moved_parents = std::mem::take(&mut self.parents[small]);
         for p in moved_parents {
             let canon: Vec<usize> = self.nodes[p]
                 .children
@@ -308,7 +367,7 @@ impl Congruence {
             } else {
                 self.sig.insert(key, p);
             }
-            self.parents.entry(big).or_default().push(p);
+            self.parents[big].push(p);
         }
         self.propagate_theories(big);
     }
@@ -324,10 +383,10 @@ impl Congruence {
     /// alignment (`c ≈ ⟨…, a = e, …⟩ ⇒ c.a ≈ e`).
     fn propagate_theories(&mut self, node: usize) {
         let root = self.root(node);
-        let members = match self.members.get(&root) {
-            Some(m) => m.clone(),
-            None => return,
-        };
+        if !self.tuple[root] {
+            return;
+        }
+        let members = self.members[root].clone();
         // Record / Concat injectivity among members.
         let mut first_record: Option<usize> = None;
         let mut first_concat: Option<usize> = None;
@@ -379,7 +438,7 @@ impl Congruence {
                 Op::Record(names) => (names.clone(), self.nodes[rec].children.clone()),
                 _ => unreachable!(),
             };
-            let parent_list = self.parents.get(&root).cloned().unwrap_or_default();
+            let parent_list = self.parents[root].clone();
             for p in parent_list {
                 if let Op::Attr(a) = &self.nodes[p].op {
                     // Only when the projected base is in this class.
@@ -394,44 +453,25 @@ impl Congruence {
         }
     }
 
-    /// Find a member of `e`'s class whose expression does not mention `v`
-    /// (the witness required by Eq. (15) elimination). Prefers the smallest
-    /// such expression for compact output.
-    pub fn rep_without_var(&mut self, e: &Expr, v: VarId) -> Option<Expr> {
+    /// The member expressions of `e`'s class that do not mention `v` (the
+    /// witnesses Eq. (15) elimination may use; callers apply their own
+    /// canonical-witness preference).
+    pub fn members_without_var(&mut self, e: &Expr, v: VarId) -> impl Iterator<Item = &Expr> {
         let root = self.class_of(e);
-        let members = self.members.get(&root)?;
-        members
+        self.members[root]
             .iter()
-            .filter(|&&m| !self.nodes[m].vars.contains(&v))
-            .map(|&m| self.nodes[m].expr.clone())
-            .min_by_key(Expr::size)
+            .map(|&m| &self.nodes[m].expr)
+            .filter(move |x| !x.contains_var(v))
     }
 
-    /// All member expressions of `e`'s class that do not mention `v`
-    /// (callers apply their own canonical-witness preference).
-    pub fn members_without_var(&mut self, e: &Expr, v: VarId) -> Vec<Expr> {
+    /// Does `e`'s class have a member whose free variables all satisfy `ok`?
+    /// (The squash-invariance analysis: "is this expression determined by
+    /// already-determined variables?")
+    pub fn has_rep_where(&mut self, e: &Expr, ok: &dyn Fn(VarId) -> bool) -> bool {
         let root = self.class_of(e);
-        match self.members.get(&root) {
-            None => vec![],
-            Some(members) => members
-                .iter()
-                .filter(|&&m| !self.nodes[m].vars.contains(&v))
-                .map(|&m| self.nodes[m].expr.clone())
-                .collect(),
-        }
-    }
-
-    /// Find a member of `e`'s class whose free variables all satisfy `ok`
-    /// (used by the squash-invariance analysis: "is this expression
-    /// determined by already-determined variables?").
-    pub fn rep_where(&mut self, e: &Expr, ok: &dyn Fn(VarId) -> bool) -> Option<Expr> {
-        let root = self.class_of(e);
-        let members = self.members.get(&root)?;
-        members
+        self.members[root]
             .iter()
-            .filter(|&&m| self.nodes[m].vars.iter().all(|&w| ok(w)))
-            .map(|&m| self.nodes[m].expr.clone())
-            .min_by_key(Expr::size)
+            .any(|&m| self.nodes[m].expr.free_vars().iter().all(|&w| ok(w)))
     }
 
     /// Number of interned nodes (diagnostics).
@@ -568,19 +608,27 @@ mod tests {
     }
 
     #[test]
-    fn rep_without_var_finds_witness() {
+    fn members_without_var_are_witnesses() {
         let mut cc = Congruence::new();
         // t0 = t1.k — eliminating t0 should find witness t1.k.
         cc.assert_eq(&Expr::Var(v(0)), &va(1, "k"));
-        let w = cc.rep_without_var(&Expr::Var(v(0)), v(0)).unwrap();
-        assert_eq!(w, va(1, "k"));
-        // no witness avoiding t1
-        assert!(
-            cc.rep_without_var(&Expr::Var(v(0)), v(1)).is_none() || {
-                let w2 = cc.rep_without_var(&Expr::Var(v(0)), v(1)).unwrap();
-                !w2.contains_var(v(1))
-            }
+        let w: Vec<&Expr> = cc.members_without_var(&Expr::Var(v(0)), v(0)).collect();
+        assert_eq!(w, vec![&va(1, "k")]);
+        // No witness avoids t1 but t0 itself.
+        let w: Vec<&Expr> = cc.members_without_var(&Expr::Var(v(0)), v(1)).collect();
+        assert_eq!(w, vec![&Expr::Var(v(0))]);
+        // A class without records carries no tuple-theory flag; asserting a
+        // record into it sets the flag on the merged root.
+        let root = cc.class_of(&Expr::Var(v(0)));
+        assert!(!cc.tuple[root]);
+        cc.assert_eq(
+            &Expr::Var(v(0)),
+            &Expr::record(vec![("k".into(), va(2, "k"))]),
         );
+        let root = cc.class_of(&Expr::Var(v(0)));
+        assert!(cc.tuple[root]);
+        assert!(cc.has_rep_where(&Expr::Var(v(0)), &|w| w == v(2)));
+        assert!(!cc.has_rep_where(&Expr::Var(v(0)), &|w| w == v(3)));
     }
 
     #[test]

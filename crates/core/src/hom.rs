@@ -419,7 +419,9 @@ impl<'a> Matcher<'a> {
     /// Final verification once all atoms and variables are mapped.
     fn verify(&mut self, ctx: &mut Ctx) -> Result<bool, Exhausted> {
         ctx.budget.tick()?;
-        if self.mode == MatchMode::Iso {
+        if self.mode == MatchMode::Hom {
+            ctx.recorder.count(Counter::HomCandidates, 1);
+        } else {
             ctx.recorder.count(Counter::IsoCandidates, 1);
             // Complete bijection required.
             if self.mapping.len() != self.pattern.vars.len()
@@ -1096,5 +1098,29 @@ mod tests {
         assert!(entails_pred(&ctx, &mut cc, &[], &p));
         let q = Pred::ne(Expr::int(1), Expr::int(1));
         assert!(!entails_pred(&ctx, &mut cc, &[], &q));
+    }
+
+    /// Each candidate mapping checked in full is counted by mode: Hom checks
+    /// as `hom-candidates`, Iso checks as `iso-candidates`.
+    #[test]
+    fn verify_calls_are_counted_by_mode() {
+        let (cat, cs) = setup();
+        let recorder = udp_obs::Recorder::enabled();
+        let mut ctx = Ctx::new(&cat, &cs)
+            .with_budget(Budget::unlimited())
+            .with_recorder(recorder.clone());
+        let pat = term(&[1], vec![], vec![(0, 1)]);
+        let tgt = term(&[2, 3], vec![], vec![(0, 2), (0, 3)]);
+        assert!(match_terms(&mut ctx, &pat, &tgt, MatchMode::Hom, &[])
+            .unwrap()
+            .is_some());
+        assert_eq!(recorder.counter(Counter::HomCandidates), 1);
+        assert_eq!(recorder.counter(Counter::IsoCandidates), 0);
+        let same = term(&[4], vec![], vec![(0, 4)]);
+        assert!(match_terms(&mut ctx, &pat, &same, MatchMode::Iso, &[])
+            .unwrap()
+            .is_some());
+        assert_eq!(recorder.counter(Counter::HomCandidates), 1);
+        assert_eq!(recorder.counter(Counter::IsoCandidates), 1);
     }
 }

@@ -21,6 +21,17 @@
 //! (`not([b]) ↝ [¬b]`, `not(1) ↝ 0`), which is sound for the standard
 //! interpretation in ℕ where `[b] ∈ {0, 1}` — the soundness target of
 //! Theorem 5.3 (see DESIGN.md §5).
+//!
+//! # Cost
+//!
+//! Each `Σ` alpha-renames its binder to a fresh variable. The renaming is
+//! not substituted into the body at the `Σ`: the normalizer carries the
+//! binders in scope with their fresh names and renames each predicate and
+//! relation atom once, at the leaf, so the input is copied once however
+//! deeply its binders nest. [`Nf::mul`] clones a term only for a product
+//! other than its last. The output is the normal form that substituting
+//! at every `Σ` gives (DESIGN.md §7, "Normalization and congruence
+//! without copies").
 
 use crate::expr::{Expr, Pred, VarGen, VarId};
 use crate::schema::{RelId, SchemaId};
@@ -329,14 +340,18 @@ impl Nf {
     }
 
     /// `E₁ × E₂`: cross product of term lists (distributivity, rules 1–2).
+    /// Each term is cloned once per product but its last: a side with a
+    /// single term is moved into the last product, and the other side's
+    /// terms are moved into the last row.
     pub fn mul(self, other: Nf) -> Nf {
         let mut terms = Vec::with_capacity(self.terms.len() * other.terms.len());
-        for a in &self.terms {
-            for b in &other.terms {
-                let prod = a.clone().mul(b.clone());
-                if !prod.is_zero() {
-                    terms.push(prod);
-                }
+        let mut rows = self.terms.into_iter().peekable();
+        let mut cols = other.terms;
+        while let Some(a) = rows.next() {
+            if rows.peek().is_some() {
+                mul_row(a, cols.iter().cloned(), &mut terms);
+            } else {
+                mul_row(a, std::mem::take(&mut cols).into_iter(), &mut terms);
             }
         }
         Nf { terms }
@@ -406,16 +421,28 @@ impl Nf {
                 Some(inner) => {
                     // t = Σ_v̄ P·‖Σ inner‖·M  ↝  Σ over inner terms of Σ_v̄ P·inner_i·M
                     let inner = inner.flatten_under_squash();
-                    for it in inner.terms {
-                        let merged = t.clone().mul(it);
-                        if !merged.is_zero() {
-                            out.push(merged);
-                        }
-                    }
+                    mul_row(t, inner.terms.into_iter(), &mut out);
                 }
             }
         }
         Nf { terms: out }
+    }
+}
+
+/// Push the nonzero products `a × b` for each `b` of `bs` onto `out`,
+/// cloning `a` for every product but the last, which takes it.
+fn mul_row(a: Term, mut bs: impl ExactSizeIterator<Item = Term>, out: &mut Vec<Term>) {
+    let mut push = |prod: Term| {
+        if !prod.is_zero() {
+            out.push(prod);
+        }
+    };
+    let copies = bs.len().saturating_sub(1);
+    for b in bs.by_ref().take(copies) {
+        push(a.clone().mul(b));
+    }
+    if let Some(b) = bs.next() {
+        push(a.mul(b));
     }
 }
 
@@ -486,48 +513,79 @@ impl fmt::Display for Nf {
 /// above every variable in `e` (see [`normalize`] for the convenient entry
 /// point).
 pub fn normalize_with(e: &UExpr, gen: &mut VarGen) -> Nf {
+    normalize_in(e, gen, &mut Vec::new())
+}
+
+/// The binders in scope with the fresh variables they were renamed to,
+/// innermost last. A `Σ` that rebinds an id shadows the outer entry.
+type Renaming = Vec<(VarId, VarId)>;
+
+/// The substitution a [`Renaming`] denotes: the innermost binding wins.
+fn renamed(env: &[(VarId, VarId)]) -> impl Fn(VarId) -> Option<Expr> + '_ {
+    move |w| {
+        env.iter()
+            .rev()
+            .find(|(v, _)| *v == w)
+            .map(|(_, fresh)| Expr::Var(*fresh))
+    }
+}
+
+fn normalize_in(e: &UExpr, gen: &mut VarGen, env: &mut Renaming) -> Nf {
     match e {
         UExpr::Zero => Nf::zero(),
         UExpr::One => Nf::one(),
-        UExpr::Add(a, b) => Nf::add(normalize_with(a, gen), normalize_with(b, gen)),
-        UExpr::Mul(a, b) => Nf::mul(normalize_with(a, gen), normalize_with(b, gen)),
-        UExpr::Pred(p) => {
-            if p.is_trivially_true() {
-                Nf::one()
-            } else if p.is_trivially_false() {
-                Nf::zero()
-            } else {
-                let mut t = Term::one();
-                t.preds.push(p.clone().oriented());
-                Nf::from_term(t)
-            }
-        }
+        UExpr::Add(a, b) => Nf::add(normalize_in(a, gen, env), normalize_in(b, gen, env)),
+        UExpr::Mul(a, b) => Nf::mul(normalize_in(a, gen, env), normalize_in(b, gen, env)),
+        UExpr::Pred(p) => pred_nf(p, env),
         UExpr::Rel(r, arg) => {
+            let arg = if env.is_empty() {
+                arg.clone()
+            } else {
+                arg.subst_map(&renamed(env))
+            };
             let mut t = Term::one();
-            t.atoms.push(Atom::new(*r, arg.clone()));
+            t.atoms.push(Atom::new(*r, arg));
             Nf::from_term(t)
         }
         UExpr::Squash(inner) => {
-            let nf = normalize_with(inner, gen).flatten_under_squash();
+            let nf = normalize_in(inner, gen, env).flatten_under_squash();
             squash_nf(nf)
         }
-        UExpr::Not(inner) => normalize_not(inner, gen),
+        UExpr::Not(inner) => normalize_not(inner, gen, env),
         UExpr::Sum(v, schema, body) => {
             // Alpha-rename the binder to a globally fresh variable, then
             // prepend it to every term (axiom (7): Σ distributes over +).
+            // The body is renamed at its leaves, not copied here.
             let fresh = gen.fresh();
-            let body = body.subst(*v, &Expr::Var(fresh));
-            let nf = normalize_with(&body, gen);
-            let terms = nf
-                .terms
-                .into_iter()
-                .map(|mut t| {
-                    t.vars.insert(0, (fresh, *schema));
-                    t
-                })
-                .collect();
-            Nf { terms }
+            env.push((*v, fresh));
+            let mut nf = normalize_in(body, gen, env);
+            env.pop();
+            for t in &mut nf.terms {
+                t.vars.insert(0, (fresh, *schema));
+            }
+            nf
         }
+    }
+}
+
+/// The normal form of the predicate leaf `[p]` under `env`. Renaming also
+/// rewrites record projections `⟨…, a = e, …⟩.a` to `e`, as substituting
+/// at each enclosing `Σ` did, so it runs exactly when some `Σ` encloses
+/// the leaf.
+fn pred_nf(p: &Pred, env: &[(VarId, VarId)]) -> Nf {
+    let p = if env.is_empty() {
+        p.clone()
+    } else {
+        p.subst_map(&renamed(env))
+    };
+    if p.is_trivially_true() {
+        Nf::one()
+    } else if p.is_trivially_false() {
+        Nf::zero()
+    } else {
+        let mut t = Term::one();
+        t.preds.push(p.oriented());
+        Nf::from_term(t)
     }
 }
 
@@ -567,26 +625,28 @@ pub fn squash_nf(mut nf: Nf) -> Nf {
     Nf::from_term(Term::squash_of(nf))
 }
 
-fn normalize_not(e: &UExpr, gen: &mut VarGen) -> Nf {
+fn normalize_not(e: &UExpr, gen: &mut VarGen, env: &mut Renaming) -> Nf {
     match e {
         // not(0) = 1 (axiom).
         UExpr::Zero => Nf::one(),
         // not(1) = 0 — standard-model step (ℕ), see module docs.
         UExpr::One => Nf::zero(),
-        // not([b]) = [¬b] — standard-model step.
-        UExpr::Pred(p) => normalize_with(&UExpr::Pred(p.negate()), gen),
+        // not([b]) = [¬b] — standard-model step. Negating and renaming
+        // commute.
+        UExpr::Pred(p) => pred_nf(&p.negate(), env),
         // not(x + y) = not(x) × not(y) (axiom).
-        UExpr::Add(a, b) => Nf::mul(normalize_not(a, gen), normalize_not(b, gen)),
+        UExpr::Add(a, b) => Nf::mul(normalize_not(a, gen, env), normalize_not(b, gen, env)),
         // not(x × y) = ‖not(x) + not(y)‖ (axiom).
         UExpr::Mul(a, b) => {
-            let nf = Nf::add(normalize_not(a, gen), normalize_not(b, gen)).flatten_under_squash();
+            let nf = Nf::add(normalize_not(a, gen, env), normalize_not(b, gen, env))
+                .flatten_under_squash();
             squash_nf(nf)
         }
         // not(‖x‖) = not(x) (axiom).
-        UExpr::Squash(x) => normalize_not(x, gen),
+        UExpr::Squash(x) => normalize_not(x, gen, env),
         // Default: keep a negation factor not(E_n) with E_n in SPNF.
         other => {
-            let nf = normalize_with(other, gen);
+            let nf = normalize_in(other, gen, env);
             if nf.is_zero() {
                 return Nf::one();
             }

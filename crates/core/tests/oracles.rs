@@ -39,8 +39,9 @@ fn catalog() -> (Catalog, SchemaId, RelId, RelId) {
 // ---------------------------------------------------------------- congruence
 
 /// The ground-term universe for the congruence oracle: variables, their
-/// attribute projections, constants, and unary applications — subterm-closed
-/// by construction.
+/// attribute projections, constants, unary applications, records over the
+/// field list `⟨k, a⟩` with their projections, and concatenations of one
+/// schema — subterm-closed by construction.
 fn universe() -> Vec<Expr> {
     let mut terms = Vec::new();
     for v in 0..3u32 {
@@ -54,12 +55,55 @@ fn universe() -> Vec<Expr> {
         terms.push(Expr::int(c));
         terms.push(Expr::App("f".into(), vec![Expr::int(c)]));
     }
+    for (k, a) in [
+        (Expr::var_attr(VarId(0), "k"), Expr::var_attr(VarId(1), "a")),
+        (Expr::var_attr(VarId(1), "k"), Expr::int(0)),
+        (Expr::var_attr(VarId(2), "a"), Expr::var_attr(VarId(2), "k")),
+    ] {
+        let rec = Expr::record(vec![("k".into(), k), ("a".into(), a)]);
+        terms.push(Expr::attr(rec.clone(), "k"));
+        terms.push(Expr::attr(rec.clone(), "a"));
+        terms.push(rec);
+    }
+    for (l, r) in [(0, 1), (2, 0)] {
+        terms.push(Expr::Concat(
+            Box::new(Expr::Var(VarId(l))),
+            SchemaId(0),
+            Box::new(Expr::Var(VarId(r))),
+        ));
+    }
     terms
 }
 
+/// The universe terms the tuple theories act on: variables, records and
+/// concatenations.
+fn tuple_terms(uni: &[Expr]) -> Vec<usize> {
+    (0..uni.len())
+        .filter(|&i| matches!(uni[i], Expr::Var(_) | Expr::Record(_) | Expr::Concat(..)))
+        .collect()
+}
+
+/// A term's head symbol and its children, or `None` for a leaf.
+fn head(e: &Expr) -> Option<(String, Vec<&Expr>)> {
+    match e {
+        Expr::Var(_) | Expr::Const(_) => None,
+        Expr::Attr(base, a) => Some((format!(".{a}"), vec![base])),
+        Expr::App(f, args) => Some((f.clone(), args.iter().collect())),
+        Expr::Record(fields) => Some((
+            format!("{:?}", fields.iter().map(|(n, _)| n).collect::<Vec<_>>()),
+            fields.iter().map(|(_, e)| e).collect(),
+        )),
+        Expr::Concat(l, s, r) => Some((format!("++{}", s.0), vec![l, r])),
+        Expr::Agg(..) => unreachable!("the universe holds no aggregate"),
+    }
+}
+
 /// Reference closure: reflexive-symmetric-transitive closure of the asserted
-/// pairs, plus one-step congruence over the universe (`x ≈ y ⇒ f(x) ≈ f(y)`
-/// and `x ≈ y ⇒ x.a ≈ y.a`), iterated to fixpoint.
+/// pairs, plus, iterated to fixpoint over the universe:
+/// * congruence: equal heads over pairwise-equal children are equal;
+/// * record and concat injectivity: equal records of one field list, or
+///   equal concatenations of one schema, have pairwise-equal children;
+/// * projection alignment: `b ≈ ⟨…, a = e, …⟩ ⇒ b.a ≈ e`.
 fn bruteforce_closure(uni: &[Expr], asserted: &[(usize, usize)]) -> Vec<Vec<bool>> {
     let n = uni.len();
     let mut eq = vec![vec![false; n]; n];
@@ -70,10 +114,19 @@ fn bruteforce_closure(uni: &[Expr], asserted: &[(usize, usize)]) -> Vec<Vec<bool
         eq[i][j] = true;
         eq[j][i] = true;
     }
-    let idx = |e: &Expr| uni.iter().position(|u| u == e);
+    let idx = |e: &Expr| {
+        uni.iter()
+            .position(|u| u == e)
+            .expect("subterm-closed universe")
+    };
+    let heads: Vec<Option<(String, Vec<usize>)>> = uni
+        .iter()
+        .map(|e| head(e).map(|(h, cs)| (h, cs.into_iter().map(idx).collect())))
+        .collect();
+    let mut derived: Vec<(usize, usize)> = Vec::new();
     loop {
-        let mut changed = false;
         // transitivity
+        let mut changed = false;
         for i in 0..n {
             for j in 0..n {
                 if !eq[i][j] {
@@ -88,31 +141,42 @@ fn bruteforce_closure(uni: &[Expr], asserted: &[(usize, usize)]) -> Vec<Vec<bool
                 }
             }
         }
-        // congruence over f(·) and ·.attr
         for i in 0..n {
             for j in 0..n {
-                if !eq[i][j] {
+                let (Some((hi, ci)), Some((hj, cj))) = (&heads[i], &heads[j]) else {
+                    continue;
+                };
+                if hi != hj || ci.len() != cj.len() {
                     continue;
                 }
-                let lifted = |wrap: &dyn Fn(Expr) -> Expr| {
-                    let (a, b) = (wrap(uni[i].clone()), wrap(uni[j].clone()));
-                    match (idx(&a), idx(&b)) {
-                        (Some(x), Some(y)) => Some((x, y)),
-                        _ => None,
-                    }
-                };
-                let candidates = [
-                    lifted(&|e| Expr::App("f".into(), vec![e])),
-                    lifted(&|e| Expr::Attr(Box::new(e), "k".into())),
-                    lifted(&|e| Expr::Attr(Box::new(e), "a".into())),
-                ];
-                for c in candidates.into_iter().flatten() {
-                    if !eq[c.0][c.1] {
-                        eq[c.0][c.1] = true;
-                        eq[c.1][c.0] = true;
-                        changed = true;
+                // congruence
+                if ci.iter().zip(cj).all(|(&a, &b)| eq[a][b]) {
+                    derived.push((i, j));
+                }
+                // injectivity
+                if eq[i][j] && matches!(uni[i], Expr::Record(_) | Expr::Concat(..)) {
+                    derived.extend(ci.iter().copied().zip(cj.iter().copied()));
+                }
+            }
+        }
+        // projection alignment
+        for (p, e) in uni.iter().enumerate() {
+            let Expr::Attr(_, a) = e else { continue };
+            let base = heads[p].as_ref().expect("a projection has a head").1[0];
+            for (r, rec) in uni.iter().enumerate() {
+                let Expr::Record(fields) = rec else { continue };
+                if let Some(field) = fields.iter().position(|(name, _)| name == a) {
+                    if eq[base][r] {
+                        derived.push((p, heads[r].as_ref().expect("a record has a head").1[field]));
                     }
                 }
+            }
+        }
+        for (a, b) in derived.drain(..) {
+            if !eq[a][b] {
+                eq[a][b] = true;
+                eq[b][a] = true;
+                changed = true;
             }
         }
         if !changed {
@@ -122,15 +186,27 @@ fn bruteforce_closure(uni: &[Expr], asserted: &[(usize, usize)]) -> Vec<Vec<bool
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
     /// The Nelson–Oppen engine agrees with the brute-force closure on every
-    /// pair of universe terms.
+    /// pair of universe terms. `tuple_pairs` equate variables, records and
+    /// concatenations, so the tuple theories fire.
     #[test]
-    fn congruence_matches_bruteforce(pairs in proptest::collection::vec((0usize..22, 0usize..22), 0..6)) {
+    fn congruence_matches_bruteforce(
+        pairs in proptest::collection::vec((0usize..64, 0usize..64), 0..6),
+        tuple_pairs in proptest::collection::vec((0usize..16, 0usize..16), 0..3),
+    ) {
         let uni = universe();
-        let pairs: Vec<(usize, usize)> =
-            pairs.into_iter().map(|(i, j)| (i % uni.len(), j % uni.len())).collect();
+        let tuples = tuple_terms(&uni);
+        let pairs: Vec<(usize, usize)> = pairs
+            .into_iter()
+            .map(|(i, j)| (i % uni.len(), j % uni.len()))
+            .chain(
+                tuple_pairs
+                    .into_iter()
+                    .map(|(i, j)| (tuples[i % tuples.len()], tuples[j % tuples.len()])),
+            )
+            .collect();
         let oracle = bruteforce_closure(&uni, &pairs);
         let mut cc = Congruence::new();
         for &(i, j) in &pairs {

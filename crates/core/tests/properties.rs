@@ -8,7 +8,9 @@
 //! * queries proved equal by UDP must evaluate identically;
 //! * alpha-renamed, factor-shuffled clones must always be proved equal;
 //! * a shared aggregate body ([`AggBody`]) must behave exactly like the
-//!   body it wraps: its fast paths and caches are invisible.
+//!   body it wraps: its fast paths and caches are invisible;
+//! * SPNF conversion, which renames binders at the leaves, must give the
+//!   normal form of substituting at every `Σ`.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -23,7 +25,7 @@ use udp_core::interp::{DomainSpec, Interp};
 use udp_core::proof::random_model;
 use udp_core::schema::{Catalog, RelId, Schema, SchemaId, Ty};
 use udp_core::semiring::{BoolProv, Fuzzy, NatInf, USemiring};
-use udp_core::spnf::normalize_with;
+use udp_core::spnf::{normalize, normalize_with, squash_nf, Atom, Nf, Term};
 use udp_core::uexpr::UExpr;
 
 fn catalog() -> (Catalog, SchemaId, RelId, RelId) {
@@ -41,13 +43,16 @@ fn catalog() -> (Catalog, SchemaId, RelId, RelId) {
 }
 
 /// Byte-stream decoder for random, well-scoped U-expressions. The free
-/// variable `VarId(0)` plays the output tuple.
+/// variable `VarId(0)` plays the output tuple. With `shadowing`, a `Σ` may
+/// rebind an enclosing binder (or `t0`), and leaves may be correlated
+/// aggregates or record-projection redexes.
 struct Builder<'a> {
     bytes: &'a [u8],
     pos: usize,
     next_var: u32,
     sid: SchemaId,
     rels: [RelId; 2],
+    shadowing: bool,
 }
 
 impl<'a> Builder<'a> {
@@ -92,9 +97,54 @@ impl<'a> Builder<'a> {
         }
     }
 
+    /// A binder for a new `Σ`: a fresh id, or with `shadowing` sometimes
+    /// `t0` or an enclosing binder again.
+    fn binder(&mut self, bound: &[VarId]) -> VarId {
+        if self.shadowing && self.take().is_multiple_of(3) {
+            return self.var(bound);
+        }
+        self.next_var += 1;
+        VarId(self.next_var)
+    }
+
+    /// `[v.a = sum(Σ_z R(z) × body)]` with `body` free to mention every
+    /// enclosing binder.
+    fn agg_pred(&mut self, depth: u8, bound: &mut Vec<VarId>) -> Pred {
+        let v = self.var(bound);
+        let z = self.binder(bound);
+        bound.push(z);
+        let body = UExpr::mul(
+            UExpr::rel(self.rels[0], Expr::Var(z)),
+            self.build(depth, bound),
+        );
+        bound.pop();
+        Pred::eq(
+            Expr::var_attr(v, "a"),
+            Expr::agg("sum", UExpr::sum(z, self.sid, body)),
+        )
+    }
+
+    /// `[⟨k = v.a, a = 1⟩.k = w.k]`: a redex that substitution rewrites.
+    fn redex_pred(&mut self, bound: &[VarId]) -> Pred {
+        let v = self.var(bound);
+        let w = self.var(bound);
+        let rec = Expr::record(vec![
+            ("k".into(), Expr::var_attr(v, "a")),
+            ("a".into(), Expr::int(1)),
+        ]);
+        Pred::eq(Expr::attr(rec, "k"), Expr::var_attr(w, "k"))
+    }
+
     fn build(&mut self, depth: u8, bound: &mut Vec<VarId>) -> UExpr {
         let choice = self.take();
         if depth == 0 {
+            if self.shadowing {
+                match choice % 8 {
+                    6 => return UExpr::Pred(self.agg_pred(0, bound)),
+                    7 => return UExpr::Pred(self.redex_pred(bound)),
+                    _ => {}
+                }
+            }
             return match choice % 4 {
                 0 => UExpr::One,
                 1 => UExpr::Pred(self.pred(bound)),
@@ -112,8 +162,7 @@ impl<'a> Builder<'a> {
             3 => UExpr::squash(self.build(depth - 1, bound)),
             4 => UExpr::not(self.build(depth - 1, bound)),
             5 | 6 => {
-                self.next_var += 1;
-                let v = VarId(self.next_var);
+                let v = self.binder(bound);
                 bound.push(v);
                 let body = self.build(depth - 1, bound);
                 bound.pop();
@@ -122,22 +171,106 @@ impl<'a> Builder<'a> {
             _ => {
                 let rel = self.rels[(choice / 8) as usize % 2];
                 let v = self.var(bound);
-                UExpr::mul(UExpr::rel(rel, Expr::Var(v)), UExpr::Pred(self.pred(bound)))
+                let pred = if self.shadowing && choice / 8 % 4 >= 2 {
+                    self.agg_pred(depth - 1, bound)
+                } else {
+                    self.pred(bound)
+                };
+                UExpr::mul(UExpr::rel(rel, Expr::Var(v)), UExpr::Pred(pred))
             }
         }
     }
 }
 
 fn random_uexpr(bytes: &[u8], sid: SchemaId, r: RelId, s: RelId) -> UExpr {
+    build_uexpr(bytes, sid, r, s, false)
+}
+
+fn build_uexpr(bytes: &[u8], sid: SchemaId, r: RelId, s: RelId, shadowing: bool) -> UExpr {
     let mut b = Builder {
         bytes,
         pos: 0,
         next_var: 0,
         sid,
         rels: [r, s],
+        shadowing,
     };
     let depth = 2 + (bytes.first().copied().unwrap_or(0) % 2);
     b.build(depth, &mut Vec::new())
+}
+
+/// SPNF conversion as it was first written: alpha-rename each `Σ`'s binder
+/// by substituting a fresh variable into the whole body, and multiply by
+/// cloning every pair of terms. The oracle for [`normalize_with`].
+fn reference_normalize(e: &UExpr, gen: &mut VarGen) -> Nf {
+    match e {
+        UExpr::Zero => Nf::zero(),
+        UExpr::One => Nf::one(),
+        UExpr::Add(a, b) => Nf::add(reference_normalize(a, gen), reference_normalize(b, gen)),
+        UExpr::Mul(a, b) => reference_mul(reference_normalize(a, gen), reference_normalize(b, gen)),
+        UExpr::Pred(p) => {
+            if p.is_trivially_true() {
+                Nf::one()
+            } else if p.is_trivially_false() {
+                Nf::zero()
+            } else {
+                let mut t = Term::one();
+                t.preds.push(p.clone().oriented());
+                Nf::from_term(t)
+            }
+        }
+        UExpr::Rel(r, arg) => {
+            let mut t = Term::one();
+            t.atoms.push(Atom::new(*r, arg.clone()));
+            Nf::from_term(t)
+        }
+        UExpr::Squash(inner) => squash_nf(reference_normalize(inner, gen).flatten_under_squash()),
+        UExpr::Not(inner) => reference_not(inner, gen),
+        UExpr::Sum(v, schema, body) => {
+            let fresh = gen.fresh();
+            let body = body.subst(*v, &Expr::Var(fresh));
+            let mut nf = reference_normalize(&body, gen);
+            for t in &mut nf.terms {
+                t.vars.insert(0, (fresh, *schema));
+            }
+            nf
+        }
+    }
+}
+
+fn reference_mul(a: Nf, b: Nf) -> Nf {
+    let mut terms = Vec::new();
+    for x in &a.terms {
+        for y in &b.terms {
+            let prod = x.clone().mul(y.clone());
+            if !prod.is_zero() {
+                terms.push(prod);
+            }
+        }
+    }
+    Nf { terms }
+}
+
+fn reference_not(e: &UExpr, gen: &mut VarGen) -> Nf {
+    match e {
+        UExpr::Zero => Nf::one(),
+        UExpr::One => Nf::zero(),
+        UExpr::Pred(p) => reference_normalize(&UExpr::Pred(p.negate()), gen),
+        UExpr::Add(a, b) => reference_mul(reference_not(a, gen), reference_not(b, gen)),
+        UExpr::Mul(a, b) => {
+            squash_nf(Nf::add(reference_not(a, gen), reference_not(b, gen)).flatten_under_squash())
+        }
+        UExpr::Squash(x) => reference_not(x, gen),
+        other => {
+            let nf = reference_normalize(other, gen);
+            if nf.is_zero() {
+                return Nf::one();
+            }
+            let mut t = Term::one();
+            t.negation = Some(Box::new(nf));
+            Nf::from_term(t)
+        }
+    }
 }
 
 /// `sum(Σ_z body)` for a random body: the lowering's aggregate shape, with
@@ -432,5 +565,33 @@ proptest! {
             prop_assert_eq!(agg.cmp(&Expr::agg("sum", body2.clone())), body.cmp(&body2));
             prop_assert_eq!(agg == Expr::agg("sum", body2.clone()), body == body2);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// Renaming binders at the leaves is invisible: on expressions whose
+    /// `Σ`s rebind enclosing binders, whose aggregates mention them and
+    /// whose negations cover products and sums, [`normalize`] gives the
+    /// normal form that substituting at every `Σ` gives, drawing the same
+    /// fresh ids.
+    #[test]
+    fn leaf_renaming_normalizes_like_substituting_at_every_sum(
+        bytes in proptest::collection::vec(any::<u8>(), 8..64),
+    ) {
+        let (_, sid, r, s) = catalog();
+        let e = build_uexpr(&bytes, sid, r, s, true);
+        let mut gen = VarGen::above(e.max_var() + 1);
+        let expected = reference_normalize(&e, &mut gen);
+        prop_assert_eq!(&normalize(&e), &expected, "{}", e);
+        let mut gen2 = VarGen::above(e.max_var() + 1);
+        normalize_with(&e, &mut gen2);
+        prop_assert_eq!(gen2.watermark(), gen.watermark());
+        // The same under `not`, and under a `Σ` rebinding `t0`.
+        let wrapped = UExpr::not(UExpr::sum(VarId(0), sid, UExpr::mul(e.clone(), e.clone())));
+        let mut gen = VarGen::above(wrapped.max_var() + 1);
+        let expected = reference_normalize(&wrapped, &mut gen);
+        prop_assert_eq!(&normalize(&wrapped), &expected, "{}", wrapped);
     }
 }

@@ -81,11 +81,15 @@ pub enum Counter {
     /// Iso-mode `udp_core::hom::Matcher::verify` call, the matcher's unit of
     /// work.
     IsoCandidates,
+    /// Candidate mappings a homomorphism search checked in full (squash
+    /// absorption, SDP containment): one per Hom-mode
+    /// `udp_core::hom::Matcher::verify` call.
+    HomCandidates,
 }
 
 impl Counter {
     /// Number of counters (the recorder's fixed-size counter table).
-    pub const COUNT: usize = 22;
+    pub const COUNT: usize = 23;
 
     /// Every counter; index in this array == `as_index`.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -111,6 +115,7 @@ impl Counter {
         Counter::FaultsInjected,
         Counter::IdentityProved,
         Counter::IsoCandidates,
+        Counter::HomCandidates,
     ];
 
     /// Dense index for table lookups.
@@ -138,6 +143,7 @@ impl Counter {
             Counter::FaultsInjected => 19,
             Counter::IdentityProved => 20,
             Counter::IsoCandidates => 21,
+            Counter::HomCandidates => 22,
         }
     }
 
@@ -166,6 +172,7 @@ impl Counter {
             Counter::FaultsInjected => "faults-injected",
             Counter::IdentityProved => "identity-proved",
             Counter::IsoCandidates => "iso-candidates",
+            Counter::HomCandidates => "hom-candidates",
         }
     }
 
@@ -232,6 +239,7 @@ mod tests {
         assert!(Counter::SpnfBytes.is_deterministic());
         assert!(Counter::IdentityProved.is_deterministic());
         assert!(Counter::IsoCandidates.is_deterministic());
+        assert!(Counter::HomCandidates.is_deterministic());
         assert!(!Counter::CacheHitDepth.is_deterministic());
         assert!(!Counter::CacheResidentBytes.is_deterministic());
         assert!(!Counter::BackendFault.is_deterministic());

@@ -495,7 +495,7 @@ impl Session {
         // caught in `scheduler::supervise`).
         match self.faults.fire(recorder, PROBE_GOAL, index as u64) {
             Some(FaultAction::Panic) => {
-                panic!("chaos: injected panic at {PROBE_GOAL} (goal {index})")
+                panic!("chaos: injected panic at {PROBE_GOAL} (fault key {index})")
             }
             Some(FaultAction::Delay(d)) => std::thread::sleep(d),
             Some(FaultAction::Exhaust) | None => {} // goal probe never exhausts

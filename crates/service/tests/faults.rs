@@ -163,11 +163,13 @@ fn worker_panics_are_supervised_and_worker_invariant() {
         .map(|&w| chaos_session(w, plan(0.0, 0.0, 1.0, Some(PROBE_GOAL))))
         .collect();
     let (recorder, session, base) = &runs[0];
-    for line in base {
+    for (index, line) in base.iter().enumerate() {
         assert!(
             line.starts_with("error: goal panicked: chaos:"),
             "supervised worker panic must surface as a per-goal error: {line}"
         );
+        // The batch index is the fault key, named as such.
+        assert!(line.ends_with(&format!("(fault key {index})")), "{line}");
     }
     for (_, run_session, rendered) in &runs {
         assert_eq!(rendered, base);

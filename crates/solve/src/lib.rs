@@ -155,7 +155,7 @@ pub fn solve_normalized(goal: &Goal, _mode: SolveMode) -> Result<Verdict, String
     let result = catch_unwind(AssertUnwindSafe(|| {
         if let Some(FaultAction::Panic) = action {
             panic!(
-                "chaos: injected panic at {PROBE_BACKEND_UDP} (goal {})",
+                "chaos: injected panic at {PROBE_BACKEND_UDP} (fault key {})",
                 config.fault_key
             );
         }

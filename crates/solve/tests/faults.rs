@@ -136,11 +136,16 @@ fn a_panicking_prover_yields_an_error_not_a_verdict() {
     let f = fixture();
     let config = SolveConfig {
         faults: injector(false),
+        fault_key: 5,
         ..steps_only()
     };
     let fault = run(&f, &spj_pair(&f), config).expect_err("an injected panic must be contained");
     assert!(fault.contains("udp backend faulted"), "{fault}");
-    assert!(fault.contains("chaos: injected panic"), "{fault}");
+    // The message names the fault key, not a goal number.
+    assert!(
+        fault.contains("chaos: injected panic at backend:udp (fault key 5)"),
+        "{fault}"
+    );
     // The same goal proves once the injector is off.
     let verdict = run(&f, &spj_pair(&f), steps_only()).unwrap();
     assert_eq!(verdict.decision, Decision::Proved);
