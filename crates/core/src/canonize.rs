@@ -26,6 +26,7 @@ use crate::budget::Exhausted;
 use crate::congruence::Congruence;
 use crate::ctx::Ctx;
 use crate::expr::{Expr, Pred, VarId};
+use crate::name::Name;
 use crate::spnf::{Nf, Term};
 use crate::trace::{Rule, StepData};
 use udp_obs::Counter;
@@ -43,10 +44,24 @@ pub fn canonize_nf(
     if !ctx.opts.canonize {
         return Ok(nf);
     }
-    // Clone the handle so the span guard doesn't borrow `ctx` across the
-    // mutable uses below (a disabled handle makes this span free).
+    // Only the outermost canonization on this context is a canonize-core
+    // occurrence. Clone the handle so the span guard doesn't borrow `ctx`
+    // across the mutable uses below (a disabled handle makes this span
+    // free).
     let recorder = ctx.recorder.clone();
-    let _span = recorder.span(udp_obs::Stage::CanonizeCore);
+    let _span = (ctx.canonize_depth == 0).then(|| recorder.span(udp_obs::Stage::CanonizeCore));
+    ctx.canonize_depth += 1;
+    let canon = canonize_terms(ctx, nf, ambient, under_squash);
+    ctx.canonize_depth -= 1;
+    canon
+}
+
+fn canonize_terms(
+    ctx: &mut Ctx,
+    nf: Nf,
+    ambient: &[Pred],
+    under_squash: bool,
+) -> Result<Nf, Exhausted> {
     let nf = if under_squash {
         nf.flatten_under_squash()
     } else {
@@ -227,17 +242,10 @@ pub fn canonize_term(
 
 /// Build the congruence closure from ambient + term equalities.
 fn build_congruence(ctx: &Ctx, t: &Term, ambient: &[Pred]) -> Congruence {
-    let _span = ctx.recorder.span(udp_obs::Stage::Congruence);
-    let mut cc = Congruence::with_recorder(ctx.recorder.clone());
-    if ctx.opts.congruence {
-        cc.assert_preds(ambient.iter());
-        cc.assert_preds(t.preds.iter());
-    } else {
-        // Ablation mode: only the term's own syntactic equalities, no
-        // closure beyond union of identical assertions.
-        cc.assert_preds(t.preds.iter());
-    }
-    cc
+    // Ablation mode: only the term's own syntactic equalities, no closure
+    // beyond union of identical assertions.
+    let ambient = if ctx.opts.congruence { ambient } else { &[] };
+    Congruence::of_preds(&ctx.recorder, ambient, &t.preds)
 }
 
 /// Resolve `Attr(Concat(..))` projections using catalog schemas.
@@ -421,7 +429,7 @@ fn key_chase_step(
                 continue;
             }
             let rel = t.atoms[i].rel;
-            let keys: Vec<Vec<String>> = ctx.cs.keys_of(rel).map(|k| k.to_vec()).collect();
+            let keys: Vec<Vec<Name>> = ctx.cs.keys_of(rel).map(|k| k.to_vec()).collect();
             for key in &keys {
                 let ai = t.atoms[i].arg.clone();
                 let aj = t.atoms[j].arg.clone();
@@ -528,7 +536,7 @@ fn fk_chase_step(
         ctx.budget.tick()?;
         let child = t.atoms[i].rel;
         let arg = t.atoms[i].arg.clone();
-        let fks: Vec<(Vec<String>, crate::schema::RelId, Vec<String>)> = ctx
+        let fks: Vec<(Vec<Name>, crate::schema::RelId, Vec<Name>)> = ctx
             .cs
             .fks_from(child)
             .map(|(ca, p, pa)| (ca.to_vec(), p, pa.to_vec()))

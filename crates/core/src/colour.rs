@@ -37,6 +37,7 @@ use crate::budget::Exhausted;
 use crate::congruence::Congruence;
 use crate::ctx::Ctx;
 use crate::expr::{Expr, Pred, VarId};
+use crate::name::Name;
 use crate::schema::{RelId, SchemaId};
 use crate::spnf::Term;
 use std::collections::hash_map::DefaultHasher;
@@ -99,7 +100,7 @@ fn repeats_relation(t: &Term) -> bool {
 struct Palette {
     /// Attribute names of the binders' schemas and of every projection in
     /// the predicates, sorted.
-    attrs: Vec<String>,
+    attrs: Vec<Name>,
     /// Subterms mentioning no bound variable, sorted and deduplicated.
     anchors: Vec<Expr>,
 }
@@ -154,9 +155,7 @@ impl Palette {
     fn colour(&self, ctx: &mut Ctx, t: &Term, ambient: &[Pred]) -> Result<Colouring, Exhausted> {
         let n = t.vars.len();
         let m = self.attrs.len();
-        let mut cc = Congruence::with_recorder(ctx.recorder.clone());
-        cc.assert_preds(ambient.iter());
-        cc.assert_preds(t.preds.iter());
+        let mut cc = Congruence::of_preds(&ctx.recorder, ambient, &t.preds);
         // Intern every node first: interning may merge classes (record
         // projections), so roots are read only once the closure is complete.
         let mut var_nodes = Vec::with_capacity(n * (m + 1));
@@ -249,7 +248,7 @@ fn pred_exprs(p: &Pred) -> Vec<&Expr> {
 fn walk(
     e: &Expr,
     bound: &BTreeSet<VarId>,
-    attrs: &mut BTreeSet<String>,
+    attrs: &mut BTreeSet<Name>,
     anchors: &mut BTreeSet<Expr>,
 ) -> Option<bool> {
     let (mut mentions, children): (bool, Vec<&Expr>) = match e {

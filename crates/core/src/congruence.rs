@@ -29,24 +29,25 @@
 //! unless the class holds a record or a concatenation.
 
 use crate::expr::{AggBody, Expr, Pred, Value, VarId};
+use crate::name::Name;
 use crate::schema::SchemaId;
 use crate::uexpr::UExpr;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
-use udp_obs::{Counter, Recorder};
+use udp_obs::{Counter, Recorder, Stage};
 
 /// Node operator: the un-curried head symbol of an expression.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Op {
     Var(VarId),
     Const(Value),
-    Attr(String),
-    App(String),
+    Attr(Name),
+    App(Name),
     /// Aggregate: name + the body's shared skeleton (free variables
     /// replaced by placeholders in sorted order, binders alpha-normalized).
-    Agg(String, AggBody),
-    Record(Vec<String>),
+    Agg(Name, AggBody),
+    Record(Vec<Name>),
     Concat(SchemaId),
 }
 
@@ -179,12 +180,19 @@ impl Congruence {
         Self::default()
     }
 
-    /// An empty closure tallying its traffic on `recorder`.
-    pub fn with_recorder(recorder: Recorder) -> Self {
-        Self {
-            recorder,
-            ..Self::default()
-        }
+    /// The closure of the equalities in `ambient`, then in `preds`, built
+    /// inside a [`Stage::Congruence`] span on `recorder` (which it also
+    /// tallies its traffic on). Every closure the prover builds comes from
+    /// here.
+    pub fn of_preds(recorder: &Recorder, ambient: &[Pred], preds: &[Pred]) -> Self {
+        let _span = recorder.span(Stage::Congruence);
+        let mut cc = Congruence {
+            recorder: recorder.clone(),
+            ..Congruence::default()
+        };
+        cc.assert_preds(ambient);
+        cc.assert_preds(preds);
+        cc
     }
 
     fn root(&self, mut i: usize) -> usize {

@@ -7,6 +7,7 @@
 //! (Sec 4.1) the front end inlines them before lowering, so the core only
 //! ever sees base relations plus these two identity families.
 
+use crate::name::Name;
 use crate::schema::RelId;
 
 /// A single declared constraint.
@@ -17,7 +18,7 @@ pub enum Constraint {
         /// The keyed relation.
         rel: RelId,
         /// Key attributes (composite keys supported).
-        attrs: Vec<String>,
+        attrs: Vec<Name>,
     },
     /// `child.child_attrs` references `parent.parent_attrs` (Def 4.4);
     /// `parent_attrs` is implicitly a key of `parent` (Theorem 4.5).
@@ -25,11 +26,11 @@ pub enum Constraint {
         /// Referencing relation.
         child: RelId,
         /// Referencing attributes.
-        child_attrs: Vec<String>,
+        child_attrs: Vec<Name>,
         /// Referenced relation.
         parent: RelId,
         /// Referenced (key) attributes.
-        parent_attrs: Vec<String>,
+        parent_attrs: Vec<Name>,
     },
 }
 
@@ -71,7 +72,7 @@ impl ConstraintSet {
     }
 
     /// Declare `attrs` a key of `rel` (Def 4.1).
-    pub fn add_key(&mut self, rel: RelId, attrs: Vec<String>) {
+    pub fn add_key(&mut self, rel: RelId, attrs: Vec<Name>) {
         self.add(Constraint::Key { rel, attrs });
     }
 
@@ -80,9 +81,9 @@ impl ConstraintSet {
     pub fn add_foreign_key(
         &mut self,
         child: RelId,
-        child_attrs: Vec<String>,
+        child_attrs: Vec<Name>,
         parent: RelId,
-        parent_attrs: Vec<String>,
+        parent_attrs: Vec<Name>,
     ) {
         self.add(Constraint::ForeignKey {
             child,
@@ -108,7 +109,7 @@ impl ConstraintSet {
     }
 
     /// All declared keys of `rel`.
-    pub fn keys_of(&self, rel: RelId) -> impl Iterator<Item = &[String]> {
+    pub fn keys_of(&self, rel: RelId) -> impl Iterator<Item = &[Name]> {
         self.constraints.iter().filter_map(move |c| match c {
             Constraint::Key { rel: r, attrs } if *r == rel => Some(attrs.as_slice()),
             _ => None,
@@ -123,7 +124,7 @@ impl ConstraintSet {
     }
 
     /// Foreign keys whose child is `rel`.
-    pub fn fks_from(&self, rel: RelId) -> impl Iterator<Item = (&[String], RelId, &[String])> {
+    pub fn fks_from(&self, rel: RelId) -> impl Iterator<Item = (&[Name], RelId, &[Name])> {
         self.constraints.iter().filter_map(move |c| match c {
             Constraint::ForeignKey {
                 child,

@@ -3,6 +3,7 @@
 use crate::budget::Budget;
 use crate::constraints::ConstraintSet;
 use crate::expr::{AggBody, Pred, VarGen, VarId};
+use crate::name::Name;
 use crate::schema::{Catalog, SchemaId};
 use crate::trace::Trace;
 use std::collections::HashMap;
@@ -11,7 +12,7 @@ use std::collections::HashMap;
 /// bodies' alpha-normal forms ([`AggBody::alpha`], shared with the bodies
 /// and hashed by their cached content hash), and the ambient predicate
 /// context.
-pub type AggKey = (String, AggBody, AggBody, Vec<Pred>);
+pub type AggKey = (Name, AggBody, AggBody, Vec<Pred>);
 
 /// Feature switches. Defaults reproduce the full algorithm; the ablation
 /// table of the `experiments` binary toggles individual phases off to
@@ -65,6 +66,11 @@ pub struct Ctx<'a> {
     /// homomorphism search uses this to soundly map a bound pattern variable
     /// onto a free variable of the same schema (see `hom::Matcher`).
     pub free_schemas: HashMap<VarId, SchemaId>,
+    /// How many `canonize_nf` calls are open on this context. Only the
+    /// outermost opens the canonize-core span, so a nested canonization
+    /// (a squash or negation body, a squash-intro body, or one reached
+    /// through matching) is neither timed nor counted twice.
+    pub(crate) canonize_depth: u32,
 }
 
 impl<'a> Ctx<'a> {
@@ -80,6 +86,7 @@ impl<'a> Ctx<'a> {
             opts: Options::default(),
             agg_cache: HashMap::new(),
             free_schemas: HashMap::new(),
+            canonize_depth: 0,
         }
     }
 

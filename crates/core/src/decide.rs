@@ -214,13 +214,16 @@ pub fn record_normalization(verdict: &mut Verdict, q1: &QueryU, q2: &QueryU, nf1
 fn schemas_compatible(catalog: &Catalog, sid1: SchemaId, sid2: SchemaId) -> bool {
     let s1 = catalog.schema(sid1);
     let s2 = catalog.schema(sid2);
-    let names = |s: &crate::schema::Schema| -> Vec<String> {
-        s.attrs.iter().map(|(n, _)| n.clone()).collect()
+    let same_names = || {
+        s1.attrs
+            .iter()
+            .map(|(n, _)| n)
+            .eq(s2.attrs.iter().map(|(n, _)| n))
     };
     if s1.is_closed() && s2.is_closed() {
-        names(s1) == names(s2)
+        same_names()
     } else {
-        sid1 == sid2 || names(s1) == names(s2)
+        sid1 == sid2 || same_names()
     }
 }
 

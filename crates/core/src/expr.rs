@@ -7,6 +7,7 @@
 //! constructor, or a concatenation of two tuples (the output of a join under
 //! `SELECT *`).
 
+use crate::name::Name;
 use crate::schema::SchemaId;
 use crate::uexpr::UExpr;
 use std::cmp::Ordering;
@@ -122,19 +123,19 @@ pub enum Expr {
     /// A tuple variable `t`.
     Var(VarId),
     /// Attribute access `e.a`.
-    Attr(Box<Expr>, String),
+    Attr(Box<Expr>, Name),
     /// Constant literal.
     Const(Value),
     /// Uninterpreted function application `f(e₁, …, eₙ)`.
-    App(String, Vec<Expr>),
+    App(Name, Vec<Expr>),
     /// Uninterpreted aggregate `agg(E)` over a subquery's U-expression. The
     /// body may reference outer tuple variables (correlated aggregate). It
     /// is an [`AggBody`]: built once, shared by reference between every
     /// copy of the expression, with its free variables, congruence skeleton
     /// and alpha-normal form computed at most once.
-    Agg(String, AggBody),
+    Agg(Name, AggBody),
     /// Record constructor `{a₁ = e₁, …, aₙ = eₙ}` — a tuple literal.
-    Record(Vec<(String, Expr)>),
+    Record(Vec<(Name, Expr)>),
     /// Tuple concatenation; the `SchemaId` is the schema of the left operand,
     /// needed to resolve attribute accesses through the concatenation.
     Concat(Box<Expr>, SchemaId, Box<Expr>),
@@ -147,12 +148,12 @@ impl Expr {
     }
 
     /// Attribute access `base.a`.
-    pub fn attr(base: Expr, a: impl Into<String>) -> Expr {
+    pub fn attr(base: Expr, a: impl Into<Name>) -> Expr {
         Expr::Attr(Box::new(base), a.into())
     }
 
     /// `t.a` for a variable `t` — the overwhelmingly common case.
-    pub fn var_attr(v: VarId, a: impl Into<String>) -> Expr {
+    pub fn var_attr(v: VarId, a: impl Into<Name>) -> Expr {
         Expr::attr(Expr::Var(v), a)
     }
 
@@ -172,17 +173,17 @@ impl Expr {
     }
 
     /// Uninterpreted function application.
-    pub fn app(f: impl Into<String>, args: Vec<Expr>) -> Expr {
+    pub fn app(f: impl Into<Name>, args: Vec<Expr>) -> Expr {
         Expr::App(f.into(), args)
     }
 
     /// Uninterpreted aggregate `agg(body)`.
-    pub fn agg(name: impl Into<String>, body: UExpr) -> Expr {
+    pub fn agg(name: impl Into<Name>, body: UExpr) -> Expr {
         Expr::Agg(name.into(), AggBody::new(body))
     }
 
     /// Record (tuple literal) constructor.
-    pub fn record(fields: Vec<(String, Expr)>) -> Expr {
+    pub fn record(fields: Vec<(Name, Expr)>) -> Expr {
         Expr::Record(fields)
     }
 
@@ -277,7 +278,7 @@ impl Expr {
     pub fn simplify_head(self) -> Expr {
         if let Expr::Attr(base, a) = &self {
             if let Expr::Record(fields) = base.as_ref() {
-                if let Some((_, e)) = fields.iter().find(|(n, _)| n == &a[..]) {
+                if let Some((_, e)) = fields.iter().find(|(n, _)| n == a) {
                     return e.clone();
                 }
             }
@@ -362,7 +363,7 @@ impl Expr {
             Expr::Agg(name, body) => name.len() + body.deep_size(),
             Expr::Record(fields) => fields
                 .iter()
-                .map(|(n, e)| std::mem::size_of::<(String, Expr)>() + n.len() + e.heap_size())
+                .map(|(n, e)| std::mem::size_of::<(Name, Expr)>() + n.len() + e.heap_size())
                 .sum(),
             Expr::Concat(l, _, r) => l.deep_size() + r.deep_size(),
         }
@@ -652,7 +653,7 @@ pub enum Pred {
     /// `not([p(...)])`.
     Lift {
         /// Predicate symbol.
-        name: String,
+        name: Name,
         /// Operand expressions.
         args: Vec<Expr>,
         /// Whether the atom is complemented.
@@ -672,7 +673,7 @@ impl Pred {
     }
 
     /// A (positive) uninterpreted predicate atom.
-    pub fn lift(name: impl Into<String>, args: Vec<Expr>) -> Pred {
+    pub fn lift(name: impl Into<Name>, args: Vec<Expr>) -> Pred {
         Pred::Lift {
             name: name.into(),
             args,

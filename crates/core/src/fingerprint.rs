@@ -882,7 +882,7 @@ mod tests {
     #[test]
     fn nullability_is_part_of_the_form() {
         let (mut cat, sid, r) = setup();
-        let attrs = || vec![("a".to_string(), Ty::Int)];
+        let attrs = || vec![("a".into(), Ty::Int)];
         let plain = cat.add_anon_schema(attrs(), false);
         let nullable = cat.add_anon_schema_nullable(attrs(), false, vec![true]);
         let query = |sigma: SchemaId| {

@@ -18,6 +18,7 @@ use crate::congruence::Congruence;
 use crate::ctx::Ctx;
 use crate::equiv::{sdp_equiv, udp_equiv};
 use crate::expr::{Expr, Pred, VarId};
+use crate::name::Name;
 use crate::schema::SchemaId;
 use crate::spnf::Term;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -158,9 +159,7 @@ fn match_terms_impl(
         }
     }
 
-    let mut cc_target = Congruence::with_recorder(ctx.recorder.clone());
-    cc_target.assert_preds(ambient.iter());
-    cc_target.assert_preds(target.preds.iter());
+    let cc_target = Congruence::of_preds(&ctx.recorder, ambient, &target.preds);
 
     let mut m = Matcher {
         pattern,
@@ -504,9 +503,7 @@ impl<'a> Matcher<'a> {
         let cc_fwd = if agg_free_preds {
             &mut self.cc_target
         } else {
-            rebuilt = Congruence::with_recorder(ctx.recorder.clone());
-            rebuilt.assert_preds(ambient_preds.iter());
-            rebuilt.assert_preds(target_preds.iter());
+            rebuilt = Congruence::of_preds(&ctx.recorder, &ambient_preds, &target_preds);
             &mut rebuilt
         };
         let target_pool: Vec<Pred> = target_preds
@@ -522,9 +519,7 @@ impl<'a> Matcher<'a> {
         // Backward (Iso only): every target predicate is implied by the
         // closure of the mapped pattern predicates.
         if self.mode == MatchMode::Iso {
-            let mut cc_back = Congruence::with_recorder(ctx.recorder.clone());
-            cc_back.assert_preds(ambient_preds.iter());
-            cc_back.assert_preds(mapped_preds.iter());
+            let mut cc_back = Congruence::of_preds(&ctx.recorder, &ambient_preds, &mapped_preds);
             let back_pool: Vec<Pred> = mapped_preds
                 .iter()
                 .chain(ambient_preds.iter())
@@ -615,20 +610,22 @@ fn collect_aggs_pred(p: &Pred, out: &mut Vec<Expr>) {
 }
 
 /// Partition a list of aggregate expressions into semantic equivalence
-/// classes (same aggregate name, UDP-equivalent bodies under `ambient`).
+/// classes (same aggregate name, UDP-equivalent bodies under `ambient`),
+/// pairing each with its class's opaque token `agg·N()`, built once per
+/// class.
 fn agg_classes(
     ctx: &mut Ctx,
     aggs: Vec<Expr>,
     ambient: &[Pred],
-) -> Result<Vec<(Expr, usize)>, Exhausted> {
-    let mut reps: Vec<Expr> = Vec::new();
-    let mut out: Vec<(Expr, usize)> = Vec::new();
+) -> Result<Vec<(Expr, Expr)>, Exhausted> {
+    let mut reps: Vec<(Expr, Expr)> = Vec::new();
+    let mut out: Vec<(Expr, Expr)> = Vec::new();
     for a in aggs {
         if out.iter().any(|(e, _)| *e == a) {
             continue;
         }
         let mut cls = None;
-        for (i, r) in reps.iter().enumerate() {
+        for (i, (r, _)) in reps.iter().enumerate() {
             ctx.budget.tick()?;
             if aggs_equiv(ctx, &a, r, ambient)? {
                 cls = Some(i);
@@ -638,11 +635,12 @@ fn agg_classes(
         let cls = match cls {
             Some(c) => c,
             None => {
-                reps.push(a.clone());
+                let token = Expr::App(Name::from(format!("agg·{}", reps.len())), vec![]);
+                reps.push((a.clone(), token));
                 reps.len() - 1
             }
         };
-        out.push((a, cls));
+        out.push((a, reps[cls].1.clone()));
     }
     Ok(out)
 }
@@ -702,10 +700,10 @@ pub fn aggs_equiv(ctx: &mut Ctx, a: &Expr, b: &Expr, ambient: &[Pred]) -> Result
 }
 
 /// Replace classified aggregate occurrences by opaque class tokens.
-fn replace_aggs_expr(e: &Expr, classes: &[(Expr, usize)]) -> Expr {
+fn replace_aggs_expr(e: &Expr, classes: &[(Expr, Expr)]) -> Expr {
     if matches!(e, Expr::Agg(..)) {
-        if let Some((_, c)) = classes.iter().find(|(a, _)| a == e) {
-            return Expr::App(format!("agg·{c}"), vec![]);
+        if let Some((_, token)) = classes.iter().find(|(a, _)| a == e) {
+            return token.clone();
         }
     }
     match e {
@@ -728,7 +726,7 @@ fn replace_aggs_expr(e: &Expr, classes: &[(Expr, usize)]) -> Expr {
     }
 }
 
-fn replace_aggs_pred(p: &Pred, classes: &[(Expr, usize)]) -> Pred {
+fn replace_aggs_pred(p: &Pred, classes: &[(Expr, Expr)]) -> Pred {
     p.map_exprs(&|e| replace_aggs_expr(e, classes))
 }
 

@@ -13,6 +13,7 @@
 //! admissible model of an uninterpreted symbol.
 
 use crate::expr::{Expr, Pred, Value, VarId};
+use crate::name::Name;
 use crate::schema::{Catalog, RelId, SchemaId, Ty};
 use crate::semiring::USemiring;
 use crate::uexpr::UExpr;
@@ -33,7 +34,7 @@ pub enum Val {
     /// String scalar.
     Str(String),
     /// Named tuple.
-    Tuple(BTreeMap<String, Val>),
+    Tuple(BTreeMap<Name, Val>),
 }
 
 impl Val {
@@ -102,7 +103,7 @@ impl DomainSpec {
 /// additionally range over [`Val::Null`].
 pub fn enumerate_tuples(catalog: &Catalog, schema: SchemaId, spec: &DomainSpec) -> Vec<Val> {
     let s = catalog.schema(schema);
-    let mut tuples: Vec<BTreeMap<String, Val>> = vec![BTreeMap::new()];
+    let mut tuples: Vec<BTreeMap<Name, Val>> = vec![BTreeMap::new()];
     for (i, (attr, ty)) in s.attrs.iter().enumerate() {
         let nullable = s.nullable.get(i).copied().unwrap_or(false);
         let vals = spec.values_nullable(*ty, nullable);
@@ -274,7 +275,7 @@ impl<S: USemiring + Hash> Interp<S> {
     }
 
     /// Does this interpretation satisfy a key constraint on `rel.attrs`?
-    pub fn satisfies_key(&self, rel: RelId, attrs: &[String]) -> bool {
+    pub fn satisfies_key(&self, rel: RelId, attrs: &[Name]) -> bool {
         let Some(rows) = self.relations.get(&rel) else {
             return true;
         };
@@ -327,8 +328,8 @@ mod tests {
 
     fn tup(k: i64, a: i64) -> Val {
         Val::Tuple(BTreeMap::from([
-            ("k".to_string(), Val::Int(k)),
-            ("a".to_string(), Val::Int(a)),
+            ("k".into(), Val::Int(k)),
+            ("a".into(), Val::Int(a)),
         ]))
     }
 
@@ -433,12 +434,12 @@ mod tests {
         };
         let mut interp: Interp<Nat> = Interp::new(&cat, &spec);
         interp.set_relation(r, vec![(tup(0, 0), Nat(1)), (tup(0, 1), Nat(1))]);
-        assert!(!interp.satisfies_key(r, &["k".to_string()]));
-        assert!(interp.satisfies_key(r, &["k".to_string(), "a".to_string()]));
+        assert!(!interp.satisfies_key(r, &["k".into()]));
+        assert!(interp.satisfies_key(r, &["k".into(), "a".into()]));
         // multiplicity 2 violates the key identity (R(t)² ≠ R(t))
         let mut interp2: Interp<Nat> = Interp::new(&cat, &spec);
         interp2.set_relation(r, vec![(tup(0, 0), Nat(2))]);
-        assert!(!interp2.satisfies_key(r, &["k".to_string()]));
+        assert!(!interp2.satisfies_key(r, &["k".into()]));
     }
 
     #[test]

@@ -61,6 +61,7 @@ pub mod expr;
 pub mod fingerprint;
 pub mod hom;
 pub mod interp;
+pub mod name;
 pub mod proof;
 pub mod schema;
 pub mod semiring;
@@ -78,6 +79,7 @@ pub mod prelude {
     pub use crate::ctx::Options;
     pub use crate::decide::{decide, decide_with, DecideConfig, Decision, QueryU, Verdict};
     pub use crate::expr::{Expr, Pred, Value, VarGen, VarId};
+    pub use crate::name::Name;
     pub use crate::schema::{Catalog, RelId, Schema, SchemaId, Ty};
     pub use crate::uexpr::UExpr;
 }

@@ -324,7 +324,7 @@ mod tests {
         };
         for seed in 0..30 {
             let m = random_model(&cat, &cs, &spec, seed);
-            assert!(m.satisfies_key(r, &["k".to_string()]), "seed {seed}");
+            assert!(m.satisfies_key(r, &["k".into()]), "seed {seed}");
         }
     }
 

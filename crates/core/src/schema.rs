@@ -7,6 +7,7 @@
 //! listed attributes but possibly more. Generic schemas let one state rewrite
 //! rules over arbitrary relations, as in COSETTE.
 
+use crate::name::Name;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -49,9 +50,9 @@ pub struct RelId(pub u32);
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     /// Declared name (anonymous schemas get a generated `$anonN` name).
-    pub name: String,
+    pub name: Name,
     /// Ordered `(attribute, type)` pairs.
-    pub attrs: Vec<(String, Ty)>,
+    pub attrs: Vec<(Name, Ty)>,
     /// `true` when the schema was declared with `??` — it may contain further
     /// unknown attributes, so tuple equality cannot be decomposed
     /// attribute-wise.
@@ -67,7 +68,7 @@ pub struct Schema {
 impl Schema {
     /// Build a schema from its name, attributes, and openness flag (all
     /// attributes non-nullable).
-    pub fn new(name: impl Into<String>, attrs: Vec<(String, Ty)>, open: bool) -> Self {
+    pub fn new(name: impl Into<Name>, attrs: Vec<(Name, Ty)>, open: bool) -> Self {
         let nullable = vec![false; attrs.len()];
         Schema {
             name: name.into(),
@@ -116,7 +117,7 @@ impl Schema {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Relation {
     /// Table name as declared in the input program.
-    pub name: String,
+    pub name: Name,
     /// Row schema of the relation.
     pub schema: SchemaId,
 }
@@ -129,8 +130,8 @@ pub struct Relation {
 pub struct Catalog {
     schemas: Vec<Schema>,
     relations: Vec<Relation>,
-    schema_by_name: HashMap<String, SchemaId>,
-    relation_by_name: HashMap<String, RelId>,
+    schema_by_name: HashMap<Name, SchemaId>,
+    relation_by_name: HashMap<Name, RelId>,
 }
 
 impl Catalog {
@@ -146,7 +147,7 @@ impl Catalog {
             if self.schemas[id.0 as usize] == schema {
                 return Ok(id);
             }
-            return Err(CatalogError::DuplicateSchema(schema.name));
+            return Err(CatalogError::DuplicateSchema(schema.name.to_string()));
         }
         let id = SchemaId(self.schemas.len() as u32);
         self.schema_by_name.insert(schema.name.clone(), id);
@@ -162,7 +163,7 @@ impl Catalog {
     /// procedures (whose variable matching compares [`SchemaId`]s) pair
     /// summation variables introduced by separate lowerings of the same
     /// subquery text.
-    pub fn add_anon_schema(&mut self, attrs: Vec<(String, Ty)>, open: bool) -> SchemaId {
+    pub fn add_anon_schema(&mut self, attrs: Vec<(Name, Ty)>, open: bool) -> SchemaId {
         let nullable = vec![false; attrs.len()];
         self.add_anon_schema_nullable(attrs, open, nullable)
     }
@@ -173,7 +174,7 @@ impl Catalog {
     /// from its non-nullable twin's.
     pub fn add_anon_schema_nullable(
         &mut self,
-        attrs: Vec<(String, Ty)>,
+        attrs: Vec<(Name, Ty)>,
         open: bool,
         nullable: Vec<bool>,
     ) -> SchemaId {
@@ -187,7 +188,7 @@ impl Catalog {
             return SchemaId(id as u32);
         }
         let id = SchemaId(self.schemas.len() as u32);
-        let name = format!("$anon{}", id.0);
+        let name = Name::from(format!("$anon{}", id.0));
         self.schemas.push(Schema {
             name,
             attrs,
@@ -201,7 +202,7 @@ impl Catalog {
     /// rebinding a name to a different schema is an error.
     pub fn add_relation(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<Name>,
         schema: SchemaId,
     ) -> Result<RelId, CatalogError> {
         let name = name.into();
@@ -209,7 +210,7 @@ impl Catalog {
             if self.relations[id.0 as usize].schema == schema {
                 return Ok(id);
             }
-            return Err(CatalogError::DuplicateRelation(name));
+            return Err(CatalogError::DuplicateRelation(name.to_string()));
         }
         let id = RelId(self.relations.len() as u32);
         self.relation_by_name.insert(name.clone(), id);

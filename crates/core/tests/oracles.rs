@@ -88,7 +88,7 @@ fn head(e: &Expr) -> Option<(String, Vec<&Expr>)> {
     match e {
         Expr::Var(_) | Expr::Const(_) => None,
         Expr::Attr(base, a) => Some((format!(".{a}"), vec![base])),
-        Expr::App(f, args) => Some((f.clone(), args.iter().collect())),
+        Expr::App(f, args) => Some((f.to_string(), args.iter().collect())),
         Expr::Record(fields) => Some((
             format!("{:?}", fields.iter().map(|(n, _)| n).collect::<Vec<_>>()),
             fields.iter().map(|(_, e)| e).collect(),

@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use udp_core::expr::Value;
+use udp_core::name::Name;
 use udp_core::schema::{Catalog, RelId};
 
 /// A row, positionally aligned with its schema's attribute list.
@@ -83,7 +84,7 @@ impl Database {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResultBag {
     /// Output column names, in projection order.
-    pub columns: Vec<String>,
+    pub columns: Vec<Name>,
     /// Result rows (bag semantics).
     pub rows: Vec<Row>,
 }

@@ -31,6 +31,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use udp_core::expr::Value;
+use udp_core::name::Name;
 
 use udp_sql::ast::*;
 use udp_sql::Frontend;
@@ -131,7 +132,7 @@ impl Truth {
 #[derive(Debug, Clone, Default)]
 struct Env<'a> {
     parent: Option<&'a Env<'a>>,
-    frames: Vec<(String, Vec<String>, Row)>,
+    frames: Vec<(Name, Vec<Name>, Row)>,
 }
 
 impl<'a> Env<'a> {
@@ -250,7 +251,9 @@ fn eval_query_env(
             let Some(first) = value_rows.first() else {
                 return Err(EvalError::Unsupported("VALUES with no rows".into()));
             };
-            let columns: Vec<String> = (0..first.len()).map(|i| format!("c{i}")).collect();
+            let columns: Vec<Name> = (0..first.len())
+                .map(|i| Name::from(format!("c{i}")))
+                .collect();
             let mut rows = Vec::with_capacity(value_rows.len());
             for vr in value_rows {
                 if vr.len() != first.len() {
@@ -285,7 +288,7 @@ fn dedup_rows(rows: &mut Vec<Row>) {
 #[derive(Debug, Clone)]
 struct SourceGroup {
     /// `(alias, columns)` per member, in FROM order.
-    members: Vec<(String, Vec<String>)>,
+    members: Vec<(Name, Vec<Name>)>,
     /// Joined rows: each row concatenates the member widths in order.
     rows: Vec<Row>,
 }
@@ -313,8 +316,8 @@ impl SourceGroup {
 /// Flattened per-alias view of the groups, for name resolution and `*`
 /// expansion (kept in FROM order).
 struct FlatSource {
-    alias: String,
-    cols: Vec<String>,
+    alias: Name,
+    cols: Vec<Name>,
     group: usize,
     offset: usize,
 }
@@ -511,11 +514,11 @@ fn natural_join_plan(s: &Select, flat: &[FlatSource]) -> Result<NaturalPlan, Eva
         let li = flat
             .iter()
             .position(|f| f.alias == *la)
-            .ok_or_else(|| EvalError::UnknownTable(la.clone()))?;
+            .ok_or_else(|| EvalError::UnknownTable(la.to_string()))?;
         let ri = flat
             .iter()
             .position(|f| f.alias == *ra)
-            .ok_or_else(|| EvalError::UnknownTable(ra.clone()))?;
+            .ok_or_else(|| EvalError::UnknownTable(ra.to_string()))?;
         let mut shared = false;
         for (lc, lname) in flat[li].cols.iter().enumerate() {
             if let Some(rc) = flat[ri].cols.iter().position(|c| c == lname) {
@@ -589,7 +592,7 @@ fn eval_from_item(
     db: &Database,
     item: &FromItem,
     env: &Env<'_>,
-) -> Result<(Vec<String>, Vec<Row>), EvalError> {
+) -> Result<(Vec<Name>, Vec<Row>), EvalError> {
     match &item.source {
         TableRef::Table(name) => {
             if let Some(rid) = fe.catalog.relation_id(name) {
@@ -601,7 +604,7 @@ fn eval_from_item(
                 let r = eval_query_env(fe, db, view, &Env::default())?;
                 return Ok((r.columns, r.rows));
             }
-            Err(EvalError::UnknownTable(name.clone()))
+            Err(EvalError::UnknownTable(name.to_string()))
         }
         TableRef::Subquery(q) => {
             let r = eval_query_env(fe, db, q, env)?;
@@ -614,7 +617,7 @@ fn projection_columns(
     s: &Select,
     flat: &[FlatSource],
     natural_skip: &std::collections::BTreeSet<(usize, usize)>,
-) -> Result<Vec<String>, EvalError> {
+) -> Result<Vec<Name>, EvalError> {
     let mut out = Vec::new();
     for (i, item) in s.projection.iter().enumerate() {
         match item {
@@ -631,13 +634,13 @@ fn projection_columns(
                 let f = flat
                     .iter()
                     .find(|f| f.alias == *alias)
-                    .ok_or_else(|| EvalError::UnknownTable(alias.clone()))?;
+                    .ok_or_else(|| EvalError::UnknownTable(alias.to_string()))?;
                 out.extend(f.cols.iter().cloned());
             }
             SelectItem::Expr { expr, alias } => {
                 let name = alias.clone().unwrap_or_else(|| match expr {
                     ScalarExpr::Column { column, .. } => column.clone(),
-                    _ => format!("c{i}"),
+                    _ => Name::from(format!("c{i}")),
                 });
                 out.push(name);
             }
@@ -672,7 +675,7 @@ fn project_row(
                     .iter()
                     .enumerate()
                     .find(|(_, f)| f.alias == *alias)
-                    .ok_or_else(|| EvalError::UnknownTable(alias.clone()))?;
+                    .ok_or_else(|| EvalError::UnknownTable(alias.to_string()))?;
                 for ci in 0..f.cols.len() {
                     row.push(flat_value(flat, picked, si, ci).clone());
                 }
@@ -698,7 +701,7 @@ fn eval_aggregate_only(
         let SelectItem::Expr { expr, alias } = item else {
             return Err(EvalError::Unsupported("* with aggregates".into()));
         };
-        columns.push(alias.clone().unwrap_or_else(|| format!("c{i}")));
+        columns.push(alias.clone().unwrap_or_else(|| Name::from(format!("c{i}"))));
         row.push(eval_agg_scalar(fe, db, expr, s, env)?);
     }
     if let Some(h) = &s.having {
@@ -864,7 +867,7 @@ fn eval_scalar(
             column,
         } => env
             .lookup_unqualified(column)?
-            .ok_or_else(|| EvalError::UnknownColumn(column.clone())),
+            .ok_or_else(|| EvalError::UnknownColumn(column.to_string())),
         ScalarExpr::Int(i) => Ok(Value::Int(*i)),
         ScalarExpr::Str(s) => Ok(Value::Str(s.clone())),
         ScalarExpr::App(f, args) => {
@@ -956,7 +959,7 @@ pub fn eval_pred_on_rows(
     fe: &Frontend,
     db: &Database,
     p: &PredExpr,
-    frames: &[(String, Vec<String>, Row)],
+    frames: &[(Name, Vec<Name>, Row)],
 ) -> Result<Truth, EvalError> {
     let mut env = Env::default();
     env.frames.extend(frames.iter().cloned());

@@ -17,11 +17,7 @@ fn setup() -> Frontend {
 /// Evaluate `pred` against the single row `(a, b)`.
 fn truth_of(fe: &Frontend, pred: &PredExpr, a: Value, b: Value) -> Truth {
     let db = Database::new();
-    let frames = vec![(
-        "x".to_string(),
-        vec!["a".to_string(), "b".to_string()],
-        vec![a, b] as Row,
-    )];
+    let frames = vec![("x".into(), vec!["a".into(), "b".into()], vec![a, b] as Row)];
     eval_pred_on_rows(fe, &db, pred, &frames).unwrap()
 }
 

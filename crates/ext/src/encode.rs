@@ -27,6 +27,7 @@
 
 use crate::shape::{expr_nullable, query_shape, source_shape, Scope};
 use crate::ExtError;
+use udp_core::name::Name;
 use udp_sql::ast::*;
 use udp_sql::Frontend;
 
@@ -381,14 +382,14 @@ impl Encoder<'_> {
                 PredExpr::Not(Box::new(atom))
             });
         }
-        let w = format!("__in{}", self.fresh());
-        let wrap = |cond: Option<PredExpr>, q: Query, alias: &str| {
+        let w = Name::from(format!("__in{}", self.fresh()));
+        let wrap = |cond: Option<PredExpr>, q: Query, alias: &Name| {
             Query::Select(Select {
                 distinct: false,
                 projection: vec![SelectItem::Star],
                 from: vec![FromItem {
                     source: TableRef::Subquery(Box::new(q)),
-                    alias: alias.to_string(),
+                    alias: alias.clone(),
                 }],
                 where_clause: cond,
                 group_by: vec![],
@@ -431,7 +432,7 @@ impl Encoder<'_> {
             if e_nullable {
                 // … or the member set is empty (then even a NULL probe is
                 // definitively not IN).
-                let w2 = format!("__in{}", self.fresh());
+                let w2 = Name::from(format!("__in{}", self.fresh()));
                 let empty =
                     PredExpr::Not(Box::new(PredExpr::Exists(Box::new(wrap(None, q2, &w2)))));
                 Ok(PredExpr::Or(Box::new(empty), Box::new(definite)))

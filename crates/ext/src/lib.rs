@@ -36,6 +36,7 @@ pub mod outer;
 pub mod shape;
 
 use std::fmt;
+use udp_core::name::Name;
 use udp_sql::ast::Query;
 use udp_sql::{Frontend, VerifyError};
 
@@ -89,7 +90,7 @@ pub fn desugar_goal(fe: &Frontend, goal: &(Query, Query)) -> Result<(Query, Quer
 
 /// Desugar every view body in place (views may use the full dialect too).
 pub fn desugar_views(fe: &mut Frontend) -> Result<(), ExtError> {
-    let names: Vec<String> = fe.views.keys().cloned().collect();
+    let names: Vec<Name> = fe.views.keys().cloned().collect();
     for name in names {
         let body = fe.views[&name].clone();
         let desugared = desugar_query(fe, &body)?;

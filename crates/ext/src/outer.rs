@@ -28,6 +28,7 @@
 use crate::shape::{source_shape, Scope};
 use crate::ExtError;
 use std::collections::HashMap;
+use udp_core::name::Name;
 use udp_sql::ast::*;
 use udp_sql::desugar::rename_pred;
 use udp_sql::Frontend;
@@ -48,13 +49,13 @@ pub fn eliminate(fe: &Frontend, q: &Query) -> Result<Query, ExtError> {
 fn validate_query(q: &Query) -> Result<(), ExtError> {
     use std::collections::{BTreeSet, HashMap};
 
-    fn locals_of(s: &Select) -> BTreeSet<String> {
+    fn locals_of(s: &Select) -> BTreeSet<Name> {
         s.from.iter().map(|fi| fi.alias.clone()).collect()
     }
 
     /// Qualified aliases referenced in `p` that name `locals`, ignoring
     /// references a nested subquery rebinds (shadowing).
-    fn local_refs_pred(p: &PredExpr, locals: &BTreeSet<String>, out: &mut BTreeSet<String>) {
+    fn local_refs_pred(p: &PredExpr, locals: &BTreeSet<Name>, out: &mut BTreeSet<Name>) {
         match p {
             PredExpr::Cmp(_, a, b) => {
                 local_refs_scalar(a, locals, out);
@@ -75,7 +76,7 @@ fn validate_query(q: &Query) -> Result<(), ExtError> {
         }
     }
 
-    fn local_refs_scalar(e: &ScalarExpr, locals: &BTreeSet<String>, out: &mut BTreeSet<String>) {
+    fn local_refs_scalar(e: &ScalarExpr, locals: &BTreeSet<Name>, out: &mut BTreeSet<Name>) {
         match e {
             ScalarExpr::Column { table: Some(t), .. } => {
                 if locals.contains(t) {
@@ -107,11 +108,11 @@ fn validate_query(q: &Query) -> Result<(), ExtError> {
         }
     }
 
-    fn local_refs_query(q: &Query, locals: &BTreeSet<String>, out: &mut BTreeSet<String>) {
+    fn local_refs_query(q: &Query, locals: &BTreeSet<Name>, out: &mut BTreeSet<Name>) {
         match q {
             Query::Select(s) => {
                 // The nested select's own aliases shadow outer names.
-                let visible: BTreeSet<String> = locals.difference(&locals_of(s)).cloned().collect();
+                let visible: BTreeSet<Name> = locals.difference(&locals_of(s)).cloned().collect();
                 for item in &s.from {
                     if let TableRef::Subquery(sub) = &item.source {
                         local_refs_query(sub, &visible, out);
@@ -152,7 +153,7 @@ fn validate_query(q: &Query) -> Result<(), ExtError> {
     fn validate_select(s: &Select) -> Result<(), ExtError> {
         let locals = locals_of(s);
         // Union-find over aliases, mirroring the oracle's join groups.
-        let mut group: HashMap<String, usize> = locals
+        let mut group: HashMap<Name, usize> = locals
             .iter()
             .enumerate()
             .map(|(i, a)| (a.clone(), i))
@@ -160,10 +161,10 @@ fn validate_query(q: &Query) -> Result<(), ExtError> {
         for oj in &s.outer {
             let gl = *group
                 .get(&oj.left)
-                .ok_or_else(|| ExtError::UnknownTable(oj.left.clone()))?;
+                .ok_or_else(|| ExtError::UnknownTable(oj.left.to_string()))?;
             let gr = *group
                 .get(&oj.right)
-                .ok_or_else(|| ExtError::UnknownTable(oj.right.clone()))?;
+                .ok_or_else(|| ExtError::UnknownTable(oj.right.to_string()))?;
             if gl == gr {
                 return Err(ExtError::Unsupported(format!(
                     "outer join between already-joined aliases `{}` and `{}`",
@@ -438,12 +439,12 @@ impl Eliminator<'_> {
         &mut self,
         base: &Select,
         spec: &OuterJoin,
-        pad_alias: &str,
+        pad_alias: &Name,
     ) -> Result<Query, ExtError> {
         let idx = base
             .from
             .iter()
-            .position(|fi| fi.alias == pad_alias)
+            .position(|fi| fi.alias == *pad_alias)
             .ok_or_else(|| ExtError::UnknownTable(pad_alias.to_string()))?;
         let orig = base.from[idx].clone();
         let shape = source_shape(self.fe, &Scope::root(), &orig.source)?;
@@ -473,9 +474,8 @@ impl Eliminator<'_> {
         };
 
         // `NOT EXISTS (SELECT * FROM <source> probe WHERE p[pad ↦ probe])`.
-        let probe_alias = format!("{}__aj{}", pad_alias, self.fresh());
-        let map: HashMap<String, String> =
-            HashMap::from([(pad_alias.to_string(), probe_alias.clone())]);
+        let probe_alias = Name::from(format!("{}__aj{}", pad_alias, self.fresh()));
+        let map: HashMap<Name, Name> = HashMap::from([(pad_alias.clone(), probe_alias.clone())]);
         let probe = Select {
             distinct: false,
             projection: vec![SelectItem::Star],
@@ -494,7 +494,7 @@ impl Eliminator<'_> {
         let mut anti = base.clone();
         anti.from[idx] = FromItem {
             source: TableRef::Subquery(Box::new(Query::Select(padded))),
-            alias: pad_alias.to_string(),
+            alias: pad_alias.clone(),
         };
         anti.where_clause = Some(match anti.where_clause.take() {
             Some(w) => PredExpr::and(no_match, w),

@@ -15,6 +15,7 @@
 //! so lookups err on the declared-schema side.
 
 use crate::ExtError;
+use udp_core::name::Name;
 use udp_sql::ast::{Query, ScalarExpr, Select, SelectItem, TableRef};
 use udp_sql::Frontend;
 
@@ -23,7 +24,7 @@ use udp_sql::Frontend;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Shape {
     /// `(column name, may be NULL)` pairs.
-    pub cols: Vec<(String, bool)>,
+    pub cols: Vec<(Name, bool)>,
     /// The source schema is open (`??`): the listed columns are a lower
     /// bound. Open sources cannot be NULL-padded.
     pub open: bool,
@@ -36,7 +37,7 @@ impl Shape {
     }
 
     /// Column names in order.
-    pub fn names(&self) -> Vec<String> {
+    pub fn names(&self) -> Vec<Name> {
         self.cols.iter().map(|(n, _)| n.clone()).collect()
     }
 }
@@ -45,7 +46,7 @@ impl Shape {
 /// correlated references resolve.
 pub struct Scope<'a> {
     parent: Option<&'a Scope<'a>>,
-    items: Vec<(String, Shape)>,
+    items: Vec<(Name, Shape)>,
 }
 
 impl<'a> Scope<'a> {
@@ -66,7 +67,7 @@ impl<'a> Scope<'a> {
     }
 
     /// Bind an alias to a shape.
-    pub fn bind(&mut self, alias: String, shape: Shape) {
+    pub fn bind(&mut self, alias: Name, shape: Shape) {
         self.items.push((alias, shape));
     }
 
@@ -155,7 +156,7 @@ pub fn source_shape(
                 let root = Scope::root();
                 return query_shape(fe, &root, &view.clone());
             }
-            Err(ExtError::UnknownTable(name.clone()))
+            Err(ExtError::UnknownTable(name.to_string()))
         }
         TableRef::Subquery(q) => query_shape(fe, scope, q),
     }
@@ -182,7 +183,7 @@ pub fn query_shape(fe: &Frontend, scope: &Scope<'_>, q: &Query) -> Result<Shape,
             let cols = (0..arity)
                 .map(|j| {
                     let nullable = rows.iter().any(|row| expr_nullable(fe, scope, &row[j]));
-                    (format!("c{j}"), nullable)
+                    (Name::from(format!("c{j}")), nullable)
                 })
                 .collect();
             Ok(Shape { cols, open: false })
@@ -228,7 +229,7 @@ fn select_shape(fe: &Frontend, scope: &Scope<'_>, s: &Select) -> Result<Shape, E
         }
     }
     // NATURAL JOIN star-merge: shared columns of the right alias skipped.
-    let mut skip: Vec<(String, String)> = Vec::new();
+    let mut skip: Vec<(Name, Name)> = Vec::new();
     for (la, ra) in &s.natural {
         if let (Some(ls), Some(rs)) = (inner.lookup_alias(la), inner.lookup_alias(ra)) {
             for (n, _) in &ls.cols {
@@ -239,7 +240,7 @@ fn select_shape(fe: &Frontend, scope: &Scope<'_>, s: &Select) -> Result<Shape, E
         }
     }
 
-    let mut cols: Vec<(String, bool)> = Vec::new();
+    let mut cols: Vec<(Name, bool)> = Vec::new();
     let mut open = false;
     for (i, item) in s.projection.iter().enumerate() {
         match item {
@@ -257,14 +258,14 @@ fn select_shape(fe: &Frontend, scope: &Scope<'_>, s: &Select) -> Result<Shape, E
             SelectItem::QualifiedStar(alias) => {
                 let shape = inner
                     .lookup_alias(alias)
-                    .ok_or_else(|| ExtError::UnknownTable(alias.clone()))?;
+                    .ok_or_else(|| ExtError::UnknownTable(alias.to_string()))?;
                 open |= shape.open && s.projection.len() == 1;
                 cols.extend(shape.cols.iter().cloned());
             }
             SelectItem::Expr { expr, alias } => {
                 let name = alias.clone().unwrap_or_else(|| match expr {
                     ScalarExpr::Column { column, .. } => column.clone(),
-                    _ => format!("c{i}"),
+                    _ => Name::from(format!("c{i}")),
                 });
                 cols.push((name, expr_nullable(fe, &inner, expr)));
             }

@@ -9,6 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::RngExt;
+use udp_core::name::Name;
 use udp_sql::ast::{Program, Statement};
 use udp_sql::pretty::program_to_sql;
 use udp_sql::{build_frontend, Frontend};
@@ -73,16 +74,16 @@ pub fn random_ddl(rng: &mut StdRng, profile: &SchemaProfile) -> Program {
         // (they also make the FK-attribute validation in `random_frontend`
         // reachable when the child attribute draw picks `a`).
         let n_extra = rng.random_range(0..=profile.max_extra_attrs);
-        let mut attrs = vec![("k".to_string(), "int".to_string())];
+        let mut attrs = vec![(Name::from("k"), Name::from("int"))];
         for attr in ATTRS.iter().take(n_extra) {
             let ty = if rng.random_bool(profile.nullable_prob) {
                 "int?"
             } else {
                 "int"
             };
-            attrs.push((attr.to_string(), ty.to_string()));
+            attrs.push((Name::from(*attr), Name::from(ty)));
         }
-        let name = format!("s{i}");
+        let name = Name::from(format!("s{i}"));
         statements.push(Statement::Schema {
             name: name.clone(),
             attrs,
@@ -95,7 +96,7 @@ pub fn random_ddl(rng: &mut StdRng, profile: &SchemaProfile) -> Program {
     let mut keyed = Vec::new();
     for i in 0..n_tables {
         let schema = schema_names[rng.random_range(0..schema_names.len())].clone();
-        let name = format!("t{i}");
+        let name = Name::from(format!("t{i}"));
         statements.push(Statement::Table {
             name: name.clone(),
             schema,
@@ -114,7 +115,7 @@ pub fn random_ddl(rng: &mut StdRng, profile: &SchemaProfile) -> Program {
     // the database generator honors either.
     if n_tables >= 2 && !keyed.is_empty() && rng.random_bool(profile.fk_prob) {
         let parent = keyed[rng.random_range(0..keyed.len())].clone();
-        let child = format!("t{}", rng.random_range(0..n_tables));
+        let child = Name::from(format!("t{}", rng.random_range(0..n_tables)));
         if child != parent {
             // Only `k` is guaranteed to exist on the child's schema; an `a`
             // draw against a k-only child is caught by `fk_attrs_exist` and
@@ -168,7 +169,7 @@ pub fn random_frontend(rng: &mut StdRng, profile: &SchemaProfile) -> (String, Fr
 /// database generator would just skip the copy — but the fuzzer wants
 /// honest constraints.)
 fn fk_attrs_exist(program: &Program) -> bool {
-    let schema_of_table = |table: &str| -> Option<&[(String, String)]> {
+    let schema_of_table = |table: &Name| -> Option<&[(Name, Name)]> {
         let schema_name = program.statements.iter().find_map(|s| match s {
             Statement::Table { name, schema } if name == table => Some(schema),
             _ => None,

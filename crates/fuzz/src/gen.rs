@@ -16,6 +16,7 @@
 
 use rand::rngs::StdRng;
 use rand::RngExt;
+use udp_core::name::Name;
 use udp_sql::ast::{
     AggArg, CmpOp, FromItem, OuterJoin, OuterKind, PredExpr, Query, ScalarExpr, Select, SelectItem,
     TableRef,
@@ -87,11 +88,11 @@ pub struct QueryGen<'a> {
     fe: &'a Frontend,
     profile: GenProfile,
     /// Table name → attribute names, precomputed for cheap random access.
-    tables: Vec<(String, Vec<String>)>,
+    tables: Vec<(Name, Vec<Name>)>,
 }
 
 /// What a generated scope can see: `(alias, columns)` per FROM item.
-type Scope = Vec<(String, Vec<String>)>;
+type Scope = Vec<(Name, Vec<Name>)>;
 
 impl<'a> QueryGen<'a> {
     /// Build a generator over the frontend's base tables.
@@ -127,17 +128,17 @@ impl<'a> QueryGen<'a> {
         &self,
         rng: &mut StdRng,
         depth: usize,
-        want: Option<&[String]>,
+        want: Option<&[Name]>,
         next_alias: &mut usize,
     ) -> Query {
         if depth > 0 && rng.random_bool(self.profile.union_prob) {
             // UNION ALL arms must agree on output arity and names: fix a
             // signature up front and generate both arms against it.
-            let names: Vec<String> = match want {
+            let names: Vec<Name> = match want {
                 Some(w) => w.to_vec(),
                 None => {
                     let arity = rng.random_range(1..=2usize);
-                    (0..arity).map(|i| format!("u{i}")).collect()
+                    (0..arity).map(|i| Name::from(format!("u{i}"))).collect()
                 }
             };
             let a = self.gen_query(rng, depth - 1, Some(&names), next_alias);
@@ -152,7 +153,7 @@ impl<'a> QueryGen<'a> {
         &self,
         rng: &mut StdRng,
         depth: usize,
-        want: Option<&[String]>,
+        want: Option<&[Name]>,
         next_alias: &mut usize,
     ) -> Select {
         let n_from = rng.random_range(1..=self.profile.max_from.max(1));
@@ -160,11 +161,11 @@ impl<'a> QueryGen<'a> {
         let mut scope: Scope = Vec::with_capacity(n_from);
         let mut all_tables = true;
         for _ in 0..n_from {
-            let alias = format!("x{}", *next_alias);
+            let alias = Name::from(format!("x{}", *next_alias));
             *next_alias += 1;
             if depth > 0 && rng.random_bool(self.profile.subquery_prob) {
                 let arity = rng.random_range(1..=2usize);
-                let names: Vec<String> = (0..arity).map(|i| format!("c{i}")).collect();
+                let names: Vec<Name> = (0..arity).map(|i| Name::from(format!("c{i}"))).collect();
                 let sub = self.gen_query(rng, depth - 1, Some(&names), next_alias);
                 from.push(FromItem {
                     source: TableRef::Subquery(Box::new(sub)),
@@ -224,11 +225,11 @@ impl<'a> QueryGen<'a> {
                 vec![SelectItem::Star]
             }
             _ => {
-                let names: Vec<String> = match want {
+                let names: Vec<Name> = match want {
                     Some(w) => w.to_vec(),
                     None => {
                         let arity = rng.random_range(1..=3usize);
-                        (0..arity).map(|i| format!("p{i}")).collect()
+                        (0..arity).map(|i| Name::from(format!("p{i}"))).collect()
                     }
                 };
                 names
@@ -270,10 +271,10 @@ impl<'a> QueryGen<'a> {
         from: Vec<FromItem>,
         scope: Scope,
         where_clause: Option<PredExpr>,
-        want: Option<&[String]>,
+        want: Option<&[Name]>,
     ) -> Select {
         let group_col = self.random_col(rng, &scope);
-        let names: Vec<String> = match want {
+        let names: Vec<Name> = match want {
             Some(w) => w.to_vec(),
             None => vec!["g".into(), "v".into()],
         };
@@ -397,7 +398,7 @@ impl<'a> QueryGen<'a> {
     /// outer.col)`.
     fn gen_exists(&self, rng: &mut StdRng, scope: &Scope, next_alias: &mut usize) -> PredExpr {
         let (table, attrs) = self.tables[rng.random_range(0..self.tables.len())].clone();
-        let alias = format!("x{}", *next_alias);
+        let alias = Name::from(format!("x{}", *next_alias));
         *next_alias += 1;
         let inner_col = ScalarExpr::col(
             alias.clone(),

@@ -14,6 +14,7 @@
 
 use rand::rngs::StdRng;
 use rand::RngExt;
+use udp_core::name::Name;
 use udp_sql::ast::{CmpOp, FromItem, PredExpr, Query, ScalarExpr, Select, SelectItem, TableRef};
 use udp_sql::Frontend;
 
@@ -146,10 +147,10 @@ impl Rewrite {
                 let mut taken = std::collections::BTreeSet::new();
                 collect_aliases(&Query::Select(s.clone()), &mut taken);
                 let mut new = format!("{old}_r");
-                while taken.contains(&new) {
+                while taken.contains(new.as_str()) {
                     new.push('r');
                 }
-                Some(rename_alias_in_select(s, idx, &old, &new))
+                Some(rename_alias_in_select(s, idx, &old, &Name::from(new)))
             }),
             Rewrite::PredicatePushdown => map_first_select(q, &mut |s| {
                 if !s.natural.is_empty() || !s.outer.is_empty() {
@@ -284,7 +285,7 @@ impl Rewrite {
                         None
                     }
                 })?;
-                let inner_alias = format!("{}_w", item.alias);
+                let inner_alias = Name::from(format!("{}_w", item.alias));
                 let inner = Select {
                     distinct: false,
                     projection: vec![SelectItem::Star],
@@ -411,7 +412,7 @@ fn rebuild_setop(
 /// Collect every FROM alias bound anywhere in the query, including inside
 /// derived tables and predicate subqueries (used to pick capture-free fresh
 /// names for [`Rewrite::AliasRename`]).
-fn collect_aliases(q: &Query, out: &mut std::collections::BTreeSet<String>) {
+fn collect_aliases(q: &Query, out: &mut std::collections::BTreeSet<Name>) {
     match q {
         Query::Select(s) => {
             for f in &s.from {
@@ -447,7 +448,7 @@ fn collect_aliases(q: &Query, out: &mut std::collections::BTreeSet<String>) {
     }
 }
 
-fn collect_aliases_pred(p: &PredExpr, out: &mut std::collections::BTreeSet<String>) {
+fn collect_aliases_pred(p: &PredExpr, out: &mut std::collections::BTreeSet<Name>) {
     match p {
         PredExpr::Cmp(_, a, b) => {
             collect_aliases_scalar(a, out);
@@ -468,7 +469,7 @@ fn collect_aliases_pred(p: &PredExpr, out: &mut std::collections::BTreeSet<Strin
     }
 }
 
-fn collect_aliases_scalar(e: &ScalarExpr, out: &mut std::collections::BTreeSet<String>) {
+fn collect_aliases_scalar(e: &ScalarExpr, out: &mut std::collections::BTreeSet<Name>) {
     match e {
         ScalarExpr::Column { .. } | ScalarExpr::Int(_) | ScalarExpr::Str(_) | ScalarExpr::Null => {}
         ScalarExpr::App(_, args) => {
@@ -607,13 +608,13 @@ fn refs_only_alias(p: &PredExpr, alias: &str) -> bool {
 /// Rename FROM item `idx`'s alias from `old` to `new` across the whole
 /// SELECT block, descending into predicate subqueries (for correlated
 /// references) but stopping wherever a nested scope rebinds `old`.
-fn rename_alias_in_select(s: &Select, idx: usize, old: &str, new: &str) -> Select {
+fn rename_alias_in_select(s: &Select, idx: usize, old: &str, new: &Name) -> Select {
     let mut out = s.clone();
-    out.from[idx].alias = new.to_string();
+    out.from[idx].alias = new.clone();
     for item in &mut out.projection {
         if let SelectItem::QualifiedStar(a) = item {
             if a == old {
-                *a = new.to_string();
+                *a = new.clone();
             }
         }
         if let SelectItem::Expr { expr, .. } = item {
@@ -633,11 +634,11 @@ fn rename_alias_in_select(s: &Select, idx: usize, old: &str, new: &str) -> Selec
     out
 }
 
-fn rename_in_scalar(e: &ScalarExpr, old: &str, new: &str) -> ScalarExpr {
+fn rename_in_scalar(e: &ScalarExpr, old: &str, new: &Name) -> ScalarExpr {
     match e {
         ScalarExpr::Column { table, column } if table.as_deref() == Some(old) => {
             ScalarExpr::Column {
-                table: Some(new.to_string()),
+                table: Some(new.clone()),
                 column: column.clone(),
             }
         }
@@ -673,7 +674,7 @@ fn rename_in_scalar(e: &ScalarExpr, old: &str, new: &str) -> ScalarExpr {
     }
 }
 
-fn rename_in_pred(p: &PredExpr, old: &str, new: &str) -> PredExpr {
+fn rename_in_pred(p: &PredExpr, old: &str, new: &Name) -> PredExpr {
     match p {
         PredExpr::Cmp(op, a, b) => PredExpr::Cmp(
             *op,
@@ -700,7 +701,7 @@ fn rename_in_pred(p: &PredExpr, old: &str, new: &str) -> PredExpr {
     }
 }
 
-fn rename_in_query(q: &Query, old: &str, new: &str) -> Query {
+fn rename_in_query(q: &Query, old: &str, new: &Name) -> Query {
     match q {
         Query::Select(s) => {
             if s.from.iter().any(|f| f.alias == old) {
@@ -724,7 +725,7 @@ fn rename_in_query(q: &Query, old: &str, new: &str) -> Query {
                 .collect();
             for item in &mut out.projection {
                 match item {
-                    SelectItem::QualifiedStar(a) if a == old => *a = new.to_string(),
+                    SelectItem::QualifiedStar(a) if a == old => *a = new.clone(),
                     SelectItem::Expr { expr, .. } => *expr = rename_in_scalar(expr, old, new),
                     _ => {}
                 }

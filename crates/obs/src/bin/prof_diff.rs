@@ -4,11 +4,16 @@
 //! Usage:
 //!   `udp-prof-diff --baseline BASE.json [--tolerance F] [--min-share F]
 //!                  [--min-count N] [--mem-tolerance F]
-//!                  [--inflate NAME:FACTOR] CURRENT.json`
+//!                  [--inflate NAME:FACTOR] CURRENT.json...`
+//!   `udp-prof-diff --median-out OUT.json RUN.json...`
 //!
-//! Both inputs are `--metrics-json` snapshots (schema version 5). Four
-//! families of checks run; the first three against `--tolerance` (default
-//! 0.15):
+//! All inputs are `--metrics-json` snapshots (schema version 5). Several
+//! CURRENT snapshots — repeated runs of one command — are compared through
+//! their per-entry median ([`udp_obs::json::median`]), so one descheduled
+//! run cannot fail the gate alone; `--median-out` writes that median of its
+//! inputs as a snapshot and compares nothing, which is how the baseline is
+//! made from the same number of runs. Four families of checks run; the
+//! first three against `--tolerance` (default 0.15):
 //!
 //! * **stage shares** — compared as absolute share-point deltas, but only
 //!   for stages whose share reaches `--min-share` (default 0.02) in either
@@ -41,7 +46,7 @@
 //! malformed input).
 
 use std::collections::BTreeMap;
-use udp_obs::json::{parse, Value};
+use udp_obs::json::{self, parse, Value};
 use udp_obs::{Counter, Stage};
 
 fn fail(msg: &str) -> ! {
@@ -63,14 +68,19 @@ struct Prof {
     mem_stage_bytes: BTreeMap<String, f64>,
 }
 
-/// Load a metrics snapshot.
-fn load(path: &str) -> Prof {
+/// Read a metrics snapshot.
+fn read(path: &str) -> Value {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
     let root = parse(&text).unwrap_or_else(|e| fail(&format!("{path}: invalid JSON: {e}")));
     if root.get("schema_version").and_then(Value::as_f64) != Some(5.0) {
         fail(&format!("{path}: not a schema-version-5 metrics snapshot"));
     }
+    root
+}
+
+/// The compared parts of a snapshot read from `path`.
+fn load(root: &Value, path: &str) -> Prof {
     let mut prof = Prof::default();
     let stages = root
         .get("stages")
@@ -173,7 +183,8 @@ impl Gate {
 
 fn main() {
     let mut baseline = None;
-    let mut current = None;
+    let mut median_out = None;
+    let mut currents: Vec<String> = Vec::new();
     let mut tolerance = 0.15_f64;
     let mut min_share = 0.02_f64;
     let mut min_count = 10.0_f64;
@@ -187,6 +198,7 @@ fn main() {
         };
         match arg.as_str() {
             "--baseline" => baseline = Some(take("--baseline")),
+            "--median-out" => median_out = Some(take("--median-out")),
             "--tolerance" => {
                 tolerance = take("--tolerance")
                     .parse()
@@ -218,19 +230,36 @@ fn main() {
                 inflate.push((name.to_string(), factor));
             }
             _ if arg.starts_with("--") => fail(&format!("unknown flag {arg}")),
-            _ => current = Some(arg),
+            _ => currents.push(arg),
         }
+    }
+    if currents.is_empty() {
+        fail("missing CURRENT.json argument");
+    }
+    let merged = json::median(&currents.iter().map(|p| read(p)).collect::<Vec<_>>());
+    if let Some(out) = median_out {
+        std::fs::write(&out, merged.pretty() + "\n")
+            .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
+        println!(
+            "udp-prof-diff: wrote the median of {} snapshots to {out}",
+            currents.len()
+        );
+        return;
     }
     let baseline = baseline.unwrap_or_else(|| {
         fail(
             "usage: udp-prof-diff --baseline BASE.json [--tolerance F] [--min-share F] \
-             [--min-count N] [--mem-tolerance F] [--inflate NAME:FACTOR] CURRENT.json",
+             [--min-count N] [--mem-tolerance F] [--inflate NAME:FACTOR] CURRENT.json...",
         )
     });
-    let current = current.unwrap_or_else(|| fail("missing CURRENT.json argument"));
+    let current = if currents.len() == 1 {
+        currents[0].clone()
+    } else {
+        format!("the median of {} snapshots", currents.len())
+    };
 
-    let base = load(&baseline);
-    let mut cur = load(&current);
+    let base = load(&read(&baseline), &baseline);
+    let mut cur = load(&merged, &current);
     for (name, factor) in &inflate {
         if name == "alloc-bytes" {
             if cur.mem_bytes_per_goal.is_none() {

@@ -232,6 +232,65 @@ fn counter_totals_are_identical_across_worker_counts() {
     }
 }
 
+/// Only the outermost canonization is a `canonize-core` occurrence: the
+/// squash and negation bodies it canonizes on the way, and the
+/// canonizations the squash-absorption match reaches, run inside its span
+/// and are neither timed nor counted again. Each goal's left side holds a
+/// squash (`EXISTS`) and a negation (`NOT EXISTS`) factor, the squash
+/// correlated with a keyed table so squash introduction fires too, and its
+/// right side has one term more, so the prover stops after canonizing each
+/// side once.
+#[test]
+fn nested_canonizations_are_not_counted_or_timed_twice() {
+    const NESTED: [&str; 3] = [
+        "SELECT x.a AS a FROM r x WHERE EXISTS (SELECT * FROM s y WHERE y.k2 = x.k) \
+           AND NOT EXISTS (SELECT * FROM s z WHERE z.c = x.a) \
+         == SELECT x.a AS a FROM r x WHERE x.b = 1 UNION ALL SELECT x.a AS a FROM r x",
+        "SELECT DISTINCT x.a AS a FROM r x WHERE EXISTS (SELECT * FROM r y WHERE y.k = x.b \
+           AND NOT EXISTS (SELECT * FROM s z WHERE z.k2 = y.a)) \
+         == SELECT x.a AS a FROM r x UNION ALL SELECT x.b AS a FROM r x",
+        "SELECT x.k AS k FROM r x WHERE NOT EXISTS (SELECT * FROM s y WHERE y.k2 = x.k \
+           AND EXISTS (SELECT * FROM r z WHERE z.k = y.c)) \
+         == SELECT x.k AS k FROM r x WHERE x.a = 2 UNION ALL SELECT x.b AS k FROM r x",
+    ];
+    let recorder = Recorder::enabled();
+    let config = SessionConfig {
+        workers: 1,
+        cache_capacity: 0,
+        steps: Some(2_000_000),
+        wall: Some(Duration::from_secs(10)),
+        recorder: recorder.clone(),
+        ..SessionConfig::default()
+    };
+    let session = Session::new(DDL, config).unwrap();
+    let goals: Vec<_> = NESTED
+        .iter()
+        .map(|l| session.parse_goal(l).unwrap())
+        .collect();
+    for report in session.verify_batch(&goals) {
+        assert!(!report.verdict().unwrap().decision.is_proved());
+    }
+    let snap = recorder.snapshot();
+    let prove = snap.stage(Stage::UdpProve).unwrap();
+    let canonize = snap.stage(Stage::CanonizeCore).unwrap();
+    assert_eq!(prove.calls, NESTED.len() as u64);
+    assert_eq!(
+        canonize.calls,
+        2 * prove.calls,
+        "one outermost canonization per side of each goal"
+    );
+    assert!(
+        canonize.wall_ns <= prove.wall_ns,
+        "canonize-core {}ns exceeds udp-prove {}ns",
+        canonize.wall_ns,
+        prove.wall_ns
+    );
+    assert!(
+        snap.counter(Counter::RwSquashIntro) > 0,
+        "squash introduction must fire"
+    );
+}
+
 /// A byte-bounded cache reports its residency through `ServiceStats` and
 /// the `cache-resident-bytes` gauge, and the bound holds after inserts.
 #[test]

@@ -3,6 +3,7 @@
 //! `verify`), modeled on the COSETTE input language the paper builds on.
 
 use std::fmt;
+use udp_core::name::Name;
 
 /// A whole input program: declarations followed by verification goals.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -27,52 +28,52 @@ pub enum Statement {
     /// `schema s(a:int, b:string, ??);` — `open` marks the generic `??`.
     Schema {
         /// Schema name.
-        name: String,
+        name: Name,
         /// `(attribute, type-name)` pairs as written.
-        attrs: Vec<(String, String)>,
+        attrs: Vec<(Name, Name)>,
         /// Declared with `??` (generic schema).
         open: bool,
     },
     /// `table r(s);`
     Table {
         /// Table name.
-        name: String,
+        name: Name,
         /// Name of its declared schema.
-        schema: String,
+        schema: Name,
     },
     /// `key r(a, b);`
     Key {
         /// The keyed table.
-        table: String,
+        table: Name,
         /// Key attributes.
-        attrs: Vec<String>,
+        attrs: Vec<Name>,
     },
     /// `foreign key s(x) references r(k);`
     ForeignKey {
         /// Referencing table.
-        table: String,
+        table: Name,
         /// Referencing attributes.
-        attrs: Vec<String>,
+        attrs: Vec<Name>,
         /// Referenced table.
-        ref_table: String,
+        ref_table: Name,
         /// Referenced attributes.
-        ref_attrs: Vec<String>,
+        ref_attrs: Vec<Name>,
     },
     /// `view v as SELECT …;`
     View {
         /// View name.
-        name: String,
+        name: Name,
         /// Its defining query (inlined at use sites).
         query: Query,
     },
     /// `index i on r(a);` — treated as a view per the GMAP approach.
     Index {
         /// Index name.
-        name: String,
+        name: Name,
         /// Indexed table.
-        table: String,
+        table: Name,
         /// Indexed attributes.
-        attrs: Vec<String>,
+        attrs: Vec<Name>,
     },
     /// `verify q1 == q2;`
     Verify {
@@ -126,7 +127,7 @@ pub struct Select {
     /// schemas share, and a bare `*` projection emits the shared columns
     /// once (from the left source). The right alias of each pair is the
     /// FROM item immediately following the left one.
-    pub natural: Vec<(String, String)>,
+    pub natural: Vec<(Name, Name)>,
     /// Outer joins (full dialect): each spec names the alias immediately
     /// preceding the joined item (`left`), the joined item's alias
     /// (`right`), and the `ON` predicate. Kept separate from `where_clause`
@@ -164,9 +165,9 @@ pub struct OuterJoin {
     /// The join flavor.
     pub kind: OuterKind,
     /// Alias of the FROM item immediately preceding the joined one.
-    pub left: String,
+    pub left: Name,
     /// Alias of the joined FROM item.
-    pub right: String,
+    pub right: Name,
     /// The `ON` condition (mandatory for outer joins).
     pub on: PredExpr,
 }
@@ -190,13 +191,13 @@ pub enum SelectItem {
     /// `*`
     Star,
     /// `x.*`
-    QualifiedStar(String),
+    QualifiedStar(Name),
     /// `e AS a` (alias optional for bare column references).
     Expr {
         /// The projected expression.
         expr: ScalarExpr,
         /// Output column name, if given.
-        alias: Option<String>,
+        alias: Option<Name>,
     },
 }
 
@@ -206,14 +207,14 @@ pub struct FromItem {
     /// The table or subquery scanned.
     pub source: TableRef,
     /// Alias binding the row variable.
-    pub alias: String,
+    pub alias: Name,
 }
 
 /// What a FROM item scans.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TableRef {
     /// A named base table or view.
-    Table(String),
+    Table(Name),
     /// A parenthesized subquery.
     Subquery(Box<Query>),
 }
@@ -224,9 +225,9 @@ pub enum ScalarExpr {
     /// `[x.]a`
     Column {
         /// Qualifying alias, if written.
-        table: Option<String>,
+        table: Option<Name>,
         /// Column name.
-        column: String,
+        column: Name,
     },
     /// Integer literal.
     Int(i64),
@@ -239,11 +240,11 @@ pub enum ScalarExpr {
     Null,
     /// Uninterpreted function application; arithmetic operators are encoded
     /// as `add`/`sub`/`mul`/`div` (uninterpreted, Sec 6.4).
-    App(String, Vec<ScalarExpr>),
+    App(Name, Vec<ScalarExpr>),
     /// Aggregate call `agg(e)` / `agg(*)` / `agg(DISTINCT e)`.
     Agg {
         /// Aggregate name (`sum`, `count`, …).
-        func: String,
+        func: Name,
         /// The argument form.
         arg: AggArg,
         /// `DISTINCT` aggregate?
@@ -275,7 +276,7 @@ pub enum AggArg {
 
 impl ScalarExpr {
     /// The qualified column `table.column`.
-    pub fn col(table: impl Into<String>, column: impl Into<String>) -> Self {
+    pub fn col(table: impl Into<Name>, column: impl Into<Name>) -> Self {
         ScalarExpr::Column {
             table: Some(table.into()),
             column: column.into(),

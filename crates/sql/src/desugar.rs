@@ -23,6 +23,7 @@
 use crate::ast::*;
 use crate::lower::LowerError;
 use std::collections::HashMap;
+use udp_core::name::Name;
 
 /// Alias-rename suffix for the inner aggregate copy.
 const GROUP_SUFFIX: &str = "__g";
@@ -69,7 +70,7 @@ pub fn desugar_group_by(s: &Select) -> Result<Select, LowerError> {
 
 /// Group keys as qualified columns; a single FROM item auto-qualifies
 /// unqualified keys.
-fn group_keys(s: &Select) -> Result<Vec<(String, String)>, LowerError> {
+fn group_keys(s: &Select) -> Result<Vec<(Name, Name)>, LowerError> {
     s.group_by
         .iter()
         .map(|g| match g {
@@ -94,7 +95,7 @@ fn group_keys(s: &Select) -> Result<Vec<(String, String)>, LowerError> {
 pub fn aggregate_argument_query(
     s: &Select,
     arg: &AggArg,
-    keys: &[(String, String)],
+    keys: &[(Name, Name)],
 ) -> Result<Query, LowerError> {
     let proj_expr = match arg {
         AggArg::Star => ScalarExpr::Int(1),
@@ -113,10 +114,15 @@ pub fn aggregate_argument_query(
         natural: s.natural.clone(),
         outer: s.outer.clone(),
     };
-    let map: HashMap<String, String> = s
+    let map: HashMap<Name, Name> = s
         .from
         .iter()
-        .map(|fi| (fi.alias.clone(), format!("{}{}", fi.alias, GROUP_SUFFIX)))
+        .map(|fi| {
+            (
+                fi.alias.clone(),
+                Name::from(format!("{}{}", fi.alias, GROUP_SUFFIX)),
+            )
+        })
         .collect();
     let mut renamed = rename_select(&skeleton, &map, true);
     for (t, c) in keys {
@@ -137,7 +143,7 @@ pub fn aggregate_argument_query(
 fn replace_aggs(
     e: &ScalarExpr,
     s: &Select,
-    keys: &[(String, String)],
+    keys: &[(Name, Name)],
 ) -> Result<ScalarExpr, LowerError> {
     match e {
         ScalarExpr::Agg {
@@ -177,7 +183,7 @@ fn replace_aggs(
 fn replace_aggs_pred(
     p: &PredExpr,
     s: &Select,
-    keys: &[(String, String)],
+    keys: &[(Name, Name)],
 ) -> Result<PredExpr, LowerError> {
     Ok(match p {
         PredExpr::Cmp(op, a, b) => {
@@ -231,7 +237,7 @@ pub fn has_raw_aggregates(s: &Select) -> bool {
 
 /// Rename alias references throughout a query. `map` gives the renames;
 /// selects with their own definition of an alias shadow it.
-pub fn rename_query(q: &Query, map: &HashMap<String, String>) -> Query {
+pub fn rename_query(q: &Query, map: &HashMap<Name, Name>) -> Query {
     match q {
         Query::Select(s) => Query::Select(rename_select(s, map, false)),
         Query::UnionAll(a, b) => Query::UnionAll(
@@ -260,7 +266,7 @@ pub fn rename_query(q: &Query, map: &HashMap<String, String>) -> Query {
 
 /// `rename_own_aliases = true` for the top-level copy (its FROM aliases are
 /// renamed too); `false` for nested scopes (their aliases shadow the map).
-fn rename_select(s: &Select, map: &HashMap<String, String>, rename_own_aliases: bool) -> Select {
+fn rename_select(s: &Select, map: &HashMap<Name, Name>, rename_own_aliases: bool) -> Select {
     let mut body_map = map.clone();
     if !rename_own_aliases {
         for item in &s.from {
@@ -313,7 +319,7 @@ fn rename_select(s: &Select, map: &HashMap<String, String>, rename_own_aliases: 
             .natural
             .iter()
             .map(|(l, r)| {
-                let rn = |a: &String| {
+                let rn = |a: &Name| {
                     if rename_own_aliases {
                         body_map.get(a).cloned().unwrap_or_else(|| a.clone())
                     } else {
@@ -327,7 +333,7 @@ fn rename_select(s: &Select, map: &HashMap<String, String>, rename_own_aliases: 
             .outer
             .iter()
             .map(|oj| {
-                let rn = |a: &String| {
+                let rn = |a: &Name| {
                     if rename_own_aliases {
                         body_map.get(a).cloned().unwrap_or_else(|| a.clone())
                     } else {
@@ -345,7 +351,7 @@ fn rename_select(s: &Select, map: &HashMap<String, String>, rename_own_aliases: 
     }
 }
 
-fn rename_scalar(e: &ScalarExpr, map: &HashMap<String, String>) -> ScalarExpr {
+fn rename_scalar(e: &ScalarExpr, map: &HashMap<Name, Name>) -> ScalarExpr {
     match e {
         ScalarExpr::Column {
             table: Some(t),
@@ -387,7 +393,7 @@ fn rename_scalar(e: &ScalarExpr, map: &HashMap<String, String>) -> ScalarExpr {
 
 /// Rename alias references throughout a predicate (shadowing-aware for
 /// nested subqueries). Public for `udp-ext`'s antijoin probe construction.
-pub fn rename_pred(p: &PredExpr, map: &HashMap<String, String>) -> PredExpr {
+pub fn rename_pred(p: &PredExpr, map: &HashMap<Name, Name>) -> PredExpr {
     match p {
         PredExpr::Cmp(op, a, b) => PredExpr::Cmp(*op, rename_scalar(a, map), rename_scalar(b, map)),
         PredExpr::And(a, b) => {
@@ -553,7 +559,7 @@ mod tests {
             crate::parser::Dialect::Extended,
         )
         .unwrap();
-        let map = HashMap::from([("x".to_string(), "x2".to_string())]);
+        let map = HashMap::from([("x".into(), "x2".into())]);
         assert_eq!(
             rename_query(&q, &map),
             q,
@@ -567,7 +573,7 @@ mod tests {
             crate::parser::Dialect::Extended,
         )
         .unwrap();
-        let map = HashMap::from([("o".to_string(), "outer2".to_string())]);
+        let map = HashMap::from([("o".into(), "outer2".into())]);
         let renamed = rename_query(&q, &map);
         let s = format!("{renamed:?}");
         assert!(!s.contains("Some(\"o\")"), "{s}");
@@ -577,7 +583,7 @@ mod tests {
     #[test]
     fn rename_recurses_into_case_branches() {
         let s = select_of_ext("SELECT CASE WHEN x.a = 1 THEN x.k ELSE 0 END AS v FROM r x");
-        let map = HashMap::from([("x".to_string(), "u".to_string())]);
+        let map = HashMap::from([("x".into(), "u".into())]);
         let renamed = rename_select(&s, &map, true);
         let rendered = format!("{renamed:?}");
         assert!(!rendered.contains("Some(\"x\")"), "{rendered}");
@@ -615,10 +621,7 @@ mod tests {
         .unwrap();
         match q {
             Query::Select(inner) => {
-                assert_eq!(
-                    inner.natural,
-                    vec![("x__g".to_string(), "y__g".to_string())]
-                );
+                assert_eq!(inner.natural, vec![("x__g".into(), "y__g".into())]);
             }
             other => panic!("unexpected {other:?}"),
         }

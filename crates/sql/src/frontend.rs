@@ -10,6 +10,7 @@ use crate::ast::{FromItem, Program, Query, Select, SelectItem, Statement, TableR
 use std::collections::HashMap;
 use std::fmt;
 use udp_core::constraints::ConstraintSet;
+use udp_core::name::Name;
 use udp_core::schema::{Catalog, CatalogError, Schema, Ty};
 
 /// A fully processed program, ready for lowering.
@@ -20,7 +21,7 @@ pub struct Frontend {
     /// Keys and foreign keys declared by the program.
     pub constraints: ConstraintSet,
     /// View definitions by name (indexes become views here too).
-    pub views: HashMap<String, Query>,
+    pub views: HashMap<Name, Query>,
     /// `verify` goals in program order.
     pub goals: Vec<(Query, Query)>,
     /// Stage-metrics sink: lowering (and, via `udp-ext`, desugaring) record
@@ -101,7 +102,7 @@ pub fn build_frontend(program: &Program) -> Result<Frontend, FrontendError> {
     for stmt in &program.statements {
         match stmt {
             Statement::Schema { name, attrs, open } => {
-                let parsed: Vec<(String, Ty, bool)> = attrs
+                let parsed: Vec<(Name, Ty, bool)> = attrs
                     .iter()
                     .map(|(a, t)| {
                         let (ty, nullable) = parse_ty(t);
@@ -118,20 +119,20 @@ pub fn build_frontend(program: &Program) -> Result<Frontend, FrontendError> {
                 let sid = fe
                     .catalog
                     .schema_id(schema)
-                    .ok_or_else(|| FrontendError::UnknownSchema(schema.clone()))?;
+                    .ok_or_else(|| FrontendError::UnknownSchema(schema.to_string()))?;
                 fe.catalog.add_relation(name.clone(), sid)?;
             }
             Statement::Key { table, attrs } => {
                 let rid = fe
                     .catalog
                     .relation_id(table)
-                    .ok_or_else(|| FrontendError::UnknownTable(table.clone()))?;
+                    .ok_or_else(|| FrontendError::UnknownTable(table.to_string()))?;
                 let schema = fe.catalog.relation_schema(rid);
                 for a in attrs {
                     if schema.is_closed() && !schema.has_attr(a) {
                         return Err(FrontendError::UnknownAttribute {
-                            table: table.clone(),
-                            attr: a.clone(),
+                            table: table.to_string(),
+                            attr: a.to_string(),
                         });
                     }
                 }
@@ -146,23 +147,23 @@ pub fn build_frontend(program: &Program) -> Result<Frontend, FrontendError> {
                 let child = fe
                     .catalog
                     .relation_id(table)
-                    .ok_or_else(|| FrontendError::UnknownTable(table.clone()))?;
+                    .ok_or_else(|| FrontendError::UnknownTable(table.to_string()))?;
                 let parent = fe
                     .catalog
                     .relation_id(ref_table)
-                    .ok_or_else(|| FrontendError::UnknownTable(ref_table.clone()))?;
+                    .ok_or_else(|| FrontendError::UnknownTable(ref_table.to_string()))?;
                 fe.constraints
                     .add_foreign_key(child, attrs.clone(), parent, ref_attrs.clone());
             }
             Statement::View { name, query } => {
                 if fe.views.insert(name.clone(), query.clone()).is_some() {
-                    return Err(FrontendError::DuplicateView(name.clone()));
+                    return Err(FrontendError::DuplicateView(name.to_string()));
                 }
             }
             Statement::Index { name, table, attrs } => {
                 let view = synthesize_index_view(&fe, table, attrs)?;
                 if fe.views.insert(name.clone(), view).is_some() {
-                    return Err(FrontendError::DuplicateView(name.clone()));
+                    return Err(FrontendError::DuplicateView(name.to_string()));
                 }
             }
             Statement::Verify { q1, q2 } => {
@@ -177,8 +178,8 @@ pub fn build_frontend(program: &Program) -> Result<Frontend, FrontendError> {
 /// `SELECT x.a…, x.k… FROM r x` where `k…` is the first declared key of `r`.
 fn synthesize_index_view(
     fe: &Frontend,
-    table: &str,
-    attrs: &[String],
+    table: &Name,
+    attrs: &[Name],
 ) -> Result<Query, FrontendError> {
     let rid = fe
         .catalog
@@ -191,7 +192,7 @@ fn synthesize_index_view(
         .ok_or_else(|| FrontendError::IndexedTableHasNoKey(table.to_string()))?
         .to_vec();
     let schema = fe.catalog.relation_schema(rid);
-    let mut proj_attrs: Vec<String> = attrs.to_vec();
+    let mut proj_attrs: Vec<Name> = attrs.to_vec();
     for k in &key {
         if !proj_attrs.contains(k) {
             proj_attrs.push(k.clone());
@@ -201,14 +202,15 @@ fn synthesize_index_view(
         if schema.is_closed() && !schema.has_attr(a) {
             return Err(FrontendError::UnknownAttribute {
                 table: table.to_string(),
-                attr: a.clone(),
+                attr: a.to_string(),
             });
         }
     }
+    let x = Name::from("x");
     let projection = proj_attrs
         .into_iter()
         .map(|a| SelectItem::Expr {
-            expr: crate::ast::ScalarExpr::col("x", a.clone()),
+            expr: crate::ast::ScalarExpr::col(x.clone(), a.clone()),
             alias: Some(a),
         })
         .collect();
@@ -216,8 +218,8 @@ fn synthesize_index_view(
         distinct: false,
         projection,
         from: vec![FromItem {
-            source: TableRef::Table(table.to_string()),
-            alias: "x".into(),
+            source: TableRef::Table(table.clone()),
+            alias: x,
         }],
         where_clause: None,
         group_by: vec![],

@@ -1,13 +1,15 @@
 //! Hand-written lexer for the input language (SQL fragment + DDL).
 
 use std::fmt;
+use udp_core::name::Name;
 
 /// Token kinds. Keywords are matched case-insensitively; identifiers are
 /// folded to lower case (SQL identifier folding).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Tok {
-    /// Identifier or keyword (lower-cased).
-    Ident(String),
+    /// Identifier or keyword (lower-cased), as the one [`Name`] every later
+    /// copy shares.
+    Ident(Name),
     /// Integer literal.
     Int(i64),
     /// Single-quoted string literal.
@@ -257,10 +259,9 @@ pub fn lex(input: &str) -> Result<Vec<Spanned>, LexError> {
                         break;
                     }
                 }
-                let word = input[start..j].to_ascii_lowercase();
                 let len = j - i;
                 out.push(Spanned {
-                    tok: Tok::Ident(word),
+                    tok: Tok::Ident(lowercase_name(&input[start..j])),
                     line,
                     col,
                 });
@@ -282,6 +283,23 @@ pub fn lex(input: &str) -> Result<Vec<Spanned>, LexError> {
         col,
     });
     Ok(out)
+}
+
+/// The [`Name`] of an ASCII word folded to lower case, built in one
+/// allocation: short words are folded on the stack.
+fn lowercase_name(word: &str) -> Name {
+    if !word.bytes().any(|b| b.is_ascii_uppercase()) {
+        return Name::from(word);
+    }
+    let mut buf = [0u8; 64];
+    match buf.get_mut(..word.len()) {
+        Some(folded) => {
+            folded.copy_from_slice(word.as_bytes());
+            folded.make_ascii_lowercase();
+            Name::from(std::str::from_utf8(folded).expect("an ASCII word"))
+        }
+        None => Name::from(word.to_ascii_lowercase()),
+    }
 }
 
 #[cfg(test)]

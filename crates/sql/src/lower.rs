@@ -21,6 +21,7 @@ use crate::frontend::Frontend;
 use std::collections::BTreeSet;
 use std::fmt;
 use udp_core::expr::{Expr, Pred, VarGen, VarId};
+use udp_core::name::Name;
 use udp_core::prelude::QueryU;
 use udp_core::schema::{Catalog, SchemaId, Ty};
 use udp_core::uexpr::UExpr;
@@ -116,7 +117,7 @@ impl std::error::Error for LowerError {}
 /// the enclosing query's scope (correlated subqueries).
 struct Scope<'a> {
     parent: Option<&'a Scope<'a>>,
-    items: Vec<(String, VarId, SchemaId)>,
+    items: Vec<(Name, VarId, SchemaId)>,
 }
 
 impl<'a> Scope<'a> {
@@ -197,7 +198,7 @@ impl<'a> Lowerer<'a> {
         &mut self,
         q: &Query,
         scope: &Scope<'_>,
-        expect: Option<&[String]>,
+        expect: Option<&[Name]>,
     ) -> Result<(VarId, SchemaId, UExpr), LowerError> {
         match q {
             Query::Select(s) => self.select(s, scope, expect),
@@ -232,10 +233,10 @@ impl<'a> Lowerer<'a> {
         a: &Query,
         b: &Query,
         scope: &Scope<'_>,
-        expect: Option<&[String]>,
+        expect: Option<&[Name]>,
     ) -> Result<(VarId, SchemaId, UExpr, UExpr), LowerError> {
         let (t1, s1, b1) = self.query(a, scope, expect)?;
-        let names: Vec<String> = self
+        let names: Vec<Name> = self
             .fe
             .catalog
             .schema(s1)
@@ -281,13 +282,13 @@ impl<'a> Lowerer<'a> {
         &mut self,
         rows: &[Vec<ScalarExpr>],
         scope: &Scope<'_>,
-        expect: Option<&[String]>,
+        expect: Option<&[Name]>,
     ) -> Result<(VarId, SchemaId, UExpr), LowerError> {
         let Some(first) = rows.first() else {
             return Err(LowerError::ValuesShape("VALUES with no rows".into()));
         };
         let arity = first.len();
-        let names: Vec<String> = match expect {
+        let names: Vec<Name> = match expect {
             Some(e) => {
                 if e.len() != arity {
                     return Err(LowerError::UnionArityMismatch {
@@ -297,7 +298,7 @@ impl<'a> Lowerer<'a> {
                 }
                 e.to_vec()
             }
-            None => (0..arity).map(|i| format!("c{i}")).collect(),
+            None => (0..arity).map(|i| Name::from(format!("c{i}"))).collect(),
         };
         let out = self.gen.fresh();
         let mut terms = Vec::with_capacity(rows.len());
@@ -315,7 +316,7 @@ impl<'a> Lowerer<'a> {
             }
             terms.push(UExpr::product(factors));
         }
-        let attrs: Vec<(String, Ty)> = names
+        let attrs: Vec<(Name, Ty)> = names
             .iter()
             .zip(first)
             .map(|(n, e)| (n.clone(), self.scalar_ty(e, scope)))
@@ -335,7 +336,7 @@ impl<'a> Lowerer<'a> {
         &mut self,
         s: &Select,
         scope: &Scope<'_>,
-        expect: Option<&[String]>,
+        expect: Option<&[Name]>,
     ) -> Result<(VarId, SchemaId, UExpr), LowerError> {
         if s.projection.is_empty() {
             return Err(LowerError::EmptySelect);
@@ -367,14 +368,14 @@ impl<'a> Lowerer<'a> {
         // NATURAL JOIN pairs: equate every shared attribute name; `*`
         // projects each shared column once (skipping the right occurrence).
         let mut natural_preds: Vec<UExpr> = Vec::new();
-        let mut natural_skip: BTreeSet<(String, String)> = BTreeSet::new();
+        let mut natural_skip: BTreeSet<(Name, Name)> = BTreeSet::new();
         for (la, ra) in &s.natural {
             let (lv, ls) = inner
                 .lookup_alias(la)
-                .ok_or_else(|| LowerError::UnknownTable(la.clone()))?;
+                .ok_or_else(|| LowerError::UnknownTable(la.to_string()))?;
             let (rv, rs) = inner
                 .lookup_alias(ra)
-                .ok_or_else(|| LowerError::UnknownTable(ra.clone()))?;
+                .ok_or_else(|| LowerError::UnknownTable(ra.to_string()))?;
             let lschema = self.fe.catalog.schema(ls).clone();
             let rschema = self.fe.catalog.schema(rs).clone();
             if lschema.open || rschema.open {
@@ -382,7 +383,7 @@ impl<'a> Lowerer<'a> {
                     "`{la} NATURAL JOIN {ra}` requires closed schemas on both sides"
                 )));
             }
-            let shared: Vec<String> = lschema
+            let shared: Vec<Name> = lschema
                 .attrs
                 .iter()
                 .map(|(n, _)| n.clone())
@@ -431,10 +432,10 @@ impl<'a> Lowerer<'a> {
         &mut self,
         s: &Select,
         scope: &Scope<'_>,
-        expect: Option<&[String]>,
+        expect: Option<&[Name]>,
     ) -> Result<(VarId, SchemaId, UExpr), LowerError> {
         let out = self.gen.fresh();
-        let mut attrs: Vec<(String, Ty)> = Vec::new();
+        let mut attrs: Vec<(Name, Ty)> = Vec::new();
         let mut preds: Vec<UExpr> = Vec::new();
         for (i, item) in s.projection.iter().enumerate() {
             let (expr, alias) = match item {
@@ -490,7 +491,7 @@ impl<'a> Lowerer<'a> {
                 distinct,
             } => {
                 let name = if *distinct {
-                    format!("{func}_distinct")
+                    Name::from(format!("{func}_distinct"))
                 } else {
                     func.clone()
                 };
@@ -569,7 +570,7 @@ impl<'a> Lowerer<'a> {
                 }
                 if let Some(view) = self.fe.views.get(name).cloned() {
                     if self.view_depth >= MAX_VIEW_DEPTH {
-                        return Err(LowerError::ViewRecursionLimit(name.clone()));
+                        return Err(LowerError::ViewRecursionLimit(name.to_string()));
                     }
                     self.view_depth += 1;
                     // Views are closed queries: lowered in a fresh root scope.
@@ -578,7 +579,7 @@ impl<'a> Lowerer<'a> {
                     self.view_depth -= 1;
                     return result;
                 }
-                Err(LowerError::UnknownTable(name.clone()))
+                Err(LowerError::UnknownTable(name.to_string()))
             }
             TableRef::Subquery(q) => self.query(q, scope, None),
         }
@@ -594,9 +595,9 @@ impl<'a> Lowerer<'a> {
         items: &[SelectItem],
         scope: &Scope<'_>,
         out: VarId,
-        expect: Option<&[String]>,
-        natural_skip: &BTreeSet<(String, String)>,
-    ) -> Result<(Vec<(String, Ty)>, Vec<bool>, bool, Vec<UExpr>), LowerError> {
+        expect: Option<&[Name]>,
+        natural_skip: &BTreeSet<(Name, Name)>,
+    ) -> Result<(Vec<(Name, Ty)>, Vec<bool>, bool, Vec<UExpr>), LowerError> {
         // A single bare star over one source passes the row through,
         // preserving open schemas.
         if items.len() == 1 {
@@ -618,7 +619,7 @@ impl<'a> Lowerer<'a> {
             if let SelectItem::QualifiedStar(alias) = &items[0] {
                 let (v, sid) = scope
                     .lookup_alias(alias)
-                    .ok_or_else(|| LowerError::UnknownTable(alias.clone()))?;
+                    .ok_or_else(|| LowerError::UnknownTable(alias.to_string()))?;
                 let schema = self.fe.catalog.schema(sid).clone();
                 if schema.open {
                     return Ok((
@@ -631,20 +632,20 @@ impl<'a> Lowerer<'a> {
             }
         }
 
-        let mut attrs: Vec<(String, Ty)> = Vec::new();
+        let mut attrs: Vec<(Name, Ty)> = Vec::new();
         let mut nullable: Vec<bool> = Vec::new();
         let mut preds: Vec<UExpr> = Vec::new();
-        let mut seen: BTreeSet<String> = BTreeSet::new();
+        let mut seen: BTreeSet<Name> = BTreeSet::new();
         let mut positional = 0usize;
 
         // Resolve the output column name (positional rename under UNION) and
         // reject duplicates; the caller pushes the attr and pred.
         fn finalize_name(
-            expect: Option<&[String]>,
-            seen: &mut BTreeSet<String>,
+            expect: Option<&[Name]>,
+            seen: &mut BTreeSet<Name>,
             emitted: usize,
-            name: String,
-        ) -> Result<String, LowerError> {
+            name: Name,
+        ) -> Result<Name, LowerError> {
             let final_name = match expect {
                 Some(names) => {
                     names
@@ -658,7 +659,7 @@ impl<'a> Lowerer<'a> {
                 None => name,
             };
             if !seen.insert(final_name.clone()) {
-                return Err(LowerError::DuplicateStarColumn(final_name));
+                return Err(LowerError::DuplicateStarColumn(final_name.to_string()));
             }
             Ok(final_name)
         }
@@ -687,7 +688,7 @@ impl<'a> Lowerer<'a> {
                 SelectItem::QualifiedStar(alias) => {
                     let (v, sid) = scope
                         .lookup_alias(alias)
-                        .ok_or_else(|| LowerError::UnknownTable(alias.clone()))?;
+                        .ok_or_else(|| LowerError::UnknownTable(alias.to_string()))?;
                     let schema = self.fe.catalog.schema(sid).clone();
                     if schema.open {
                         return Err(LowerError::OpenSchemaProjection(format!(
@@ -785,12 +786,12 @@ impl<'a> Lowerer<'a> {
             } => {
                 let (v, sid) = scope
                     .lookup_alias(t)
-                    .ok_or_else(|| LowerError::UnknownTable(t.clone()))?;
+                    .ok_or_else(|| LowerError::UnknownTable(t.to_string()))?;
                 let schema = self.fe.catalog.schema(sid);
                 if schema.is_closed() && !schema.has_attr(column) {
                     return Err(LowerError::UnknownColumn {
-                        table: Some(t.clone()),
-                        column: column.clone(),
+                        table: Some(t.to_string()),
+                        column: column.to_string(),
                     });
                 }
                 Ok(Expr::var_attr(v, column))
@@ -821,7 +822,7 @@ impl<'a> Lowerer<'a> {
                     if let ScalarExpr::Subquery(q) = &**inner {
                         let (z, sid, body) = self.query(q, scope, None)?;
                         let name = if *distinct {
-                            format!("{func}_distinct")
+                            Name::from(format!("{func}_distinct"))
                         } else {
                             func.clone()
                         };
@@ -1014,10 +1015,10 @@ fn lower_cmp(op: CmpOp, a: Expr, b: Expr, positive: bool) -> UExpr {
 }
 
 /// Default output column name for an unaliased projection item.
-fn default_name(e: &ScalarExpr, position: usize) -> String {
+fn default_name(e: &ScalarExpr, position: usize) -> Name {
     match e {
         ScalarExpr::Column { column, .. } => column.clone(),
-        _ => format!("c{position}"),
+        _ => Name::from(format!("c{position}")),
     }
 }
 

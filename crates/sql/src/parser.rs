@@ -24,6 +24,7 @@ use crate::ast::*;
 use crate::feature::Feature;
 use crate::lexer::{lex, LexError, Spanned, Tok};
 use std::fmt;
+use udp_core::name::Name;
 
 /// Which SQL fragment the parser accepts.
 ///
@@ -221,7 +222,7 @@ struct Parser {
     pending_join_preds: Vec<PredExpr>,
     /// `NATURAL JOIN` alias pairs, same side-channel discipline as
     /// `pending_join_preds` (extended dialect only).
-    pending_natural: Vec<(String, String)>,
+    pending_natural: Vec<(Name, Name)>,
     /// Outer-join specs, same side-channel discipline (full dialect only).
     pending_outer: Vec<OuterJoin>,
     /// Non-fatal notes (full dialect `ORDER BY` stripping).
@@ -322,7 +323,7 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
+    fn expect_ident(&mut self) -> Result<Name, ParseError> {
         match self.peek().clone() {
             Tok::Ident(s) => {
                 self.advance();
@@ -429,7 +430,7 @@ impl Parser {
                 // the suffix rides on the type name through the AST.
                 if matches!(self.peek(), Tok::Question) {
                     self.advance();
-                    ty.push('?');
+                    ty = Name::from(format!("{ty}?"));
                 }
                 attrs.push((attr, ty));
             }
@@ -443,7 +444,7 @@ impl Parser {
         Ok(Statement::Schema { name, attrs, open })
     }
 
-    fn paren_ident_list(&mut self) -> Result<Vec<String>, ParseError> {
+    fn paren_ident_list(&mut self) -> Result<Vec<Name>, ParseError> {
         self.expect_tok(Tok::LParen)?;
         let mut out = vec![self.expect_ident()?];
         while matches!(self.peek(), Tok::Comma) {
@@ -974,7 +975,7 @@ impl Parser {
                         self.expect_kw("as")?;
                         let ty = self.expect_ident()?;
                         self.expect_tok(Tok::RParen)?;
-                        return Ok(ScalarExpr::App(format!("cast_{ty}"), vec![e]));
+                        return Ok(ScalarExpr::App(Name::from(format!("cast_{ty}")), vec![e]));
                     }
                     _ => {}
                 }
@@ -1378,7 +1379,7 @@ mod tests {
         match q {
             Query::Select(s) => {
                 assert_eq!(s.from.len(), 2);
-                assert_eq!(s.natural, vec![("x".to_string(), "y".to_string())]);
+                assert_eq!(s.natural, vec![("x".into(), "y".into())]);
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -186,7 +186,7 @@ pub fn scalar_to_sql(e: &ScalarExpr) -> String {
         ScalarExpr::Column {
             table: None,
             column,
-        } => column.clone(),
+        } => column.to_string(),
         ScalarExpr::Int(i) => i.to_string(),
         ScalarExpr::Str(s) => format!("'{s}'"),
         ScalarExpr::Null => "NULL".into(),

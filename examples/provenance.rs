@@ -18,6 +18,7 @@
 use std::collections::BTreeMap;
 use udp_core::expr::VarGen;
 use udp_core::interp::{DomainSpec, Interp, Val};
+use udp_core::name::Name;
 use udp_core::semiring::{BoolProv, USemiring};
 use udp_sql::{build_frontend, lower_query, parse_program};
 
@@ -91,7 +92,7 @@ fn tuple(fields: &[(&str, i64)]) -> Val {
     Val::Tuple(
         fields
             .iter()
-            .map(|(n, v)| (n.to_string(), Val::Int(*v)))
+            .map(|(n, v)| (Name::from(*n), Val::Int(*v)))
             .collect(),
     )
 }

@@ -11,6 +11,7 @@
 
 use std::collections::BTreeMap;
 use udp_core::interp::{DomainSpec, Interp, Val};
+use udp_core::name::Name;
 use udp_core::semiring::Nat;
 use udp_eval::{eval_query, random_database, seeded_rng, GenConfig};
 use udp_sql::{
@@ -51,7 +52,7 @@ const QUERIES: &[&str] = &[
     "SELECT x.a AS a, y.b AS b FROM r x NATURAL JOIN t2 y WHERE x.a = 1",
 ];
 
-fn row_to_val(columns: &[String], row: &[udp_core::expr::Value]) -> Val {
+fn row_to_val(columns: &[Name], row: &[udp_core::expr::Value]) -> Val {
     let mut fields = BTreeMap::new();
     for (c, v) in columns.iter().zip(row) {
         let val = match v {
@@ -121,7 +122,7 @@ fn full_dialect_crosscheck_over_null_tags() {
             for (rid, rel) in fe.catalog.relations() {
                 let schema = fe.catalog.schema(rel.schema);
                 let mut rows: BTreeMap<Val, u64> = BTreeMap::new();
-                let cols: Vec<String> = schema.attrs.iter().map(|(n, _)| n.clone()).collect();
+                let cols: Vec<Name> = schema.attrs.iter().map(|(n, _)| n.clone()).collect();
                 for row in &db.table(rid).rows {
                     *rows.entry(row_to_val(&cols, row)).or_insert(0) += 1;
                 }
@@ -187,7 +188,7 @@ fn evaluator_agrees_with_usemiring_interpretation() {
             for (rid, rel) in fe.catalog.relations() {
                 let schema = fe.catalog.schema(rel.schema);
                 let mut rows: BTreeMap<Val, u64> = BTreeMap::new();
-                let cols: Vec<String> = schema.attrs.iter().map(|(n, _)| n.clone()).collect();
+                let cols: Vec<Name> = schema.attrs.iter().map(|(n, _)| n.clone()).collect();
                 for row in &db.table(rid).rows {
                     *rows.entry(row_to_val(&cols, row)).or_insert(0) += 1;
                 }
