@@ -4,10 +4,11 @@
 -- predicate pushdown through a join, EXISTS-to-join under DISTINCT,
 -- GROUP BY alias renames, UNION ALL commutation, and a sprinkle of
 -- non-theorems so both exit kinds of both backends appear. Deterministic
--- counters over this file are byte-identical run to run; CI diffs them
--- against ci/baseline-metrics.json with udp-prof-diff. Regenerate the
--- baseline with the same udp-verify invocation CI uses (see
--- .github/workflows/ci.yml) whenever the profile legitimately shifts.
+-- counters over this file are byte-identical run to run; CI diffs the
+-- median of five runs against the median of the five runs committed under
+-- ci/baseline-metrics/ with udp-prof-diff. Regenerate those five with the
+-- same udp-verify invocation CI uses (see .github/workflows/ci.yml)
+-- whenever the profile legitimately shifts.
 schema rs(k:int, a:int, b:int);
 schema ss(k2:int, c:int);
 table r(rs);

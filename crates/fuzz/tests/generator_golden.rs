@@ -11,8 +11,8 @@
 //!   all from one random stream, as a stream goal draws them;
 //!
 //! through [`query_to_sql`] and compares the text with
-//! `tests/generator_golden.txt`. To rewrite that file after a deliberate
-//! change to the generators, run the test with `UDP_FUZZ_BLESS=1`.
+//! `tests/generator_golden.txt`. A deliberate change to the generators
+//! regenerates that file from a scratch print of `render()`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -72,11 +72,6 @@ fn render() -> String {
 #[test]
 fn generator_output_is_pinned() {
     let actual = render();
-    if std::env::var_os("UDP_FUZZ_BLESS").is_some() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/generator_golden.txt");
-        std::fs::write(path, &actual).unwrap();
-        return;
-    }
     for (n, (want, got)) in GOLDEN.lines().zip(actual.lines()).enumerate() {
         assert_eq!(got, want, "line {} of generator_golden.txt", n + 1);
     }

@@ -2,18 +2,16 @@
 //! deltas beyond tolerance.
 //!
 //! Usage:
-//!   `udp-prof-diff --baseline BASE.json [--tolerance F] [--min-share F]
-//!                  [--min-count N] [--mem-tolerance F]
-//!                  [--inflate NAME:FACTOR] CURRENT.json...`
-//!   `udp-prof-diff --median-out OUT.json RUN.json...`
+//!   `udp-prof-diff --baseline BASE.json [--baseline BASE.json...]
+//!                  [--tolerance F] [--min-share F] [--min-count N]
+//!                  [--mem-tolerance F] [--inflate NAME:FACTOR] CURRENT.json...`
 //!
 //! All inputs are `--metrics-json` snapshots (schema version 5). Several
-//! CURRENT snapshots — repeated runs of one command — are compared through
-//! their per-entry median ([`udp_obs::json::median`]), so one descheduled
-//! run cannot fail the gate alone; `--median-out` writes that median of its
-//! inputs as a snapshot and compares nothing, which is how the baseline is
-//! made from the same number of runs. Four families of checks run; the
-//! first three against `--tolerance` (default 0.15):
+//! baseline or CURRENT snapshots — repeated runs of one command — are each
+//! reduced to the per-entry median of the figures the gates compare (stage
+//! calls and shares, counters, memory rows), so one descheduled run cannot
+//! fail the gate alone. Four families of checks run; the first three
+//! against `--tolerance` (default 0.15):
 //!
 //! * **stage shares** — compared as absolute share-point deltas, but only
 //!   for stages whose share reaches `--min-share` (default 0.02) in either
@@ -45,8 +43,8 @@
 //! Exit code: 0 when every delta is within tolerance, 1 otherwise (or on
 //! malformed input).
 
-use std::collections::BTreeMap;
-use udp_obs::json::{self, parse, Value};
+use std::collections::{BTreeMap, BTreeSet};
+use udp_obs::json::{parse, Value};
 use udp_obs::{Counter, Stage};
 
 fn fail(msg: &str) -> ! {
@@ -68,19 +66,14 @@ struct Prof {
     mem_stage_bytes: BTreeMap<String, f64>,
 }
 
-/// Read a metrics snapshot.
-fn read(path: &str) -> Value {
+/// Load a metrics snapshot.
+fn load(path: &str) -> Prof {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
     let root = parse(&text).unwrap_or_else(|e| fail(&format!("{path}: invalid JSON: {e}")));
     if root.get("schema_version").and_then(Value::as_f64) != Some(5.0) {
         fail(&format!("{path}: not a schema-version-5 metrics snapshot"));
     }
-    root
-}
-
-/// The compared parts of a snapshot read from `path`.
-fn load(root: &Value, path: &str) -> Prof {
     let mut prof = Prof::default();
     let stages = root
         .get("stages")
@@ -122,6 +115,66 @@ fn load(root: &Value, path: &str) -> Prof {
         }
     }
     prof
+}
+
+/// The per-entry median of several runs' figures (the mean of the middle
+/// two for an even count). An entry a run lacks counts as 0 there, as the
+/// gates read a missing entry; the memory figures stay only when every run
+/// tracked memory.
+fn median(profs: &[Prof]) -> Prof {
+    fn mid(mut xs: Vec<f64>) -> f64 {
+        xs.sort_by(f64::total_cmp);
+        let m = xs.len() / 2;
+        if xs.len() % 2 == 1 {
+            xs[m]
+        } else {
+            (xs[m - 1] + xs[m]) / 2.0
+        }
+    }
+    fn column(maps: Vec<&BTreeMap<String, f64>>) -> BTreeMap<String, f64> {
+        let keys: BTreeSet<&String> = maps.iter().flat_map(|m| m.keys()).collect();
+        keys.into_iter()
+            .map(|k| {
+                let xs = maps.iter().map(|m| m.get(k).copied().unwrap_or(0.0));
+                (k.clone(), mid(xs.collect()))
+            })
+            .collect()
+    }
+    let stage_names: BTreeSet<&String> = profs.iter().flat_map(|p| p.stages.keys()).collect();
+    let stages = stage_names
+        .into_iter()
+        .map(|k| {
+            let (calls, shares) = profs
+                .iter()
+                .map(|p| p.stages.get(k).copied().unwrap_or((0.0, 0.0)))
+                .unzip();
+            (k.clone(), (mid(calls), mid(shares)))
+        })
+        .collect();
+    let mem_bytes_per_goal = profs
+        .iter()
+        .map(|p| p.mem_bytes_per_goal)
+        .collect::<Option<Vec<_>>>()
+        .map(mid);
+    Prof {
+        stages,
+        counters: column(profs.iter().map(|p| &p.counters).collect()),
+        mem_bytes_per_goal,
+        mem_stage_bytes: if mem_bytes_per_goal.is_some() {
+            column(profs.iter().map(|p| &p.mem_stage_bytes).collect())
+        } else {
+            BTreeMap::new()
+        },
+    }
+}
+
+/// How the gate's messages name a group of snapshots.
+fn label(paths: &[String]) -> String {
+    match paths {
+        [one] => one.clone(),
+        [first, rest @ ..] => format!("the median of {first} and {} more", rest.len()),
+        [] => String::new(),
+    }
 }
 
 struct Gate {
@@ -182,8 +235,7 @@ impl Gate {
 }
 
 fn main() {
-    let mut baseline = None;
-    let mut median_out = None;
+    let mut baselines: Vec<String> = Vec::new();
     let mut currents: Vec<String> = Vec::new();
     let mut tolerance = 0.15_f64;
     let mut min_share = 0.02_f64;
@@ -197,8 +249,7 @@ fn main() {
                 .unwrap_or_else(|| fail(&format!("{what} needs a value")))
         };
         match arg.as_str() {
-            "--baseline" => baseline = Some(take("--baseline")),
-            "--median-out" => median_out = Some(take("--median-out")),
+            "--baseline" => baselines.push(take("--baseline")),
             "--tolerance" => {
                 tolerance = take("--tolerance")
                     .parse()
@@ -233,33 +284,19 @@ fn main() {
             _ => currents.push(arg),
         }
     }
+    if baselines.is_empty() {
+        fail(
+            "usage: udp-prof-diff --baseline BASE.json [--baseline BASE.json...] \
+             [--tolerance F] [--min-share F] [--min-count N] [--mem-tolerance F] \
+             [--inflate NAME:FACTOR] CURRENT.json...",
+        )
+    }
     if currents.is_empty() {
         fail("missing CURRENT.json argument");
     }
-    let merged = json::median(&currents.iter().map(|p| read(p)).collect::<Vec<_>>());
-    if let Some(out) = median_out {
-        std::fs::write(&out, merged.pretty() + "\n")
-            .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
-        println!(
-            "udp-prof-diff: wrote the median of {} snapshots to {out}",
-            currents.len()
-        );
-        return;
-    }
-    let baseline = baseline.unwrap_or_else(|| {
-        fail(
-            "usage: udp-prof-diff --baseline BASE.json [--tolerance F] [--min-share F] \
-             [--min-count N] [--mem-tolerance F] [--inflate NAME:FACTOR] CURRENT.json...",
-        )
-    });
-    let current = if currents.len() == 1 {
-        currents[0].clone()
-    } else {
-        format!("the median of {} snapshots", currents.len())
-    };
-
-    let base = load(&read(&baseline), &baseline);
-    let mut cur = load(&merged, &current);
+    let (baseline, current) = (label(&baselines), label(&currents));
+    let base = median(&baselines.iter().map(|p| load(p)).collect::<Vec<_>>());
+    let mut cur = median(&currents.iter().map(|p| load(p)).collect::<Vec<_>>());
     for (name, factor) in &inflate {
         if name == "alloc-bytes" {
             if cur.mem_bytes_per_goal.is_none() {
@@ -357,4 +394,45 @@ fn main() {
         tolerance * 100.0,
         tolerance * 100.0
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn prof(calls: f64, share: f64, counter: Option<f64>, mem: Option<f64>) -> Prof {
+        Prof {
+            stages: BTreeMap::from([("udp-prove".to_string(), (calls, share))]),
+            counters: counter
+                .map(|v| ("unions".to_string(), v))
+                .into_iter()
+                .collect(),
+            mem_bytes_per_goal: mem,
+            mem_stage_bytes: mem.map(|v| ("parse".to_string(), v)).into_iter().collect(),
+        }
+    }
+
+    #[test]
+    fn median_is_taken_per_entry_with_missing_entries_as_zero() {
+        let runs = [
+            prof(10.0, 0.5, Some(7.0), Some(100.0)),
+            prof(30.0, 0.1, None, Some(300.0)),
+            prof(20.0, 0.9, Some(9.0), Some(200.0)),
+        ];
+        let m = median(&runs);
+        assert_eq!(m.stages["udp-prove"], (20.0, 0.5));
+        assert_eq!(m.counters["unions"], 7.0);
+        assert_eq!(m.mem_bytes_per_goal, Some(200.0));
+        assert_eq!(m.mem_stage_bytes["parse"], 200.0);
+        let even = median(&runs[..2]);
+        assert_eq!(even.stages["udp-prove"], (20.0, 0.3));
+        assert_eq!(even.counters["unions"], 3.5);
+    }
+
+    #[test]
+    fn memory_gates_only_when_every_run_tracked_it() {
+        let m = median(&[prof(1.0, 0.1, None, Some(5.0)), prof(1.0, 0.1, None, None)]);
+        assert_eq!(m.mem_bytes_per_goal, None);
+        assert!(m.mem_stage_bytes.is_empty());
+    }
 }

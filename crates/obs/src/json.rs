@@ -1,12 +1,11 @@
-//! A minimal recursive-descent JSON parser and writer — just enough to
-//! round-trip, validate and merge the metrics snapshots this crate emits
-//! (the workspace carries no serde). Numbers parse as `f64`; no non-standard extensions. Every
+//! A minimal recursive-descent JSON parser — just enough to round-trip and
+//! validate the metrics snapshots this crate emits (the workspace carries
+//! no serde). Numbers parse as `f64`; no non-standard extensions. Every
 //! rejection names the byte offset it happened at; nesting deeper than
 //! [`MAX_DEPTH`] is rejected rather than risking the recursion blowing the
 //! stack on adversarial input.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// Maximum container nesting the parser accepts.
 pub const MAX_DEPTH: usize = 512;
@@ -72,155 +71,6 @@ impl Value {
             Value::Bool(b) => Some(*b),
             _ => None,
         }
-    }
-}
-
-/// Compact JSON text; objects list their keys in sorted order, and a
-/// number prints as Rust's shortest round-tripping form of its `f64`.
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Null => f.write_str("null"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Number(n) if n.is_finite() => write!(f, "{n}"),
-            Value::Number(_) => f.write_str("0"),
-            Value::String(s) => f.write_str(&quote(s)),
-            Value::Array(items) => {
-                f.write_str("[")?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(", ")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                f.write_str("]")
-            }
-            Value::Object(members) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(", ")?;
-                    }
-                    write!(f, "{}: {v}", quote(k))?;
-                }
-                f.write_str("}")
-            }
-        }
-    }
-}
-
-impl Value {
-    /// JSON text laid out for reading and diffing: an object or array that
-    /// holds an object (directly or as an array element) puts one member
-    /// per line, indented by two spaces per level; everything else is
-    /// compact, as [`Display`](fmt::Display) writes it.
-    pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write_pretty(0, &mut out);
-        out
-    }
-
-    fn write_pretty(&self, depth: usize, out: &mut String) {
-        let holds_object = |v: &Value| match v {
-            Value::Object(_) => true,
-            Value::Array(items) => items.iter().any(|i| matches!(i, Value::Object(_))),
-            _ => false,
-        };
-        let (open, close, children): (char, char, Vec<(Option<&String>, &Value)>) = match self {
-            Value::Array(items) if items.iter().any(holds_object) => {
-                ('[', ']', items.iter().map(|v| (None, v)).collect())
-            }
-            Value::Object(members) if members.values().any(holds_object) => (
-                '{',
-                '}',
-                members.iter().map(|(k, v)| (Some(k), v)).collect(),
-            ),
-            _ => {
-                out.push_str(&self.to_string());
-                return;
-            }
-        };
-        let indent = "  ".repeat(depth + 1);
-        out.push(open);
-        for (i, (key, v)) in children.into_iter().enumerate() {
-            out.push_str(if i > 0 { ",\n" } else { "\n" });
-            out.push_str(&indent);
-            if let Some(k) = key {
-                out.push_str(&quote(k));
-                out.push_str(": ");
-            }
-            v.write_pretty(depth + 1, out);
-        }
-        out.push('\n');
-        out.push_str(&"  ".repeat(depth));
-        out.push(close);
-    }
-}
-
-/// JSON-escape a string literal, quotes included.
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// The per-entry median of documents of one shape: each number is the
-/// median of the numbers at the same place in every document (the mean of
-/// the middle two for an even count). Where the documents disagree on
-/// anything else — a string, a key, an array's length, a number against a
-/// non-number — the first document's value stands.
-pub fn median(docs: &[Value]) -> Value {
-    let Some(first) = docs.first() else {
-        return Value::Null;
-    };
-    match first {
-        Value::Number(_) => {
-            let mut nums: Vec<f64> = docs.iter().filter_map(Value::as_f64).collect();
-            if nums.len() != docs.len() {
-                return first.clone();
-            }
-            nums.sort_by(f64::total_cmp);
-            let mid = nums.len() / 2;
-            Value::Number(if nums.len() % 2 == 1 {
-                nums[mid]
-            } else {
-                (nums[mid - 1] + nums[mid]) / 2.0
-            })
-        }
-        Value::Array(items) => {
-            let arrays: Vec<&[Value]> = docs.iter().filter_map(Value::as_array).collect();
-            if arrays.len() != docs.len() || arrays.iter().any(|a| a.len() != items.len()) {
-                return first.clone();
-            }
-            let merged = (0..items.len())
-                .map(|i| median(&arrays.iter().map(|a| a[i].clone()).collect::<Vec<_>>()))
-                .collect();
-            Value::Array(merged)
-        }
-        Value::Object(members) => {
-            let merged = members
-                .iter()
-                .map(|(k, v)| {
-                    let column: Option<Vec<Value>> =
-                        docs.iter().map(|d| d.get(k).cloned()).collect();
-                    (k.clone(), column.map_or_else(|| v.clone(), |c| median(&c)))
-                })
-                .collect();
-            Value::Object(merged)
-        }
-        Value::Null | Value::Bool(_) | Value::String(_) => first.clone(),
     }
 }
 
@@ -522,51 +372,6 @@ mod tests {
             "]}".repeat(MAX_DEPTH / 2 + 1)
         );
         assert!(parse(&mixed).unwrap_err().contains("nesting deeper than"));
-    }
-
-    #[test]
-    fn written_text_parses_back_to_the_same_value() {
-        let text =
-            r#"{"a": [1, 2.5, -3, 1e20], "b": "x\"y\n\u0001§", "c": true, "d": null, "e": {}}"#;
-        let v = parse(text).unwrap();
-        assert_eq!(parse(&v.to_string()).unwrap(), v);
-        let nested =
-            parse(r#"{"rows": [{"a": [1, 2]}, {"a": []}], "n": 3, "m": {"x": {}}}"#).unwrap();
-        let pretty = nested.pretty();
-        assert_eq!(parse(&pretty).unwrap(), nested);
-        assert_eq!(
-            pretty,
-            "{\n  \"m\": {\n    \"x\": {}\n  },\n  \"n\": 3,\n  \"rows\": [\n    {\"a\": [1, 2]},\n    {\"a\": []}\n  ]\n}"
-        );
-    }
-
-    #[test]
-    fn median_takes_numbers_per_entry_and_the_rest_from_the_first() {
-        let docs: Vec<Value> = [
-            r#"{"n": 1, "xs": [10, 1], "s": "a", "odd": [1]}"#,
-            r#"{"n": 9, "xs": [30, 2], "s": "b", "odd": [1, 2]}"#,
-            r#"{"n": 5, "xs": [20, 3], "s": "c", "odd": [1]}"#,
-        ]
-        .iter()
-        .map(|t| parse(t).unwrap())
-        .collect();
-        let m = median(&docs);
-        assert_eq!(m.get("n").and_then(Value::as_f64), Some(5.0));
-        let xs: Vec<f64> = m
-            .get("xs")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .filter_map(Value::as_f64)
-            .collect();
-        assert_eq!(xs, [20.0, 2.0]);
-        assert_eq!(m.get("s").and_then(Value::as_str), Some("a"));
-        assert_eq!(m.get("odd").unwrap().as_array().unwrap().len(), 1);
-        assert_eq!(
-            median(&docs[..2]).get("n").and_then(Value::as_f64),
-            Some(5.0)
-        );
     }
 
     #[test]

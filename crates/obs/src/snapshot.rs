@@ -71,7 +71,6 @@
 use crate::alloc::MemorySnapshot;
 use crate::counter::Counter;
 use crate::hist::Histogram;
-use crate::json::quote;
 use crate::stage::Stage;
 
 /// Aggregated totals for one stage.
@@ -219,7 +218,7 @@ impl MetricsSnapshot {
                 "    {{\"stage\": {}, \"calls\": {}, \"wall_us\": {}, \"share\": {}, \
                  \"steps\": {}, \"p50_us\": {}, \"p99_us\": {}, \"goal_path\": {}, \
                  \"hist\": [{}]}}{}\n",
-                quote(s.stage.name()),
+                json_str(s.stage.name()),
                 s.calls,
                 fmt_f64(s.wall_us()),
                 fmt_f64(self.share(s.stage)),
@@ -241,7 +240,7 @@ impl MetricsSnapshot {
         for (i, c) in self.counters.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"counter\": {}, \"value\": {}}}{}\n",
-                quote(c.counter.name()),
+                json_str(c.counter.name()),
                 c.value,
                 if i + 1 < self.counters.len() { "," } else { "" }
             ));
@@ -292,7 +291,7 @@ impl MetricsSnapshot {
                     out.push_str(&format!(
                         "      {{\"stage\": {}, \"alloc_calls\": {}, \"alloc_bytes\": {}, \
                          \"bytes_freed\": {}}}{}\n",
-                        quote(row.name()),
+                        json_str(row.name()),
                         row.alloc_calls,
                         row.alloc_bytes,
                         row.bytes_freed,
@@ -311,7 +310,7 @@ impl MetricsSnapshot {
                 .map(|(s, ns, steps)| {
                     format!(
                         "{{\"stage\": {}, \"wall_us\": {}, \"steps\": {}}}",
-                        quote(s.name()),
+                        json_str(s.name()),
                         fmt_f64(*ns as f64 / 1_000.0),
                         steps
                     )
@@ -320,7 +319,7 @@ impl MetricsSnapshot {
                 .join(", ");
             out.push_str(&format!(
                 "    {{\"label\": {}, \"wall_us\": {}, \"steps\": {}, \"stages\": [{}]}}{}\n",
-                quote(&g.label),
+                json_str(&g.label),
                 fmt_f64(g.wall_ns as f64 / 1_000.0),
                 g.steps,
                 stages,
@@ -440,6 +439,25 @@ fn fmt_f64(v: f64) -> String {
     }
     let s = format!("{v:.3}");
     s
+}
+
+/// JSON-escape a string literal.
+fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 #[cfg(test)]
