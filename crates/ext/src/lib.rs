@@ -232,6 +232,25 @@ mod tests {
     }
 
     #[test]
+    fn outer_joins_nested_under_on_are_validated_like_under_where() {
+        // `d LEFT JOIN e ON e.k = c.k` reaches the sibling `c`; the check
+        // must find it in an ON-clause subquery as it does under WHERE.
+        let fe = prep(
+            "schema s0(k:int, a:int, b:int);\nschema s1(k:int, a:int);\n\
+             table t0(s0);\ntable t1(s1);",
+        );
+        let sub = "EXISTS (SELECT c.a AS v FROM t0 c, t1 d LEFT JOIN t0 e ON e.k = c.k)";
+        let reject = |sql: String| {
+            let q = parse_query_with(&sql, Dialect::Full).unwrap();
+            desugar_goal(&fe, &(q.clone(), q)).unwrap_err()
+        };
+        let under_where = reject(format!("SELECT x.a AS p FROM t0 x WHERE {sub}"));
+        let under_on = reject(format!("SELECT x.a AS p FROM t0 x LEFT JOIN t1 y ON {sub}"));
+        assert!(matches!(under_on, ExtError::Unsupported(_)), "{under_on}");
+        assert_eq!(under_on, under_where);
+    }
+
+    #[test]
     fn case_without_else_encodes_null_arm() {
         let fe = prep(DDL);
         // Implicit ELSE NULL: `CASE WHEN k = 1 THEN 1 END = 1` can only be

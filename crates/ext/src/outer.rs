@@ -192,92 +192,15 @@ fn validate_query(q: &Query) -> Result<(), ExtError> {
         Ok(())
     }
 
-    fn walk(q: &Query) -> Result<(), ExtError> {
-        match q {
-            Query::Select(s) => {
-                validate_select(s)?;
-                for item in &s.from {
-                    if let TableRef::Subquery(sub) = &item.source {
-                        walk(sub)?;
-                    }
-                }
-                let mut sub = Vec::new();
-                if let Some(w) = &s.where_clause {
-                    collect_subqueries_pred(w, &mut sub);
-                }
-                if let Some(h) = &s.having {
-                    collect_subqueries_pred(h, &mut sub);
-                }
-                for item in &s.projection {
-                    if let SelectItem::Expr { expr, .. } = item {
-                        collect_subqueries_scalar(expr, &mut sub);
-                    }
-                }
-                for q in sub {
-                    walk(q)?;
-                }
-                Ok(())
-            }
-            Query::UnionAll(a, b)
-            | Query::Except(a, b)
-            | Query::Union(a, b)
-            | Query::Intersect(a, b) => {
-                walk(a)?;
-                walk(b)
-            }
-            Query::Values(_) => Ok(()),
+    // Every block, ON-clause and VALUES subqueries included: the
+    // eliminator rewrites outer joins wherever they are nested.
+    let mut result = Ok(());
+    q.for_each_select(&mut |s| {
+        if result.is_ok() {
+            result = validate_select(s);
         }
-    }
-
-    fn collect_subqueries_pred<'a>(p: &'a PredExpr, out: &mut Vec<&'a Query>) {
-        match p {
-            PredExpr::Cmp(_, a, b) => {
-                collect_subqueries_scalar(a, out);
-                collect_subqueries_scalar(b, out);
-            }
-            PredExpr::And(a, b) | PredExpr::Or(a, b) => {
-                collect_subqueries_pred(a, out);
-                collect_subqueries_pred(b, out);
-            }
-            PredExpr::Not(a) => collect_subqueries_pred(a, out),
-            PredExpr::True | PredExpr::False => {}
-            PredExpr::IsNull(e) => collect_subqueries_scalar(e, out),
-            PredExpr::Exists(q) => out.push(q),
-            PredExpr::InQuery(e, q) => {
-                collect_subqueries_scalar(e, out);
-                out.push(q);
-            }
-        }
-    }
-
-    fn collect_subqueries_scalar<'a>(e: &'a ScalarExpr, out: &mut Vec<&'a Query>) {
-        match e {
-            ScalarExpr::Column { .. }
-            | ScalarExpr::Int(_)
-            | ScalarExpr::Str(_)
-            | ScalarExpr::Null => {}
-            ScalarExpr::App(_, args) => {
-                for a in args {
-                    collect_subqueries_scalar(a, out);
-                }
-            }
-            ScalarExpr::Agg { arg, .. } => {
-                if let AggArg::Expr(inner) = arg {
-                    collect_subqueries_scalar(inner, out);
-                }
-            }
-            ScalarExpr::Subquery(q) => out.push(q),
-            ScalarExpr::Case { whens, else_ } => {
-                for (b, v) in whens {
-                    collect_subqueries_pred(b, out);
-                    collect_subqueries_scalar(v, out);
-                }
-                collect_subqueries_scalar(else_, out);
-            }
-        }
-    }
-
-    walk(q)
+    });
+    result
 }
 
 struct Eliminator<'a> {

@@ -16,6 +16,7 @@ use rand::rngs::StdRng;
 use rand::RngExt;
 use udp_core::name::Name;
 use udp_sql::ast::{CmpOp, FromItem, PredExpr, Query, ScalarExpr, Select, SelectItem, TableRef};
+use udp_sql::desugar::rename_select;
 use udp_sql::Frontend;
 
 /// The library of semantics-preserving rewrites.
@@ -27,7 +28,8 @@ pub enum Rewrite {
     /// projection — `*` output column order depends on FROM order.
     JoinCommute,
     /// Rename a FROM alias and every reference to it (including correlated
-    /// references inside EXISTS subqueries).
+    /// references inside nested subqueries) with the desugarer's
+    /// shadowing-aware [`rename_select`].
     AliasRename,
     /// Push a single-alias conjunct below its scan:
     /// `FROM t x … WHERE c AND rest` → `FROM (SELECT * FROM t x WHERE c) x …
@@ -145,12 +147,14 @@ impl Rewrite {
                 // the block — a nested scope that already binds it would
                 // capture the renamed correlated references.
                 let mut taken = std::collections::BTreeSet::new();
-                collect_aliases(&Query::Select(s.clone()), &mut taken);
+                Query::Select(s.clone())
+                    .for_each_select(&mut |b| taken.extend(b.from.iter().map(|f| f.alias.clone())));
                 let mut new = format!("{old}_r");
                 while taken.contains(new.as_str()) {
                     new.push('r');
                 }
-                Some(rename_alias_in_select(s, idx, &old, &Name::from(new)))
+                let map = std::collections::HashMap::from([(old, Name::from(new))]);
+                Some(rename_select(s, &map, true))
             }),
             Rewrite::PredicatePushdown => map_first_select(q, &mut |s| {
                 if !s.natural.is_empty() || !s.outer.is_empty() {
@@ -409,90 +413,6 @@ fn rebuild_setop(
     map_first_select(b, f).map(|b2| ctor(Box::new(a.clone()), Box::new(b2)))
 }
 
-/// Collect every FROM alias bound anywhere in the query, including inside
-/// derived tables and predicate subqueries (used to pick capture-free fresh
-/// names for [`Rewrite::AliasRename`]).
-fn collect_aliases(q: &Query, out: &mut std::collections::BTreeSet<Name>) {
-    match q {
-        Query::Select(s) => {
-            for f in &s.from {
-                out.insert(f.alias.clone());
-                if let TableRef::Subquery(sub) = &f.source {
-                    collect_aliases(sub, out);
-                }
-            }
-            for item in &s.projection {
-                if let SelectItem::Expr { expr, .. } = item {
-                    collect_aliases_scalar(expr, out);
-                }
-            }
-            for e in &s.group_by {
-                collect_aliases_scalar(e, out);
-            }
-            for p in s.where_clause.iter().chain(s.having.iter()) {
-                collect_aliases_pred(p, out);
-            }
-        }
-        Query::UnionAll(a, b)
-        | Query::Except(a, b)
-        | Query::Union(a, b)
-        | Query::Intersect(a, b) => {
-            collect_aliases(a, out);
-            collect_aliases(b, out);
-        }
-        Query::Values(rows) => {
-            for e in rows.iter().flatten() {
-                collect_aliases_scalar(e, out);
-            }
-        }
-    }
-}
-
-fn collect_aliases_pred(p: &PredExpr, out: &mut std::collections::BTreeSet<Name>) {
-    match p {
-        PredExpr::Cmp(_, a, b) => {
-            collect_aliases_scalar(a, out);
-            collect_aliases_scalar(b, out);
-        }
-        PredExpr::And(a, b) | PredExpr::Or(a, b) => {
-            collect_aliases_pred(a, out);
-            collect_aliases_pred(b, out);
-        }
-        PredExpr::Not(a) => collect_aliases_pred(a, out),
-        PredExpr::True | PredExpr::False => {}
-        PredExpr::Exists(q) => collect_aliases(q, out),
-        PredExpr::InQuery(e, q) => {
-            collect_aliases_scalar(e, out);
-            collect_aliases(q, out);
-        }
-        PredExpr::IsNull(e) => collect_aliases_scalar(e, out),
-    }
-}
-
-fn collect_aliases_scalar(e: &ScalarExpr, out: &mut std::collections::BTreeSet<Name>) {
-    match e {
-        ScalarExpr::Column { .. } | ScalarExpr::Int(_) | ScalarExpr::Str(_) | ScalarExpr::Null => {}
-        ScalarExpr::App(_, args) => {
-            for a in args {
-                collect_aliases_scalar(a, out);
-            }
-        }
-        ScalarExpr::Agg { arg, .. } => {
-            if let udp_sql::ast::AggArg::Expr(inner) = arg {
-                collect_aliases_scalar(inner, out);
-            }
-        }
-        ScalarExpr::Subquery(q) => collect_aliases(q, out),
-        ScalarExpr::Case { whens, else_ } => {
-            for (b, v) in whens {
-                collect_aliases_pred(b, out);
-                collect_aliases_scalar(v, out);
-            }
-            collect_aliases_scalar(else_, out);
-        }
-    }
-}
-
 /// Swap the children of the first `And` node (pre-order, WHERE-level only —
 /// no descent into subqueries).
 fn swap_first_and(p: &PredExpr) -> Option<PredExpr> {
@@ -602,166 +522,5 @@ fn refs_only_alias(p: &PredExpr, alias: &str) -> bool {
         PredExpr::True | PredExpr::False => true,
         PredExpr::IsNull(e) => scalar_ok(e),
         PredExpr::Exists(_) | PredExpr::InQuery(..) => false,
-    }
-}
-
-/// Rename FROM item `idx`'s alias from `old` to `new` across the whole
-/// SELECT block, descending into predicate subqueries (for correlated
-/// references) but stopping wherever a nested scope rebinds `old`.
-fn rename_alias_in_select(s: &Select, idx: usize, old: &str, new: &Name) -> Select {
-    let mut out = s.clone();
-    out.from[idx].alias = new.clone();
-    for item in &mut out.projection {
-        if let SelectItem::QualifiedStar(a) = item {
-            if a == old {
-                *a = new.clone();
-            }
-        }
-        if let SelectItem::Expr { expr, .. } = item {
-            *expr = rename_in_scalar(expr, old, new);
-        }
-    }
-    out.where_clause = out
-        .where_clause
-        .as_ref()
-        .map(|p| rename_in_pred(p, old, new));
-    out.group_by = out
-        .group_by
-        .iter()
-        .map(|e| rename_in_scalar(e, old, new))
-        .collect();
-    out.having = out.having.as_ref().map(|p| rename_in_pred(p, old, new));
-    out
-}
-
-fn rename_in_scalar(e: &ScalarExpr, old: &str, new: &Name) -> ScalarExpr {
-    match e {
-        ScalarExpr::Column { table, column } if table.as_deref() == Some(old) => {
-            ScalarExpr::Column {
-                table: Some(new.clone()),
-                column: column.clone(),
-            }
-        }
-        ScalarExpr::Column { .. } | ScalarExpr::Int(_) | ScalarExpr::Str(_) | ScalarExpr::Null => {
-            e.clone()
-        }
-        ScalarExpr::App(f, args) => ScalarExpr::App(
-            f.clone(),
-            args.iter().map(|a| rename_in_scalar(a, old, new)).collect(),
-        ),
-        ScalarExpr::Agg {
-            func,
-            arg,
-            distinct,
-        } => ScalarExpr::Agg {
-            func: func.clone(),
-            arg: match arg {
-                udp_sql::ast::AggArg::Star => udp_sql::ast::AggArg::Star,
-                udp_sql::ast::AggArg::Expr(inner) => {
-                    udp_sql::ast::AggArg::Expr(Box::new(rename_in_scalar(inner, old, new)))
-                }
-            },
-            distinct: *distinct,
-        },
-        ScalarExpr::Subquery(q) => ScalarExpr::Subquery(Box::new(rename_in_query(q, old, new))),
-        ScalarExpr::Case { whens, else_ } => ScalarExpr::Case {
-            whens: whens
-                .iter()
-                .map(|(b, v)| (rename_in_pred(b, old, new), rename_in_scalar(v, old, new)))
-                .collect(),
-            else_: Box::new(rename_in_scalar(else_, old, new)),
-        },
-    }
-}
-
-fn rename_in_pred(p: &PredExpr, old: &str, new: &Name) -> PredExpr {
-    match p {
-        PredExpr::Cmp(op, a, b) => PredExpr::Cmp(
-            *op,
-            rename_in_scalar(a, old, new),
-            rename_in_scalar(b, old, new),
-        ),
-        PredExpr::And(a, b) => PredExpr::And(
-            Box::new(rename_in_pred(a, old, new)),
-            Box::new(rename_in_pred(b, old, new)),
-        ),
-        PredExpr::Or(a, b) => PredExpr::Or(
-            Box::new(rename_in_pred(a, old, new)),
-            Box::new(rename_in_pred(b, old, new)),
-        ),
-        PredExpr::Not(a) => PredExpr::Not(Box::new(rename_in_pred(a, old, new))),
-        PredExpr::True => PredExpr::True,
-        PredExpr::False => PredExpr::False,
-        PredExpr::IsNull(e) => PredExpr::IsNull(Box::new(rename_in_scalar(e, old, new))),
-        PredExpr::Exists(q) => PredExpr::Exists(Box::new(rename_in_query(q, old, new))),
-        PredExpr::InQuery(e, q) => PredExpr::InQuery(
-            rename_in_scalar(e, old, new),
-            Box::new(rename_in_query(q, old, new)),
-        ),
-    }
-}
-
-fn rename_in_query(q: &Query, old: &str, new: &Name) -> Query {
-    match q {
-        Query::Select(s) => {
-            if s.from.iter().any(|f| f.alias == old) {
-                // `old` is rebound in this scope: every reference below here
-                // means the inner binding, so the rename stops.
-                return q.clone();
-            }
-            let mut out = s.clone();
-            out.from = s
-                .from
-                .iter()
-                .map(|f| FromItem {
-                    source: match &f.source {
-                        TableRef::Table(t) => TableRef::Table(t.clone()),
-                        TableRef::Subquery(sub) => {
-                            TableRef::Subquery(Box::new(rename_in_query(sub, old, new)))
-                        }
-                    },
-                    alias: f.alias.clone(),
-                })
-                .collect();
-            for item in &mut out.projection {
-                match item {
-                    SelectItem::QualifiedStar(a) if a == old => *a = new.clone(),
-                    SelectItem::Expr { expr, .. } => *expr = rename_in_scalar(expr, old, new),
-                    _ => {}
-                }
-            }
-            out.where_clause = out
-                .where_clause
-                .as_ref()
-                .map(|p| rename_in_pred(p, old, new));
-            out.group_by = out
-                .group_by
-                .iter()
-                .map(|e| rename_in_scalar(e, old, new))
-                .collect();
-            out.having = out.having.as_ref().map(|p| rename_in_pred(p, old, new));
-            Query::Select(out)
-        }
-        Query::UnionAll(a, b) => Query::UnionAll(
-            Box::new(rename_in_query(a, old, new)),
-            Box::new(rename_in_query(b, old, new)),
-        ),
-        Query::Except(a, b) => Query::Except(
-            Box::new(rename_in_query(a, old, new)),
-            Box::new(rename_in_query(b, old, new)),
-        ),
-        Query::Union(a, b) => Query::Union(
-            Box::new(rename_in_query(a, old, new)),
-            Box::new(rename_in_query(b, old, new)),
-        ),
-        Query::Intersect(a, b) => Query::Intersect(
-            Box::new(rename_in_query(a, old, new)),
-            Box::new(rename_in_query(b, old, new)),
-        ),
-        Query::Values(rows) => Query::Values(
-            rows.iter()
-                .map(|r| r.iter().map(|e| rename_in_scalar(e, old, new)).collect())
-                .collect(),
-        ),
     }
 }

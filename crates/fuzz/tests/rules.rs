@@ -233,6 +233,30 @@ fn alias_rename_avoids_capture_by_nested_scopes() {
     assert_eq!(decide(&fe, &base, &renamed), udp_core::Decision::Proved);
 }
 
+/// AliasRename must also rename correlated references inside the ON clause
+/// of an outer join nested in a subquery; a stale `x` there names no table.
+#[test]
+fn alias_rename_reaches_nested_outer_join_on_clauses() {
+    let fe = frontend();
+    let base = parse_full(
+        "SELECT x.a AS p FROM t0 x WHERE EXISTS \
+         (SELECT y.a AS v FROM t1 y LEFT JOIN t1 z ON z.k = x.k WHERE y.k = x.k)",
+    );
+    let mut rng = StdRng::seed_from_u64(1);
+    let renamed = Rewrite::AliasRename
+        .apply(&base, &fe, &mut rng)
+        .expect("rename applies");
+    assert_eq!(
+        decide(&fe, &base, &renamed),
+        udp_core::Decision::Proved,
+        "{renamed:?}"
+    );
+    assert!(
+        !oracle_refutes(&fe, &base, &renamed),
+        "rename changed the semantics: {renamed:?}"
+    );
+}
+
 /// StarExpansion must refuse a `*` whose expansion would produce duplicate
 /// output names (two FROM tables sharing an attribute).
 #[test]

@@ -107,6 +107,104 @@ pub enum Query {
     Values(Vec<Vec<ScalarExpr>>),
 }
 
+impl Query {
+    /// Visit every SELECT block of the query in pre-order: a block before
+    /// the blocks nested in it, set-operation branches left to right. Inside
+    /// a block the walk enters its FROM subqueries, then the subqueries of
+    /// the projection, WHERE, GROUP BY, HAVING and outer-join ON clauses,
+    /// including those under CASE arms and aggregate arguments; VALUES rows
+    /// are searched too. The walk tracks no scopes: a caller that needs to
+    /// know which block binds an alias reads each block's FROM list.
+    pub fn for_each_select(&self, f: &mut impl FnMut(&Select)) {
+        match self {
+            Query::Select(s) => {
+                f(s);
+                for item in &s.from {
+                    if let TableRef::Subquery(q) = &item.source {
+                        q.for_each_select(f);
+                    }
+                }
+                for item in &s.projection {
+                    if let SelectItem::Expr { expr, .. } = item {
+                        scalar_selects(expr, f);
+                    }
+                }
+                if let Some(w) = &s.where_clause {
+                    pred_selects(w, f);
+                }
+                for g in &s.group_by {
+                    scalar_selects(g, f);
+                }
+                if let Some(h) = &s.having {
+                    pred_selects(h, f);
+                }
+                for oj in &s.outer {
+                    pred_selects(&oj.on, f);
+                }
+            }
+            Query::UnionAll(a, b)
+            | Query::Except(a, b)
+            | Query::Union(a, b)
+            | Query::Intersect(a, b) => {
+                a.for_each_select(f);
+                b.for_each_select(f);
+            }
+            Query::Values(rows) => {
+                for e in rows.iter().flatten() {
+                    scalar_selects(e, f);
+                }
+            }
+        }
+    }
+}
+
+/// The scalar half of [`Query::for_each_select`].
+fn scalar_selects(e: &ScalarExpr, f: &mut impl FnMut(&Select)) {
+    match e {
+        ScalarExpr::Column { .. } | ScalarExpr::Int(_) | ScalarExpr::Str(_) | ScalarExpr::Null => {}
+        ScalarExpr::App(_, args) => {
+            for a in args {
+                scalar_selects(a, f);
+            }
+        }
+        ScalarExpr::Agg { arg, .. } => {
+            if let AggArg::Expr(inner) = arg {
+                scalar_selects(inner, f);
+            }
+        }
+        ScalarExpr::Subquery(q) => q.for_each_select(f),
+        ScalarExpr::Case { whens, else_ } => {
+            for (b, v) in whens {
+                pred_selects(b, f);
+                scalar_selects(v, f);
+            }
+            scalar_selects(else_, f);
+        }
+    }
+}
+
+/// The predicate half of [`Query::for_each_select`].
+fn pred_selects(p: &PredExpr, f: &mut impl FnMut(&Select)) {
+    match p {
+        PredExpr::Cmp(_, a, b) => {
+            scalar_selects(a, f);
+            scalar_selects(b, f);
+        }
+        PredExpr::And(a, b) | PredExpr::Or(a, b) => {
+            pred_selects(a, f);
+            pred_selects(b, f);
+        }
+        PredExpr::Not(a) => pred_selects(a, f),
+        PredExpr::True | PredExpr::False => {}
+        PredExpr::IsNull(e) => scalar_selects(e, f),
+        PredExpr::Exists(q) => q.for_each_select(f),
+        PredExpr::InQuery(e, q) => {
+            scalar_selects(e, f);
+            q.for_each_select(f);
+        }
+    }
+}
+
 /// A SELECT block.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Select {
@@ -439,6 +537,30 @@ mod tests {
         assert!(!ScalarExpr::col("x", "a").contains_aggregate());
         let p = PredExpr::Cmp(CmpOp::Gt, agg, ScalarExpr::Int(0));
         assert!(p.contains_aggregate());
+    }
+
+    #[test]
+    fn for_each_select_visits_every_block_once_in_pre_order() {
+        // Each block is named by its first FROM alias, numbered in the
+        // pre-order the walk promises.
+        let q = crate::parser::parse_query_with(
+            "SELECT (SELECT b2.a AS v FROM r b2) AS p, \
+                    CASE WHEN EXISTS (SELECT * FROM r b3) \
+                         THEN (SELECT b4.a AS v FROM r b4) ELSE 0 END AS c, \
+                    SUM((SELECT b5.a AS v FROM r b5)) AS s \
+             FROM (SELECT * FROM r b1) b0 LEFT JOIN r y ON EXISTS (SELECT * FROM r b9) \
+             WHERE EXISTS (SELECT * FROM r b6) \
+             GROUP BY (SELECT b7.a AS v FROM r b7) \
+             HAVING EXISTS (SELECT * FROM r b8) \
+             UNION ALL \
+             SELECT * FROM (VALUES ((SELECT b11.a AS v FROM r b11))) b10",
+            crate::parser::Dialect::Full,
+        )
+        .unwrap();
+        let mut seen = Vec::new();
+        q.for_each_select(&mut |s| seen.push(s.from[0].alias.to_string()));
+        let want: Vec<String> = (0..12).map(|i| format!("b{i}")).collect();
+        assert_eq!(seen, want);
     }
 
     #[test]

@@ -264,9 +264,12 @@ pub fn rename_query(q: &Query, map: &HashMap<Name, Name>) -> Query {
     }
 }
 
-/// `rename_own_aliases = true` for the top-level copy (its FROM aliases are
-/// renamed too); `false` for nested scopes (their aliases shadow the map).
-fn rename_select(s: &Select, map: &HashMap<Name, Name>, rename_own_aliases: bool) -> Select {
+/// Rename alias references throughout a SELECT block, down through every
+/// nested scope except where a nested block rebinds an alias (shadowing).
+/// `rename_own_aliases = true` renames the block's own FROM aliases too (a
+/// renamed copy of the block); `false` treats the block as a nested scope
+/// whose aliases shadow the map.
+pub fn rename_select(s: &Select, map: &HashMap<Name, Name>, rename_own_aliases: bool) -> Select {
     let mut body_map = map.clone();
     if !rename_own_aliases {
         for item in &s.from {

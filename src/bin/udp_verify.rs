@@ -85,25 +85,9 @@ fn main() -> ExitCode {
             "--full" => dialect = udp_sql::Dialect::Full,
             "--spnf" => spnf = true,
             "--stats" => show_stats = true,
-            "--timeout" => {
-                timeout = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("missing value for --timeout"));
-            }
-            "--jobs" => {
-                jobs = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("missing value for --jobs"));
-            }
-            "--cache-bytes" => {
-                cache_bytes = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("missing value for --cache-bytes")),
-                );
-            }
+            "--timeout" => timeout = parse_num(it.next(), "--timeout"),
+            "--jobs" => jobs = parse_num(it.next(), "--jobs"),
+            "--cache-bytes" => cache_bytes = Some(parse_num(it.next(), "--cache-bytes")),
             "--metrics-json" => {
                 obs.metrics_json = Some(
                     it.next()
@@ -111,12 +95,7 @@ fn main() -> ExitCode {
                         .unwrap_or_else(|| usage("missing value for --metrics-json")),
                 );
             }
-            "--trace-goals" => {
-                obs.trace_goals = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("missing value for --trace-goals"));
-            }
+            "--trace-goals" => obs.trace_goals = parse_num(it.next(), "--trace-goals"),
             "--trace-out" => {
                 obs.trace_out = Some(
                     it.next()
@@ -309,6 +288,11 @@ fn print_verdict(i: usize, v: &udp_core::Verdict) {
         v.stats.size_before,
         v.stats.size_after,
     );
+}
+
+fn parse_num<T: std::str::FromStr>(v: Option<&String>, flag: &str) -> T {
+    v.and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| usage(&format!("missing or invalid value for {flag}")))
 }
 
 fn usage(msg: &str) -> ! {

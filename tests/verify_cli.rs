@@ -226,11 +226,21 @@ fn constructs_udp_ext_rejects_are_unsupported() {
 #[test]
 fn unknown_flags_are_usage_errors() {
     let file = rule("literature/l01_fig1_index_selection.sql");
-    for flags in [&["--nosuch"][..], &["--backend", "udp"][..]] {
+    for flags in [
+        &["--nosuch"][..],
+        &["--backend", "udp"][..],
+        &["--timeout", "abc"][..],
+    ] {
         let out = udp_verify(&file, flags);
         assert_eq!(out.status.code(), Some(64), "{flags:?}");
         assert!(stderr(&out).contains("usage: udp-verify"), "{flags:?}");
     }
+    let out = udp_verify(&file, &["--timeout", "abc"]);
+    assert!(
+        stderr(&out).contains("missing or invalid value for --timeout"),
+        "{}",
+        stderr(&out)
+    );
 }
 
 /// `--metrics-json`, `--trace-out` and `--trace-goals` together: a schema-5
