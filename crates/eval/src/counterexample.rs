@@ -84,10 +84,9 @@ pub fn find_counterexample(
 }
 
 /// [`find_counterexample`] with the stage probe threaded through: the
-/// search records [`Stage::Counterexample`] here, *inside* the crate that
-/// owns the work, so every driver — `udp-verify`, fuzz harnesses, tests —
-/// gets identical attribution instead of each wrapping the call themselves
-/// (the single-writer rule of `udp_obs`).
+/// search is timed as one [`Stage::Counterexample`] span here, where it
+/// runs, so every driver — `udp-verify`, fuzz harnesses, tests — gets
+/// identical attribution without wrapping the call itself.
 pub fn find_counterexample_with(
     fe: &Frontend,
     q1: &Query,

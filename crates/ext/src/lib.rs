@@ -75,8 +75,9 @@ impl From<ExtError> for VerifyError {
 /// Desugar one query: outer joins eliminated, predicates 3VL-encoded. The
 /// result is extended-fragment AST that lowers unchanged.
 pub fn desugar_query(fe: &Frontend, q: &Query) -> Result<Query, ExtError> {
-    // Single global writer for the `desugar` stage (one record per query,
-    // two per goal); the frontend's default recorder is disabled and free.
+    // The one `desugar` span, where desugaring runs (one per query, two
+    // per goal; a goal's waterfall merges them into one row). The
+    // frontend's default recorder is disabled and free.
     let _span = fe.recorder.span(udp_obs::Stage::Desugar);
     let eliminated = outer::eliminate(fe, q)?;
     encode::encode_query(fe, &eliminated)

@@ -72,18 +72,8 @@ fn main() -> ExitCode {
             }
             "--no-shrink" => config.shrink = false,
             "--chaos" => {
-                // Optional spec: `--chaos` alone arms the default campaign;
-                // `--chaos seed=N,rate=P,...` overrides it.
-                let spec = match it.peek() {
-                    Some(s) if !s.starts_with('-') && s.contains('=') => {
-                        it.next().map(|s| s.as_str()).unwrap_or("")
-                    }
-                    _ => "",
-                };
-                config.chaos = Some(
-                    udp_obs::FaultPlan::parse(spec)
-                        .unwrap_or_else(|e| usage(&format!("bad --chaos spec: {e}"))),
-                );
+                config.chaos =
+                    Some(udp_obs::FaultPlan::from_flag(&mut it).unwrap_or_else(|e| usage(&e)))
             }
             "--full" => {} // consumed above
             "--quiet" => quiet = true,

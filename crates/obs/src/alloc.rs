@@ -8,8 +8,8 @@
 //! *memory session* ([`MemSession::start`]) flips the global `ENABLED`
 //! flag; from then on every allocation and free is charged to the stage
 //! named by a **thread-local stage tag**. The tag is pushed/popped by the
-//! recorder's span machinery ([`crate::Recorder::span`],
-//! [`crate::GoalObs::time`], …) whenever the recorder is enabled, so the
+//! recorder's one stage span ([`crate::Recorder::span`], which
+//! [`crate::Recorder::time`] wraps) whenever the recorder is enabled, so the
 //! allocation table lines up with the wall-clock stage tables: an
 //! allocation made while `canonize-core` is the innermost open span is
 //! charged to `canonize-core`, not to the enclosing prove stage.

@@ -22,6 +22,8 @@
 //! * `coverage >= min_coverage` (default 0.9) whenever goals were proved
 //!   uncached — i.e. `goals > 0` and prove-stage calls exist;
 //! * `open_spans == 0` (span balance at quiescence);
+//! * every `slow_goals` row names a goal-path stage, and a goal's rows sum
+//!   to at most its `wall_us` (plus 0.001 us of rounding per row);
 //! * the `faults` section exists and its three totals agree with the
 //!   matching entries in `counters` (one producer, two views — any
 //!   disagreement means a second writer crept in).
@@ -329,18 +331,31 @@ fn main() {
         .as_array()
         .unwrap_or_else(|| fail("\"slow_goals\" is not an array"));
     for g in slow {
-        need(g, "label");
-        need_num(g, "wall_us");
-        for s in need(g, "stages")
+        let label = need(g, "label")
+            .as_str()
+            .unwrap_or_else(|| fail("slow goal label is not a string"));
+        let wall_us = need_num(g, "wall_us");
+        let rows = need(g, "stages")
             .as_array()
-            .unwrap_or_else(|| fail("slow goal stages is not an array"))
-        {
+            .unwrap_or_else(|| fail("slow goal stages is not an array"));
+        let mut row_us = 0.0;
+        for s in rows {
             let name = need(s, "stage")
                 .as_str()
                 .unwrap_or_else(|| fail("slow goal stage name is not a string"));
-            if Stage::parse(name).is_none() {
-                fail(&format!("slow goal references unknown stage \"{name}\""));
+            match Stage::parse(name) {
+                None => fail(&format!("slow goal references unknown stage \"{name}\"")),
+                Some(stage) if !stage.in_goal_path() => fail(&format!(
+                    "slow goal row \"{name}\" is not a goal-path stage"
+                )),
+                Some(_) => row_us += need_num(s, "wall_us"),
             }
+        }
+        // Each row and the wall are rounded to 0.001 us in the JSON.
+        if row_us > wall_us + 0.001 * rows.len() as f64 {
+            fail(&format!(
+                "slow goal \"{label}\" rows sum to {row_us:.3} us, over its wall {wall_us:.3} us"
+            ));
         }
     }
 

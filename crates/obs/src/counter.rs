@@ -6,14 +6,14 @@
 //! which axiom families fired, how much congruence-closure traffic the
 //! rewrites generated, how large the goal's terms were. They share the
 //! recorder's cost contract (a disabled handle pays one branch per
-//! increment, no atomics) and its single-writer discipline: every counter
-//! has exactly one increment site in the workspace, named below, which is
-//! what makes totals worker-count-invariant.
+//! increment, no atomics), and every counter has exactly one increment
+//! site in the workspace, named below, which is what makes totals
+//! worker-count-invariant.
 
 use std::fmt;
 
 /// One monotonic profiling counter. Each variant documents its unit and its
-/// single global increment site.
+/// one increment site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Counter {
     /// Term nodes interned into a congruence-closure graph
@@ -67,7 +67,7 @@ pub enum Counter {
     BackendFault,
     /// Goals whose report was aborted — worker panic or contained prover
     /// panic — rather than decided
-    /// (`udp_service::Session::note_aborted`).
+    /// (`udp_service::Session::close_goal`).
     GoalAborted,
     /// Fault actions fired by the chaos injector
     /// (`crate::fault::FaultInjector::fire`): panics, forced exhaustions,
@@ -118,33 +118,10 @@ impl Counter {
         Counter::HomCandidates,
     ];
 
-    /// Dense index for table lookups.
+    /// Dense index for table lookups: the declaration order, which
+    /// [`Counter::ALL`] lists.
     pub fn as_index(self) -> usize {
-        match self {
-            Counter::TermNodes => 0,
-            Counter::CanonizeIters => 1,
-            Counter::CongruenceUnions => 2,
-            Counter::CongruenceFinds => 3,
-            Counter::RwEq15Elim => 4,
-            Counter::RwRecordPin => 5,
-            Counter::RwKeyDedup => 6,
-            Counter::RwKeyMerge => 7,
-            Counter::RwFkExpand => 8,
-            Counter::RwSquashFlatten => 9,
-            Counter::RwSquashIntro => 10,
-            Counter::FingerprintBytes => 11,
-            Counter::CacheProbes => 12,
-            Counter::CacheHitDepth => 13,
-            Counter::TermBytes => 14,
-            Counter::SpnfBytes => 15,
-            Counter::CacheResidentBytes => 16,
-            Counter::BackendFault => 17,
-            Counter::GoalAborted => 18,
-            Counter::FaultsInjected => 19,
-            Counter::IdentityProved => 20,
-            Counter::IsoCandidates => 21,
-            Counter::HomCandidates => 22,
-        }
+        self as usize
     }
 
     /// Stable machine-readable name (metrics JSON, CLI output).

@@ -16,6 +16,7 @@
 use crate::counter::Counter;
 use crate::recorder::Recorder;
 use std::any::Any;
+use std::iter::Peekable;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -98,6 +99,19 @@ impl FaultPlan {
             }
         }
         Ok(plan)
+    }
+
+    /// Parse the optional spec of a `--chaos [SPEC]` flag: the next
+    /// argument when it reads as one (`key=value`, no leading `-`), else
+    /// the default campaign. `Err` is the usage message for a bad spec.
+    pub fn from_flag<'a>(
+        args: &mut Peekable<impl Iterator<Item = &'a String>>,
+    ) -> Result<FaultPlan, String> {
+        let spec = match args.peek() {
+            Some(s) if !s.starts_with('-') && s.contains('=') => args.next().map_or("", |s| s),
+            _ => "",
+        };
+        FaultPlan::parse(spec).map_err(|e| format!("bad --chaos spec: {e}"))
     }
 
     /// The same schedule under a different seed (per-case reseeding in the

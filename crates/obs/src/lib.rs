@@ -8,22 +8,26 @@
 //!   into *goal-path* stages whose shares sum to a coverage metric and
 //!   *detail* stages that overlap them (see [`stage`]);
 //! * [`Recorder`] — a cloneable handle to shared per-stage tables (calls,
-//!   nanosecond wall, Budget steps, log₂ latency histograms). The default
+//!   nanosecond wall, Budget steps, log₂ latency histograms). A stage
+//!   occurrence is timed once, where it runs, by one [`Recorder::span`]:
+//!   the span writes the stage table, tags the thread's allocations, emits
+//!   the trace event and joins the open goal's waterfall. The default
 //!   [`Recorder::disabled`] handle makes every operation a single branch:
 //!   no clock reads, no atomics, so leaving instrumentation threaded
 //!   through hot paths costs nothing (<2% on the throughput bench);
-//! * [`GoalObs`] — a per-goal span collector producing stage waterfalls,
-//!   folded into a bounded slowest-goals list on completion;
+//! * [`GoalObs`] — one goal's window on its thread, collecting the stage
+//!   waterfall its spans produce and folding it into a bounded
+//!   slowest-goals list on completion;
 //! * [`Counter`] — the intra-prover counter taxonomy (canonize iterations,
 //!   axiom-family rewrite firings, congruence-closure traffic, term and
-//!   cache sizes, contained faults), tallied on the same
-//!   recorder with the same single-writer discipline (see [`counter`]);
+//!   cache sizes, contained faults), tallied on the same recorder, each
+//!   at one increment site (see [`counter`]);
 //! * [`Histogram`] — the log₂ latency histogram previously private to
 //!   `udp-service`'s stats, now shared by stage cells and service stats;
 //! * [`alloc`] — the memory domain: a tracking `GlobalAlloc` wrapper
 //!   ([`alloc::TrackingAlloc`]) attributing allocation calls/bytes/frees to
-//!   the innermost open stage via a thread-local tag pushed by the span
-//!   machinery, plus a process-wide live-bytes high-watermark; dormant
+//!   the innermost open stage via a thread-local tag pushed by
+//!   [`Recorder::span`], plus a process-wide live-bytes high-watermark; dormant
 //!   (one relaxed boolean load) until a [`MemSession`] starts;
 //! * [`trace`] — bounded per-worker event buffers behind the same recorder
 //!   handle, exported as Chrome Trace Event JSON (`--trace-out`) and
@@ -59,7 +63,7 @@ pub use counter::Counter;
 pub use fault::{install_chaos_panic_silencer, FaultAction, FaultInjector, FaultPlan};
 pub use hist::{bucket_of, bucket_of_us, Histogram, LATENCY_BUCKETS};
 pub use outputs::ObsOutputs;
-pub use recorder::{GoalObs, Recorder, Span, TraceSpan, DEFAULT_SLOW_CAPACITY};
+pub use recorder::{GoalObs, Recorder, Span, DEFAULT_SLOW_CAPACITY};
 pub use snapshot::{CounterSnapshot, GoalTrace, MetricsSnapshot, StageSnapshot};
 pub use stage::Stage;
 pub use trace::{validate_chrome_trace, TraceCheck, TraceSink, DEFAULT_TRACE_CAPACITY};

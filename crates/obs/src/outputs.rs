@@ -21,6 +21,32 @@ pub struct ObsOutputs {
 }
 
 impl ObsOutputs {
+    /// Take `flag` and its value from `args` when it is one of these
+    /// outputs' flags (`--metrics-json PATH`, `--trace-goals N`,
+    /// `--trace-out PATH`): `Ok(true)` when taken, `Ok(false)` when it is
+    /// not one of them, `Err` with the usage message when its value is
+    /// missing or invalid.
+    pub fn take_flag<'a>(
+        &mut self,
+        flag: &str,
+        args: &mut impl Iterator<Item = &'a String>,
+    ) -> Result<bool, String> {
+        let path = match flag {
+            "--metrics-json" => &mut self.metrics_json,
+            "--trace-out" => &mut self.trace_out,
+            "--trace-goals" => {
+                let n = args.next().and_then(|s| s.parse().ok());
+                let invalid = || format!("missing or invalid value for {flag}");
+                self.trace_goals = n.ok_or_else(invalid)?;
+                return Ok(true);
+            }
+            _ => return Ok(false),
+        };
+        let missing = || format!("missing value for {flag}");
+        *path = Some(args.next().cloned().ok_or_else(missing)?);
+        Ok(true)
+    }
+
     /// The recorder these outputs need: with an event trace for
     /// `trace_out`, enabled for `metrics_json` or `trace_goals`, and
     /// disabled (free) otherwise. Only `metrics_json` tracks memory.

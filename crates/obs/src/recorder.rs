@@ -1,5 +1,6 @@
 //! The [`Recorder`]: a cloneable, thread-safe handle aggregating stage
-//! timings, plus the per-goal span collector ([`GoalObs`]).
+//! timings, plus the per-goal window ([`GoalObs`]) that collects a goal's
+//! stage waterfall.
 //!
 //! ## Cost contract
 //!
@@ -9,16 +10,16 @@
 //! workload. An enabled recorder uses relaxed atomics per stage cell and a
 //! mutex only on goal completion (the bounded slow-goal list).
 //!
-//! ## Single-writer discipline
+//! ## One span per stage occurrence
 //!
-//! Every stage occurrence is recorded by exactly one layer (see
-//! [`crate::Stage`] and DESIGN.md §8): goal-path stages by the goal driver
-//! via [`GoalObs`], library-internal stages (`parse`, `canonize-core`,
-//! `congruence`, …) by the owning crate via [`Recorder::span`] /
-//! [`Recorder::record`]. [`GoalObs::time_local`] exists for the driver to
-//! put a stage into the goal's waterfall when a lower layer already records
-//! it globally (lowering, desugaring) — double-counting a stage in the
-//! global tables would break the coverage invariant.
+//! A stage occurrence is timed once, where it runs, by [`Recorder::span`]
+//! (or [`Recorder::time`], which wraps it). That one guard writes the
+//! stage table, tags the thread's allocations with the stage, emits the
+//! trace event and, for a goal-path stage, adds a row to the waterfall of
+//! the goal this recorder has open on the thread ([`Recorder::goal`]).
+//! [`Recorder::record`] does the same for an interval measured from
+//! outside (the scheduler's queue wait). No other call writes a stage, so
+//! no stage is counted twice.
 
 use crate::alloc::{self, MemSession};
 use crate::counter::Counter;
@@ -26,6 +27,8 @@ use crate::hist::{bucket_of_us, Histogram, LATENCY_BUCKETS};
 use crate::snapshot::{CounterSnapshot, GoalTrace, MetricsSnapshot, StageSnapshot};
 use crate::stage::Stage;
 use crate::trace::TraceSink;
+use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -87,6 +90,24 @@ impl SlowGoals {
     }
 }
 
+/// One waterfall row: stage, wall nanoseconds, steps.
+type Row = (Stage, u64, u64);
+
+/// The waterfall of the goal open on a thread: rows in the order the
+/// stages ran, owned by one recorder's tables.
+struct Waterfall {
+    /// Address of the owning recorder's `Inner`: spans of other recorders
+    /// do not join.
+    owner: usize,
+    rows: Vec<Row>,
+}
+
+thread_local! {
+    /// The goal open on this thread ([`Recorder::goal`] sets it, the
+    /// goal's [`GoalObs`] clears it).
+    static OPEN_GOAL: RefCell<Option<Waterfall>> = const { RefCell::new(None) };
+}
+
 struct Inner {
     stages: [StageCell; Stage::COUNT],
     /// The [`Counter`] taxonomy's tallies (relaxed; exact at quiescence).
@@ -103,6 +124,37 @@ struct Inner {
     /// Optional memory-accounting session ([`Recorder::track_memory`]);
     /// absent by default so the allocator hooks stay dormant.
     memory: Mutex<Option<MemSession>>,
+}
+
+impl Inner {
+    /// Record one stage occurrence of `wall` ending at `end`: the stage
+    /// table, the event trace and, for a goal-path stage, the waterfall of
+    /// this recorder's goal open on the calling thread. Adjacent rows of
+    /// one stage merge (a goal's two `desugar` spans are one row).
+    fn record(&self, stage: Stage, wall: Duration, end: Instant, steps: u64) {
+        self.stages[stage.as_index()].record(wall, steps);
+        if let Some(sink) = &self.trace {
+            sink.span(stage.name(), end - wall, end);
+        }
+        if !stage.in_goal_path() {
+            return;
+        }
+        let owner = self as *const Inner as usize;
+        let wall_ns = wall.as_nanos() as u64;
+        let _ = OPEN_GOAL.try_with(|open| {
+            let mut open = open.borrow_mut();
+            let Some(goal) = open.as_mut().filter(|g| g.owner == owner) else {
+                return;
+            };
+            match goal.rows.last_mut() {
+                Some((last, ns, st)) if *last == stage => {
+                    *ns += wall_ns;
+                    *st += steps;
+                }
+                _ => goal.rows.push((stage, wall_ns, steps)),
+            }
+        });
+    }
 }
 
 /// Cloneable handle to the stage-metrics aggregation tables. The default
@@ -199,17 +251,11 @@ impl Recorder {
         self.inner.is_some()
     }
 
-    /// Record one completed stage occurrence with a known duration. The
-    /// occurrence also lands in the event trace (as a span ending now) when
-    /// a sink is attached — callers record immediately after the work, so
-    /// `now − wall` is the span's true start.
+    /// Record one stage occurrence measured from outside (queue wait),
+    /// ending now: everything a [`Span`] records except the allocation tag.
     pub fn record(&self, stage: Stage, wall: Duration, steps: u64) {
         if let Some(inner) = &self.inner {
-            inner.stages[stage.as_index()].record(wall, steps);
-            if let Some(sink) = &inner.trace {
-                let end = Instant::now();
-                sink.span(stage.name(), end - wall, end);
-            }
+            inner.record(stage, wall, Instant::now(), steps);
         }
     }
 
@@ -249,18 +295,6 @@ impl Recorder {
         }
     }
 
-    /// Open a trace-only span (no stage-table write): for intervals that
-    /// are *already* aggregated elsewhere under the single-writer rule —
-    /// e.g. `udp-solve` wraps the prove call so the trace shows the live
-    /// interval while the `udp-prove` table is still fed once, by the goal
-    /// driver, from the verdict's wall.
-    pub fn trace_span(&self, name: &'static str) -> TraceSpan<'_> {
-        let sink = self.inner.as_ref().and_then(|i| i.trace.as_ref());
-        TraceSpan {
-            live: sink.map(|s| (s, name, Instant::now())),
-        }
-    }
-
     /// Is an event-trace sink attached?
     pub fn has_trace(&self) -> bool {
         self.inner.as_ref().is_some_and(|i| i.trace.is_some())
@@ -275,48 +309,55 @@ impl Recorder {
             .map(TraceSink::chrome_trace)
     }
 
-    /// Open a stage span; the guard records the elapsed time when dropped
-    /// and tags the thread's allocations with `stage` while open.
-    /// Disabled recorders return an inert guard without reading the clock
-    /// or touching the tag.
+    /// Open a stage span: the one way to time a stage occurrence (see the
+    /// module docs). The guard tags the thread's allocations with `stage`
+    /// while open and records the occurrence when dropped. Disabled
+    /// recorders return an inert guard without reading the clock or
+    /// touching the tag.
     pub fn span(&self, stage: Stage) -> Span<'_> {
         match &self.inner {
             Some(inner) => {
                 inner.open_spans.fetch_add(1, Ordering::Relaxed);
                 Span {
-                    _tag: Some(alloc::stage_tag(stage)),
+                    tag: Some(alloc::stage_tag(stage)),
                     live: Some((inner, stage, Instant::now())),
+                    steps: 0,
                 }
             }
             None => Span {
-                _tag: None,
+                tag: None,
                 live: None,
+                steps: 0,
             },
         }
     }
 
-    /// Tag the current thread's allocations with `stage` until the guard
-    /// drops, **without** touching the stage tables — for intervals whose
-    /// wall time is recorded elsewhere under the single-writer rule (the
-    /// prove call, whose wall the goal driver folds in post-hoc via
-    /// [`GoalObs::add`]). `None` (no thread-local write) when
-    /// disabled.
-    pub fn alloc_scope(&self, stage: Stage) -> Option<alloc::TagGuard> {
-        self.inner.as_ref().map(|_| alloc::stage_tag(stage))
-    }
-
-    /// Time a closure as one stage occurrence.
+    /// Time a closure as one stage occurrence (a [`Recorder::span`]).
     pub fn time<R>(&self, stage: Stage, f: impl FnOnce() -> R) -> R {
         let _span = self.span(stage);
         f()
     }
 
-    /// Start collecting one goal's stage waterfall.
+    /// Open one goal's window on this thread: until the returned
+    /// [`GoalObs`] finishes or drops, this recorder's goal-path stage
+    /// occurrences on the thread become the goal's waterfall rows. Inert
+    /// (no clock read, no thread-local access) when disabled.
     pub fn goal(&self) -> GoalObs {
+        let open = self.inner.as_ref().map(|inner| {
+            let waterfall = Waterfall {
+                owner: Arc::as_ptr(inner) as usize,
+                rows: Vec::with_capacity(8),
+            };
+            OpenGoal {
+                inner: inner.clone(),
+                label_prefix: self.label_prefix.clone(),
+                started: Instant::now(),
+                outer: OPEN_GOAL.with(|open| open.replace(Some(waterfall))),
+            }
+        });
         GoalObs {
-            inner: self.inner.clone(),
-            label_prefix: self.label_prefix.clone(),
-            stages: Vec::new(),
+            open,
+            _thread: PhantomData,
         }
     }
 
@@ -381,126 +422,103 @@ impl Recorder {
     }
 }
 
-/// RAII stage-span guard; records on drop. Every enter therefore has a
-/// matching exit, including on early returns and `?` propagation. While
-/// open, the thread's allocations are tagged with the span's stage (the
-/// guard restores the enclosing tag on drop).
+/// RAII stage-span guard from [`Recorder::span`]; records on drop, so
+/// every enter has a matching exit, including on early returns, `?`
+/// propagation and unwinding. While open, the thread's allocations are
+/// tagged with the span's stage (the guard restores the enclosing tag on
+/// drop).
 pub struct Span<'a> {
-    _tag: Option<alloc::TagGuard>,
+    tag: Option<alloc::TagGuard>,
     live: Option<(&'a Inner, Stage, Instant)>,
+    steps: u64,
+}
+
+impl Span<'_> {
+    /// Set the budget steps this occurrence consumed (the prove call's).
+    pub fn set_steps(&mut self, steps: u64) {
+        self.steps = steps;
+    }
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
         if let Some((inner, stage, started)) = self.live.take() {
             let end = Instant::now();
-            inner.stages[stage.as_index()].record(end - started, 0);
+            // Bookkeeping after the interval is charged to the enclosing tag.
+            self.tag = None;
             inner.open_spans.fetch_sub(1, Ordering::Relaxed);
-            if let Some(sink) = &inner.trace {
-                sink.span(stage.name(), started, end);
-            }
+            inner.record(stage, end - started, end, self.steps);
         }
     }
 }
 
-/// RAII trace-only span guard from [`Recorder::trace_span`]: feeds the
-/// event trace without touching the stage tables. Inert without a sink.
-pub struct TraceSpan<'a> {
-    live: Option<(&'a TraceSink, &'static str, Instant)>,
-}
-
-impl Drop for TraceSpan<'_> {
-    fn drop(&mut self) {
-        if let Some((sink, name, started)) = self.live.take() {
-            sink.span(name, started, Instant::now());
-        }
-    }
-}
-
-/// Per-goal span collector: a local (lock-free) waterfall of stage timings
-/// that is folded into the global tables — and, if slow enough, the top-N
-/// list — on [`GoalObs::finish`]. Obtained from [`Recorder::goal`]; inert
-/// when the recorder is disabled.
-pub struct GoalObs {
-    inner: Option<Arc<Inner>>,
+/// An open goal's state behind [`GoalObs`].
+struct OpenGoal {
+    inner: Arc<Inner>,
     label_prefix: Option<Arc<str>>,
-    stages: Vec<(Stage, Duration, u64)>,
+    started: Instant,
+    /// The waterfall this goal displaced (a goal opened inside another
+    /// goal's window on the same thread), restored when this one closes.
+    outer: Option<Waterfall>,
+}
+
+/// One goal's window, from [`Recorder::goal`]: collects the goal's stage
+/// waterfall on the opening thread and, on [`GoalObs::finish`], folds the
+/// goal into the global tables and offers the waterfall to the
+/// slowest-goal list. Dropping it unfinished (a panicking goal) closes
+/// the window without recording the goal. It emits the goal's `"goal"`
+/// trace span either way. Inert when the recorder is disabled.
+pub struct GoalObs {
+    open: Option<OpenGoal>,
+    /// The window lives in a thread-local: keep it on its thread.
+    _thread: PhantomData<*const ()>,
 }
 
 impl GoalObs {
-    /// Is the underlying recorder enabled? (Lets drivers skip label
-    /// rendering and other observation-only work.)
-    pub fn enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Time a closure as one stage occurrence: waterfall + global tables
-    /// (+ the event trace, if a sink is attached — this is the stage's
-    /// single global writer, so it owns the trace span too).
-    pub fn time<R>(&mut self, stage: Stage, f: impl FnOnce() -> R) -> R {
-        let Some(inner) = &self.inner else {
-            return f();
-        };
-        let tag = alloc::stage_tag(stage);
-        let started = Instant::now();
-        let r = f();
-        let end = Instant::now();
-        drop(tag);
-        if let Some(sink) = &inner.trace {
-            sink.span(stage.name(), started, end);
+    /// Close the window: restore the displaced goal, emit the `"goal"`
+    /// trace span, and return the goal with its waterfall rows.
+    fn close(&mut self) -> Option<(OpenGoal, Vec<Row>)> {
+        let mut goal = self.open.take()?;
+        let rows = OPEN_GOAL
+            .try_with(|open| open.replace(goal.outer.take()))
+            .ok()
+            .flatten()
+            .map_or_else(Vec::new, |w| w.rows);
+        if let Some(sink) = &goal.inner.trace {
+            sink.span("goal", goal.started, Instant::now());
         }
-        self.add(stage, end - started, 0);
-        r
-    }
-
-    /// Time a closure into the waterfall **only** — for stages a lower
-    /// layer already records globally (lowering inside `udp-sql`,
-    /// desugaring inside `udp-ext`). Recording those globally here too
-    /// would double-count them.
-    pub fn time_local<R>(&mut self, stage: Stage, f: impl FnOnce() -> R) -> R {
-        if self.inner.is_none() {
-            return f();
-        }
-        let tag = alloc::stage_tag(stage);
-        let started = Instant::now();
-        let r = f();
-        let elapsed = started.elapsed();
-        drop(tag);
-        self.stages.push((stage, elapsed, 0));
-        r
-    }
-
-    /// Add an occurrence with an externally measured duration (the prove
-    /// call's wall from its verdict): waterfall + global.
-    pub fn add(&mut self, stage: Stage, wall: Duration, steps: u64) {
-        let Some(inner) = &self.inner else { return };
-        inner.stages[stage.as_index()].record(wall, steps);
-        self.stages.push((stage, wall, steps));
+        Some((goal, rows))
     }
 
     /// Complete the goal: fold into the goal counters and offer the
     /// waterfall to the slowest-goal list. The label is lazy so disabled
     /// recorders never pay for rendering it.
-    pub fn finish(self, label: impl FnOnce() -> String, wall: Duration, steps: u64) {
-        let Some(inner) = &self.inner else { return };
+    pub fn finish(mut self, label: impl FnOnce() -> String, wall: Duration, steps: u64) {
+        let Some((goal, stages)) = self.close() else {
+            return;
+        };
         let wall_ns = wall.as_nanos() as u64;
-        inner.goals.fetch_add(1, Ordering::Relaxed);
-        inner.goal_wall_ns.fetch_add(wall_ns, Ordering::Relaxed);
-        let label = match &self.label_prefix {
+        goal.inner.goals.fetch_add(1, Ordering::Relaxed);
+        goal.inner
+            .goal_wall_ns
+            .fetch_add(wall_ns, Ordering::Relaxed);
+        let label = match &goal.label_prefix {
             Some(prefix) => format!("{prefix} {}", label()),
             None => label(),
         };
-        let mut slow = inner.slow.lock().unwrap_or_else(|e| e.into_inner());
+        let mut slow = goal.inner.slow.lock().unwrap_or_else(|e| e.into_inner());
         slow.push(GoalTrace {
             label,
             wall_ns,
             steps,
-            stages: self
-                .stages
-                .iter()
-                .map(|(s, d, st)| (*s, d.as_nanos() as u64, *st))
-                .collect(),
+            stages,
         });
+    }
+}
+
+impl Drop for GoalObs {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -515,8 +533,8 @@ mod tests {
         r.record(Stage::Lower, Duration::from_micros(5), 3);
         let x = r.time(Stage::Parse, || 42);
         assert_eq!(x, 42);
-        let mut g = r.goal();
-        g.add(Stage::UdpProve, Duration::from_micros(9), 1);
+        let g = r.goal();
+        r.record(Stage::UdpProve, Duration::from_micros(9), 1);
         g.finish(|| "g".into(), Duration::from_micros(10), 1);
         let snap = r.snapshot();
         assert!(!snap.enabled);
@@ -555,8 +573,8 @@ mod tests {
     fn goal_waterfalls_feed_the_slow_list_in_order() {
         let r = Recorder::with_slow_capacity(2);
         for (name, us) in [("a", 10), ("b", 300), ("c", 50)] {
-            let mut g = r.goal();
-            g.add(Stage::UdpProve, Duration::from_micros(us), us);
+            let g = r.goal();
+            r.record(Stage::UdpProve, Duration::from_micros(us), us);
             g.finish(|| name.into(), Duration::from_micros(us + 1), us);
         }
         let snap = r.snapshot();
@@ -564,6 +582,98 @@ mod tests {
         let labels: Vec<&str> = snap.slow_goals.iter().map(|g| g.label.as_str()).collect();
         assert_eq!(labels, ["b", "c"]); // top-2 by wall, descending
         assert_eq!(snap.stage(Stage::UdpProve).unwrap().calls, 3);
+    }
+
+    #[test]
+    fn goal_spans_become_waterfall_rows_and_adjacent_rows_merge() {
+        let r = Recorder::enabled();
+        let g = r.goal();
+        r.time(Stage::Desugar, || ());
+        r.time(Stage::Desugar, || ());
+        r.time(Stage::Congruence, || ()); // detail stage: no row
+        {
+            let mut span = r.span(Stage::UdpProve);
+            span.set_steps(7);
+        }
+        r.record(Stage::QueueWait, Duration::from_micros(3), 0); // no row
+        g.finish(|| "g".into(), Duration::from_secs(1), 7);
+        let snap = r.snapshot();
+        let rows: Vec<(Stage, u64)> = snap.slow_goals[0]
+            .stages
+            .iter()
+            .map(|&(s, _, steps)| (s, steps))
+            .collect();
+        assert_eq!(rows, [(Stage::Desugar, 0), (Stage::UdpProve, 7)]);
+        assert_eq!(snap.stage(Stage::Desugar).unwrap().calls, 2);
+        assert_eq!(snap.stage(Stage::UdpProve).unwrap().steps, 7);
+    }
+
+    #[test]
+    fn spans_of_another_recorder_do_not_join_the_goal() {
+        let r = Recorder::enabled();
+        let other = Recorder::enabled();
+        let g = r.goal();
+        other.time(Stage::Lower, || ());
+        other.record(Stage::Normalize, Duration::from_micros(4), 0);
+        r.time(Stage::Fingerprint, || ());
+        // A labelled handle shares the tables: its spans do join.
+        r.labelled("p").time(Stage::CacheLookup, || ());
+        g.finish(|| "g".into(), Duration::from_secs(1), 0);
+        let stages: Vec<Stage> = r.snapshot().slow_goals[0]
+            .stages
+            .iter()
+            .map(|&(s, _, _)| s)
+            .collect();
+        assert_eq!(stages, [Stage::Fingerprint, Stage::CacheLookup]);
+        assert_eq!(other.snapshot().stage(Stage::Lower).unwrap().calls, 1);
+        assert!(other.snapshot().slow_goals.is_empty());
+    }
+
+    #[test]
+    fn a_dropped_goal_closes_its_window() {
+        let r = Recorder::with_trace(DEFAULT_SLOW_CAPACITY, 64);
+        let _ = std::panic::catch_unwind(|| {
+            let _g = r.goal();
+            r.time(Stage::Lower, || ());
+            panic!("goal blew up");
+        });
+        r.time(Stage::Normalize, || ()); // outside every goal: no row
+        let g = r.goal();
+        r.time(Stage::Fingerprint, || ());
+        g.finish(|| "next".into(), Duration::from_secs(1), 0);
+        let snap = r.snapshot();
+        assert_eq!(snap.goals, 1, "an unfinished goal is not counted");
+        let goal_events = r
+            .chrome_trace()
+            .unwrap()
+            .matches("\"name\": \"goal\"")
+            .count();
+        assert_eq!(goal_events, 4, "both goals emit their B/E `goal` span");
+        let stages: Vec<Stage> = snap.slow_goals[0]
+            .stages
+            .iter()
+            .map(|&(s, _, _)| s)
+            .collect();
+        assert_eq!(stages, [Stage::Fingerprint]);
+    }
+
+    #[test]
+    fn a_nested_goal_restores_the_outer_window() {
+        let r = Recorder::enabled();
+        let outer = r.goal();
+        r.time(Stage::Lower, || ());
+        let inner = r.goal();
+        r.time(Stage::Normalize, || ());
+        inner.finish(|| "inner".into(), Duration::from_secs(1), 0);
+        r.time(Stage::UdpProve, || ());
+        outer.finish(|| "outer".into(), Duration::from_secs(2), 0);
+        let snap = r.snapshot();
+        let rows = |label: &str| -> Vec<Stage> {
+            let g = snap.slow_goals.iter().find(|g| g.label == label).unwrap();
+            g.stages.iter().map(|&(s, _, _)| s).collect()
+        };
+        assert_eq!(rows("outer"), [Stage::Lower, Stage::UdpProve]);
+        assert_eq!(rows("inner"), [Stage::Normalize]);
     }
 
     #[test]

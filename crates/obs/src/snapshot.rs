@@ -469,9 +469,9 @@ mod tests {
     #[test]
     fn shares_and_coverage_come_from_goal_path_stages() {
         let r = Recorder::enabled();
-        let mut g = r.goal();
-        g.add(Stage::Lower, Duration::from_micros(25), 0);
-        g.add(Stage::UdpProve, Duration::from_micros(50), 100);
+        let g = r.goal();
+        r.record(Stage::Lower, Duration::from_micros(25), 0);
+        r.record(Stage::UdpProve, Duration::from_micros(50), 100);
         // Nested detail time must not inflate coverage.
         r.record(Stage::Congruence, Duration::from_micros(40), 0);
         g.finish(|| "g0".into(), Duration::from_micros(100), 100);
@@ -485,8 +485,8 @@ mod tests {
     #[test]
     fn json_has_all_stages_and_escapes_labels() {
         let r = Recorder::enabled();
-        let mut g = r.goal();
-        g.add(Stage::Normalize, Duration::from_micros(5), 0);
+        let g = r.goal();
+        r.record(Stage::Normalize, Duration::from_micros(5), 0);
         g.finish(|| "a \"quoted\" goal".into(), Duration::from_micros(10), 0);
         let json = r.snapshot().to_json();
         for s in Stage::ALL {
@@ -510,8 +510,8 @@ mod tests {
     fn memory_section_renders_all_rows_and_the_untagged_tail() {
         let r = Recorder::enabled();
         r.track_memory();
-        let mut g = r.goal();
-        g.add(Stage::Normalize, Duration::from_micros(5), 0);
+        let g = r.goal();
+        r.record(Stage::Normalize, Duration::from_micros(5), 0);
         g.finish(|| "g".into(), Duration::from_micros(10), 0);
         let snap = r.snapshot();
         let json = snap.to_json();

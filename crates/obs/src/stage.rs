@@ -7,9 +7,9 @@
 //!   wall time of one goal as seen by `udp-service`'s `process_goal`:
 //!   desugar → lower → normalize (SPNF) → fingerprint → cache lookup →
 //!   proving. Their
-//!   shares may be summed — the instrumentation records each exactly once
-//!   per occurrence, from exactly one layer — and the sum over goal wall
-//!   time is the snapshot's *coverage*;
+//!   shares may be summed — each occurrence is one span, opened where the
+//!   stage runs — and the sum over goal wall time is the snapshot's
+//!   *coverage*; they are also the rows of a goal's waterfall;
 //! * **detail stages** (`in_goal_path` = `false`) either run outside the
 //!   per-goal window (program/goal-line parsing, scheduler queue wait, the
 //!   counterexample hunt) or are *nested* inside a goal-path stage (the
@@ -69,21 +69,10 @@ impl Stage {
         Stage::Congruence,
     ];
 
-    /// Dense index for table lookups.
+    /// Dense index for table lookups: the declaration order, which
+    /// [`Stage::ALL`] lists.
     pub fn as_index(self) -> usize {
-        match self {
-            Stage::Parse => 0,
-            Stage::Desugar => 1,
-            Stage::Lower => 2,
-            Stage::Normalize => 3,
-            Stage::Fingerprint => 4,
-            Stage::CacheLookup => 5,
-            Stage::UdpProve => 6,
-            Stage::Counterexample => 7,
-            Stage::QueueWait => 8,
-            Stage::CanonizeCore => 9,
-            Stage::Congruence => 10,
-        }
+        self as usize
     }
 
     /// Stable machine-readable name (metrics JSON, CLI output).

@@ -63,12 +63,12 @@ proptest! {
     fn waterfall_sum_is_bounded_by_goal_wall(spins in proptest::collection::vec(1u32..40, 1..7)) {
         let r = Recorder::enabled();
         let started = Instant::now();
-        let mut goal = r.goal();
+        let goal = r.goal();
         for (i, &spin) in spins.iter().enumerate() {
             let stage = [Stage::Lower, Stage::Normalize, Stage::Fingerprint,
                          Stage::CacheLookup, Stage::UdpProve, Stage::Desugar]
                 [i % 6];
-            goal.time(stage, || {
+            r.time(stage, || {
                 // Busy-work proportional to `spin`, below timer noise floors.
                 let mut acc = 0u64;
                 for k in 0..(spin as u64 * 50) { acc = acc.wrapping_add(k * k); }

@@ -51,6 +51,7 @@ pub mod stats;
 pub use stats::ServiceStats;
 
 use cache::Lru;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -58,9 +59,9 @@ use udp_core::ctx::Options;
 use udp_core::decide::record_normalization;
 use udp_core::fingerprint::{canonical_form_nf, fingerprint_form, Fingerprint};
 use udp_core::spnf::Nf;
-use udp_core::{QueryU, Verdict};
+use udp_core::{Decision, QueryU, Verdict};
 use udp_obs::fault::PROBE_GOAL;
-use udp_obs::{Counter, FaultAction, FaultInjector, FaultPlan, Recorder, Stage};
+use udp_obs::{Counter, FaultAction, FaultInjector, FaultPlan, GoalObs, Recorder, Stage};
 use udp_solve::{normalize_pair, SolveConfig, SolveMode};
 use udp_sql::ast::Query;
 use udp_sql::parser::{parse_program_with_warnings, Warning};
@@ -243,6 +244,18 @@ impl GoalReport {
 
 type CacheKey = (String, String);
 
+/// How a goal ended, before [`Session::close_goal`] reports it.
+enum Ending {
+    /// A verdict the prover decided.
+    Decided(Verdict),
+    /// A verdict served from the cache.
+    Cached(Verdict),
+    /// The front end rejected the goal (desugaring or lowering).
+    Rejected(GoalError),
+    /// A contained panic left no verdict; the message is the report's.
+    Aborted(String),
+}
+
 /// A verification session: one parsed schema, many goals.
 pub struct Session {
     base: Frontend,
@@ -399,14 +412,23 @@ impl Session {
         Ok((fingerprint_form(&form1), fingerprint_form(&form2)))
     }
 
-    /// Desugar (under [`Dialect::Full`]) and lower one goal on `fe`, the
-    /// way a worker does. `fe` gains the goal's anonymous subquery schemas.
+    /// Desugar and lower one goal on `fe`, the way a worker does. `fe`
+    /// gains the goal's anonymous subquery schemas. Under
+    /// [`Dialect::Full`] the goal is desugared through `udp-ext`
+    /// (outer-join elimination + 3VL encoding) against the session
+    /// catalog; other dialects lower it as it is, borrowed. Exactly one
+    /// desugaring per goal happens here — program goals are stored raw,
+    /// so batch and program paths agree.
     fn lower_goal(
         &self,
         fe: &mut Frontend,
         goal: &(Query, Query),
     ) -> Result<(QueryU, QueryU), GoalError> {
-        let goal = self.desugar_if_full(fe, goal)?;
+        let goal = if self.config.dialect == Dialect::Full {
+            Cow::Owned(udp_ext::desugar_goal(fe, goal)?)
+        } else {
+            Cow::Borrowed(goal)
+        };
         Ok(udp_sql::lower_goal(fe, &goal)?)
     }
 
@@ -419,12 +441,12 @@ impl Session {
     pub fn lower_program_goals(&mut self) -> Vec<Result<(QueryU, QueryU), GoalError>> {
         let mut fe = std::mem::take(&mut self.base);
         let recorder = std::mem::replace(&mut fe.recorder, Recorder::disabled());
-        let lowered = fe
-            .goals
-            .clone()
+        let goals = std::mem::take(&mut fe.goals);
+        let lowered = goals
             .iter()
             .map(|goal| self.lower_goal(&mut fe, goal))
             .collect();
+        fe.goals = goals;
         fe.recorder = recorder;
         self.base = fe;
         lowered
@@ -458,26 +480,13 @@ impl Session {
         }
     }
 
-    /// Under [`Dialect::Full`], desugar a goal through `udp-ext` (outer-join
-    /// elimination + 3VL encoding) against the session catalog; other
-    /// dialects pass through. Exactly one desugaring per goal happens here —
-    /// program goals are stored raw, so batch and program paths agree.
-    fn desugar_if_full(
-        &self,
-        fe: &Frontend,
-        goal: &(Query, Query),
-    ) -> Result<(Query, Query), GoalError> {
-        if self.config.dialect == Dialect::Full {
-            Ok(udp_ext::desugar_goal(fe, goal)?)
-        } else {
-            Ok(goal.clone())
-        }
-    }
-
     /// Process one goal on a worker's private frontend clone. Shared state
     /// touched: the verdict cache and the stats aggregate (both mutexed).
     /// `index` is the goal's position in its batch, `number` the one its
-    /// metrics label carries.
+    /// metrics label carries. The goal's window is open while it runs, so
+    /// every goal-path span below (desugar and lower inside `udp-ext` and
+    /// `udp-sql`, normalize, fingerprint and cache lookup here, udp-prove
+    /// inside `udp-solve`) becomes a row of its waterfall.
     pub(crate) fn process_goal(
         &self,
         fe: &mut Frontend,
@@ -486,9 +495,26 @@ impl Session {
         goal: &(Query, Query),
     ) -> GoalReport {
         let started = Instant::now();
+        let obs = self.config.recorder.goal();
+        let (ending, fingerprints) = self.run_goal(fe, index, goal);
+        self.close_goal(
+            Some((obs, number)),
+            index,
+            started.elapsed(),
+            fingerprints,
+            ending,
+        )
+    }
+
+    /// Run one goal from the chaos probe to its verdict; the caller's
+    /// [`Session::close_goal`] turns how it ended into the report.
+    fn run_goal(
+        &self,
+        fe: &mut Frontend,
+        index: usize,
+        goal: &(Query, Query),
+    ) -> (Ending, Option<(Fingerprint, Fingerprint)>) {
         let recorder = &self.config.recorder;
-        let _goal_span = recorder.trace_span("goal");
-        let mut obs = recorder.goal();
         // Chaos goal probe: *outside* the backend containment boundary, so
         // an injected panic here exercises the scheduler's worker
         // supervision (the panic unwinds out of `process_goal` and is
@@ -500,34 +526,9 @@ impl Session {
             Some(FaultAction::Delay(d)) => std::thread::sleep(d),
             Some(FaultAction::Exhaust) | None => {} // goal probe never exhausts
         }
-        // Desugaring and lowering record their *global* stage totals inside
-        // `udp-ext` / `udp-sql` (the single-writer rule — see `udp_obs`);
-        // `time_local` adds them to this goal's waterfall only.
-        let front_end = obs
-            .time_local(Stage::Desugar, || self.desugar_if_full(fe, goal))
-            .and_then(|goal| {
-                obs.time_local(Stage::Lower, || udp_sql::lower_goal(fe, &goal))
-                    .map_err(GoalError::from)
-            });
-        let (q1, q2) = match front_end {
+        let (q1, q2) = match self.lower_goal(fe, goal) {
             Ok(pair) => pair,
-            Err(e) => {
-                let wall = started.elapsed();
-                self.stats
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .record(wall, false, false, true);
-                obs.finish(|| format!("goal {number} (front-end error)"), wall, 0);
-                return GoalReport {
-                    index,
-                    outcome: Err(e),
-                    cached: false,
-                    fingerprints: None,
-                    wall,
-                    steps: 0,
-                    aborted: None,
-                };
-            }
+            Err(e) => return (Ending::Rejected(e), None),
         };
         // Deterministic structure-size accounting: deep sizes are exact-fit
         // byte counts, so the tallies are worker-invariant. The walk is only
@@ -541,7 +542,7 @@ impl Session {
         // Normalize each side exactly once: the SPNF forms feed both the
         // canonical cache key and (on a miss) the decision procedure via
         // `decide_normalized_with`.
-        let (nf1, nf2) = obs.time(Stage::Normalize, || normalize_pair(&q1, &q2));
+        let (nf1, nf2) = recorder.time(Stage::Normalize, || normalize_pair(&q1, &q2));
         if recorder.is_enabled() {
             recorder.count(
                 Counter::SpnfBytes,
@@ -555,7 +556,7 @@ impl Session {
         // they key the cache, decide the identity shortcut and are hashed
         // into the report's fingerprints.
         let caching = self.config.cache_capacity > 0;
-        let (key, fingerprints) = obs.time(Stage::Fingerprint, || {
+        let (key, fingerprints) = recorder.time(Stage::Fingerprint, || {
             let key = Self::canonical_key(fe, &q1, &q2, &nf1, &nf2);
             recorder.count(
                 Counter::FingerprintBytes,
@@ -566,7 +567,7 @@ impl Session {
         });
 
         if caching {
-            let hit = obs.time(Stage::CacheLookup, || {
+            let hit = recorder.time(Stage::CacheLookup, || {
                 let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
                 recorder.count(Counter::CacheProbes, 1);
                 // The depth walk is O(position); only pay for it when the
@@ -580,22 +581,7 @@ impl Session {
             });
             if let Some(verdict) = hit {
                 recorder.instant("cache-hit");
-                let wall = started.elapsed();
-                let proved = verdict.decision.is_proved();
-                self.stats
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .record(wall, true, proved, false);
-                obs.finish(|| format!("goal {number} (cache hit)"), wall, 0);
-                return GoalReport {
-                    index,
-                    outcome: Ok(verdict),
-                    cached: true,
-                    fingerprints,
-                    wall,
-                    steps: 0,
-                    aborted: None,
-                };
+                return (Ending::Cached(verdict), fingerprints);
             }
         }
 
@@ -614,35 +600,17 @@ impl Session {
         let mut verdict = match udp_solve::solve_normalized(&goal, SolveMode::Udp) {
             Ok(verdict) => verdict,
             Err(reason) => {
-                let wall = started.elapsed();
-                self.note_aborted();
-                self.stats
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .record(wall, false, false, true);
-                obs.finish(|| format!("goal {number} (aborted)"), wall, 0);
-                return GoalReport {
-                    index,
-                    outcome: Err(GoalError::Failed(format!("goal aborted: {reason}"))),
-                    cached: false,
+                return (
+                    Ending::Aborted(format!("goal aborted: {reason}")),
                     fingerprints,
-                    wall,
-                    steps: 0,
-                    aborted: Some(AbortReason::Panicked),
-                };
+                )
             }
         };
-        let steps = verdict.stats.steps_used;
-        obs.add(Stage::UdpProve, verdict.stats.wall, steps);
         record_normalization(&mut verdict, &q1, &q2, &nf1, &nf2);
-        // A degraded-but-reported goal: a `Timeout` verdict means the step
-        // cap or the wall deadline ended the search.
-        let aborted = (verdict.decision == udp_core::Decision::Timeout)
-            .then_some(AbortReason::BudgetExhausted);
         // A Timeout is budget exhaustion, not a fact about the goal: caching
         // it would pin a transient, scheduling-dependent answer for every
         // canonically equal goal in the session. Let those re-run.
-        if caching && verdict.decision != udp_core::Decision::Timeout {
+        if caching && verdict.decision != Decision::Timeout {
             let cost = Self::entry_cost(&key, &verdict);
             let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
             cache.insert_with_cost(key, verdict.clone(), cost);
@@ -650,30 +618,67 @@ impl Session {
             // lock so it always reflects a state the cache actually had.
             recorder.gauge(Counter::CacheResidentBytes, cache.resident_bytes() as u64);
         }
-        let wall = started.elapsed();
-        self.stats.lock().unwrap_or_else(|e| e.into_inner()).record(
-            wall,
-            false,
-            verdict.decision.is_proved(),
-            false,
-        );
-        obs.finish(|| format!("goal {number}"), wall, steps);
-        GoalReport {
+        (Ending::Decided(verdict), fingerprints)
+    }
+
+    /// The one exit of every goal, whatever ended it: record the session
+    /// stats, finish the goal's waterfall (labelled from the report) and
+    /// build the report. `window` is the goal's open window and number;
+    /// `None` for a goal whose window closed while it unwound (a panic the
+    /// worker supervisor caught).
+    fn close_goal(
+        &self,
+        window: Option<(GoalObs, usize)>,
+        index: usize,
+        wall: Duration,
+        fingerprints: Option<(Fingerprint, Fingerprint)>,
+        ending: Ending,
+    ) -> GoalReport {
+        let cached = matches!(ending, Ending::Cached(_));
+        let (outcome, aborted) = match ending {
+            // A degraded-but-reported goal: a `Timeout` verdict means the
+            // step cap or the wall deadline ended the search.
+            Ending::Decided(verdict) | Ending::Cached(verdict) => {
+                let timeout = verdict.decision == Decision::Timeout;
+                (Ok(verdict), timeout.then_some(AbortReason::BudgetExhausted))
+            }
+            Ending::Rejected(e) => (Err(e), None),
+            // The one increment site of `Counter::GoalAborted`.
+            Ending::Aborted(msg) => {
+                self.config.recorder.count(Counter::GoalAborted, 1);
+                self.config.recorder.instant("goal-aborted");
+                (Err(GoalError::Failed(msg)), Some(AbortReason::Panicked))
+            }
+        };
+        let steps = match &outcome {
+            Ok(verdict) if !cached => verdict.stats.steps_used,
+            _ => 0,
+        };
+        let proved = outcome.as_ref().is_ok_and(|v| v.decision.is_proved());
+        let error = outcome.is_err();
+        self.stats
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .record(wall, cached, proved, error);
+        let report = GoalReport {
             index,
-            outcome: Ok(verdict),
-            cached: false,
+            outcome,
+            cached,
             fingerprints,
             wall,
             steps,
             aborted,
+        };
+        if let Some((obs, number)) = window {
+            let suffix = match (&report.outcome, report.aborted) {
+                (Err(_), Some(_)) => " (aborted)",
+                (Err(_), None) => " (front-end error)",
+                (Ok(_), _) if report.cached => " (cache hit)",
+                (Ok(_), _) => "",
+            };
+            obs.finish(|| format!("goal {number}{suffix}"), wall, steps);
         }
-    }
-
-    /// The single increment site for [`Counter::GoalAborted`]: a goal whose
-    /// report is an abort (worker or prover panic) rather than a decision.
-    pub(crate) fn note_aborted(&self) {
-        self.config.recorder.count(Counter::GoalAborted, 1);
-        self.config.recorder.instant("goal-aborted");
+        report
     }
 
     /// Build the report for a goal whose worker panicked outside the
@@ -681,32 +686,8 @@ impl Session {
     /// The panic message is part of the report, so chaos-injected panics —
     /// whose messages are deterministic — keep batch output byte-identical
     /// across worker counts.
-    pub(crate) fn panic_report(&self, index: usize, wall: Duration, msg: String) -> GoalReport {
-        self.note_aborted();
-        self.stats
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .record(wall, false, false, true);
-        GoalReport {
-            index,
-            outcome: Err(GoalError::Failed(format!("goal panicked: {msg}"))),
-            cached: false,
-            fingerprints: None,
-            wall,
-            steps: 0,
-            aborted: Some(AbortReason::Panicked),
-        }
-    }
-
-    /// Build the report for a goal slot the collector never received — a
-    /// worker died in a way even the supervisor could not report (e.g. an
-    /// abort-on-double-panic). Degraded bookkeeping instead of a collector
-    /// panic: the batch stays order-preserving and complete.
-    pub(crate) fn missing_report(&self, index: usize) -> GoalReport {
-        self.panic_report(
-            index,
-            Duration::ZERO,
-            "worker never reported (supervision gap)".to_string(),
-        )
+    pub(crate) fn panic_report(&self, index: usize, wall: Duration, msg: &str) -> GoalReport {
+        let ending = Ending::Aborted(format!("goal panicked: {msg}"));
+        self.close_goal(None, index, wall, None, ending)
     }
 }

@@ -10,7 +10,7 @@ use crate::{GoalReport, Session};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use udp_obs::fault::panic_message;
 use udp_obs::Stage;
 use udp_sql::ast::Query;
@@ -39,11 +39,10 @@ fn supervise(
     })) {
         Ok(report) => report,
         Err(payload) => {
-            let msg = panic_message(&*payload).to_string();
             // The half-used frontend may hold partially lowered state;
             // replace it so later goals on this worker start clean.
             *fe = session.base_clone();
-            session.panic_report(index, started.elapsed(), msg)
+            session.panic_report(index, started.elapsed(), panic_message(&*payload))
         }
     }
 }
@@ -62,20 +61,17 @@ pub(crate) fn run_batch(
     numbers: &[usize],
 ) -> Vec<GoalReport> {
     let workers = session.config().workers.max(1).min(goals.len().max(1));
-    let recorder = session.config().recorder.clone();
+    let recorder = &session.config().recorder;
     let batch_start = Instant::now();
+    let run = |fe: &mut udp_sql::Frontend, i: usize| {
+        if recorder.is_enabled() {
+            recorder.record(Stage::QueueWait, batch_start.elapsed(), 0);
+        }
+        supervise(session, fe, i, numbers[i], &goals[i])
+    };
     if workers <= 1 {
         let mut fe = session.base_clone();
-        return goals
-            .iter()
-            .enumerate()
-            .map(|(i, g)| {
-                if recorder.is_enabled() {
-                    recorder.record(Stage::QueueWait, batch_start.elapsed(), 0);
-                }
-                supervise(session, &mut fe, i, numbers[i], g)
-            })
-            .collect();
+        return (0..goals.len()).map(|i| run(&mut fe, i)).collect();
     }
 
     let next = AtomicUsize::new(0);
@@ -85,7 +81,7 @@ pub(crate) fn run_batch(
         for _ in 0..workers {
             let tx = tx.clone();
             let next = &next;
-            let recorder = recorder.clone();
+            let run = &run;
             scope.spawn(move || {
                 let mut fe = session.base_clone();
                 loop {
@@ -93,11 +89,7 @@ pub(crate) fn run_batch(
                     if i >= goals.len() {
                         break;
                     }
-                    if recorder.is_enabled() {
-                        recorder.record(Stage::QueueWait, batch_start.elapsed(), 0);
-                    }
-                    let report = supervise(session, &mut fe, i, numbers[i], &goals[i]);
-                    if tx.send((i, report)).is_err() {
+                    if tx.send((i, run(&mut fe, i))).is_err() {
                         break; // collector gone; nothing useful left to do
                     }
                 }
@@ -108,10 +100,15 @@ pub(crate) fn run_batch(
             slots[i] = Some(report);
         }
     });
+    // A slot the collector never received — a worker died in a way even the
+    // supervisor could not report (e.g. an abort-on-double-panic) — gets an
+    // aborted report instead of a collector panic: the batch stays
+    // order-preserving and complete.
+    let gap = "worker never reported (supervision gap)";
     slots
         .into_iter()
         .enumerate()
-        .map(|(i, s)| s.unwrap_or_else(|| session.missing_report(i)))
+        .map(|(i, s)| s.unwrap_or_else(|| session.panic_report(i, Duration::ZERO, gap)))
         .collect()
 }
 

@@ -7,11 +7,15 @@
 //! * goal waterfalls never attribute more goal-path time than the goal's
 //!   measured wall, and session-wide coverage stays in `(0, 1]`;
 //! * the metrics JSON snapshot round-trips through the bundled parser;
-//! * `GoalReport::steps` carries the prover's step count.
+//! * `GoalReport::steps` carries the prover's step count;
+//! * a goal's waterfall holds exactly its own goal-path spans, one row per
+//!   stage, also right after a goal panicked on the same worker.
 
 use std::time::Duration;
-use udp_obs::{json, Counter, Recorder, Stage};
-use udp_service::{Session, SessionConfig};
+use udp_obs::fault::{PROBE_BACKEND_UDP, PROBE_GOAL};
+use udp_obs::{json, Counter, FaultAction, FaultInjector, FaultPlan, Recorder, Stage};
+use udp_service::{AbortReason, Session, SessionConfig};
+use udp_sql::Dialect;
 
 const DDL: &str = "schema rs(k:int, a:int, b:int);\nschema ss(k2:int, c:int);\n\
                    table r(rs);\ntable s(ss);\nkey r(k);\n";
@@ -401,4 +405,102 @@ fn sessions_sharing_a_recorder_get_distinct_goal_labels() {
     labels.sort();
     assert_eq!(labels, ["rules/first goal 1", "rules/second goal 1"]);
     assert!(!Recorder::disabled().labelled("x").is_enabled());
+}
+
+/// A goal's waterfall as `(stage, steps)` rows, in the order they ran.
+fn waterfall(recorder: &Recorder, label: &str) -> Vec<(Stage, u64)> {
+    let snap = recorder.snapshot();
+    let goal = snap
+        .slow_goals
+        .iter()
+        .find(|g| g.label == label)
+        .unwrap_or_else(|| panic!("no waterfall for `{label}`"));
+    goal.stages
+        .iter()
+        .map(|&(s, _, steps)| (s, steps))
+        .collect()
+}
+
+/// The rows of an uncached paper-dialect goal, its prove row carrying
+/// `steps`.
+fn paper_rows(steps: u64) -> [(Stage, u64); 5] {
+    [
+        (Stage::Lower, 0),
+        (Stage::Normalize, 0),
+        (Stage::Fingerprint, 0),
+        (Stage::CacheLookup, 0),
+        (Stage::UdpProve, steps),
+    ]
+}
+
+/// A full-dialect goal's waterfall has one row per goal-path stage, in
+/// pipeline order: its two `desugar` spans (one per side) merge into one
+/// row, and the `udp-prove` row carries the verdict's steps.
+#[test]
+fn a_full_dialect_goal_has_one_row_per_goal_path_stage() {
+    let recorder = Recorder::enabled();
+    let config = SessionConfig {
+        recorder: recorder.clone(),
+        ..SessionConfig::default()
+    }
+    .with_dialect(Dialect::Full);
+    let session = Session::new(DDL, config).unwrap();
+    let goal = session.parse_goal(GOAL_LINES[1]).unwrap();
+    let report = session.verify_batch(&[goal]).remove(0);
+    let steps = report.verdict().unwrap().stats.steps_used;
+    assert!(steps > 0);
+    assert_eq!(report.steps, steps);
+    let mut want = vec![(Stage::Desugar, 0)];
+    want.extend(paper_rows(steps));
+    assert_eq!(waterfall(&recorder, "goal 1"), want);
+    let snap = recorder.snapshot();
+    assert_eq!(snap.stage(Stage::Desugar).unwrap().calls, 2);
+    assert_eq!(snap.stage(Stage::UdpProve).unwrap().steps, steps);
+}
+
+/// A chaos plan under which `probe` panics goal key 0 and spares key 1.
+fn panic_first_of_two(probe: &str) -> FaultPlan {
+    let base = FaultPlan {
+        panic_rate: 0.5,
+        exhaust_rate: 0.0,
+        delay_rate: 0.0,
+        goal_rate: 0.5,
+        probe: Some(probe.to_string()),
+        ..FaultPlan::default()
+    };
+    let off = Recorder::disabled();
+    (0..)
+        .map(|seed| base.with_seed(seed))
+        .find(|plan| {
+            let faults = FaultInjector::new(plan.clone());
+            faults.fire(&off, probe, 0) == Some(FaultAction::Panic)
+                && faults.fire(&off, probe, 1).is_none()
+        })
+        .unwrap()
+}
+
+/// A goal that runs on a worker right after a goal panicked there (at the
+/// chaos goal probe, which unwinds out of the goal, or inside the
+/// contained backend) has only its own rows.
+#[test]
+fn a_goal_after_a_panicked_goal_has_only_its_own_rows() {
+    for probe in [PROBE_GOAL, PROBE_BACKEND_UDP] {
+        let recorder = Recorder::enabled();
+        let config = SessionConfig {
+            workers: 1,
+            recorder: recorder.clone(),
+            chaos: Some(panic_first_of_two(probe)),
+            ..SessionConfig::default()
+        };
+        let session = Session::new(DDL, config).unwrap();
+        let goals = [GOAL_LINES[1], GOAL_LINES[2]].map(|l| session.parse_goal(l).unwrap());
+        let reports = session.verify_batch(&goals);
+        assert_eq!(reports[0].aborted, Some(AbortReason::Panicked), "{probe}");
+        let steps = reports[1].verdict().unwrap().stats.steps_used;
+        assert_eq!(waterfall(&recorder, "goal 2"), paper_rows(steps), "{probe}");
+        if probe == PROBE_BACKEND_UDP {
+            // The contained panic still timed its prove attempt.
+            assert_eq!(waterfall(&recorder, "goal 1 (aborted)"), paper_rows(0));
+        }
+    }
 }

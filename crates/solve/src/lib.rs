@@ -130,15 +130,15 @@ pub enum SolveMode {
 /// verdict. A chaos `Exhaust` action reruns the attempt with a zero-step
 /// budget, so the goal ends `Timeout` through UDP's ordinary exit path.
 /// The shortcut sits behind the same probe and containment, so injected
-/// faults reach identical goals too.
+/// faults reach identical goals too. The whole attempt is one
+/// [`Stage::UdpProve`] span on the config's recorder, carrying the
+/// verdict's steps.
 pub fn solve_normalized(goal: &Goal, _mode: SolveMode) -> Result<Verdict, String> {
     let config = &goal.config;
     let recorder = &config.recorder;
-    // Tag the prover's allocations and open a live trace span (the stage
-    // table gets the same wall from the caller's `GoalObs::add`, which does
-    // not re-emit trace events).
-    let _tag = recorder.alloc_scope(Stage::UdpProve);
-    let _span = recorder.trace_span("udp-prove");
+    // The one `udp-prove` span, around the whole attempt (probe, prove and
+    // containment); it carries the verdict's steps.
+    let mut span = recorder.span(Stage::UdpProve);
     let action = config
         .faults
         .fire(recorder, PROBE_BACKEND_UDP, config.fault_key);
@@ -180,6 +180,7 @@ pub fn solve_normalized(goal: &Goal, _mode: SolveMode) -> Result<Verdict, String
     }));
     match result {
         Ok(verdict) => {
+            span.set_steps(verdict.stats.steps_used);
             if !verdict.decision.is_definite() {
                 recorder.instant("budget-exhausted");
             }

@@ -74,9 +74,9 @@ pub fn lower_goal(
     fe: &mut Frontend,
     goal: &(ast::Query, ast::Query),
 ) -> Result<(udp_core::QueryU, udp_core::QueryU), VerifyError> {
-    // Single global writer for the `lower` stage: every driver funnels
-    // through here, so recording at this level counts each goal's lowering
-    // exactly once.
+    // The one `lower` span, where the lowering runs: every driver funnels
+    // through here, so each goal's lowering is counted exactly once (and
+    // joins the waterfall of a goal open on this thread).
     let recorder = fe.recorder.clone();
     let _span = recorder.span(udp_obs::Stage::Lower);
     let mut gen = udp_core::expr::VarGen::new();

@@ -53,7 +53,7 @@
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use std::time::Duration;
-use udp_obs::{ObsOutputs, TrackingAlloc};
+use udp_obs::{FaultPlan, ObsOutputs, TrackingAlloc};
 use udp_service::{GoalReport, Session, SessionConfig};
 
 /// Route every heap allocation through the `udp-obs` tracking wrapper so
@@ -87,35 +87,10 @@ fn main() -> ExitCode {
             "--stats" => show_stats = true,
             "--stats-every" => stats_every = parse_num(it.next(), "--stats-every"),
             "--fingerprints" => show_fingerprints = true,
-            "--metrics-json" => {
-                obs.metrics_json = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage("missing value for --metrics-json")),
-                );
-            }
             "--chaos" => {
-                // Optional spec: `--chaos` alone runs the default campaign;
-                // `--chaos seed=N,rate=P,...` overrides it.
-                let spec = match it.peek() {
-                    Some(s) if !s.starts_with('-') && s.contains('=') => {
-                        it.next().map(|s| s.as_str()).unwrap_or("")
-                    }
-                    _ => "",
-                };
-                config.chaos = Some(
-                    udp_obs::FaultPlan::parse(spec)
-                        .unwrap_or_else(|e| usage(&format!("bad --chaos spec: {e}"))),
-                );
+                config.chaos = Some(FaultPlan::from_flag(&mut it).unwrap_or_else(|e| usage(&e)))
             }
-            "--trace-goals" => obs.trace_goals = parse_num(it.next(), "--trace-goals"),
-            "--trace-out" => {
-                obs.trace_out = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage("missing value for --trace-out")),
-                );
-            }
+            other if obs.take_flag(other, &mut it).unwrap_or_else(|e| usage(&e)) => {}
             "--help" | "-h" => usage(""),
             other if other.starts_with('-') => usage(&format!("unknown flag `{other}`")),
             other if file.is_none() => file = Some(other.to_string()),

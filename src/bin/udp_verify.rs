@@ -48,7 +48,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 use udp_eval::SearchResult;
-use udp_obs::{ObsOutputs, TrackingAlloc};
+use udp_obs::{FaultPlan, ObsOutputs, TrackingAlloc};
 use udp_service::{GoalError, Session, SessionConfig};
 
 /// Route every heap allocation through the `udp-obs` tracking wrapper so
@@ -70,7 +70,7 @@ fn main() -> ExitCode {
     let mut cache_bytes: Option<usize> = None;
     let mut show_stats = false;
     let mut obs = ObsOutputs::default();
-    let mut chaos: Option<udp_obs::FaultPlan> = None;
+    let mut chaos: Option<FaultPlan> = None;
 
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
@@ -88,35 +88,8 @@ fn main() -> ExitCode {
             "--timeout" => timeout = parse_num(it.next(), "--timeout"),
             "--jobs" => jobs = parse_num(it.next(), "--jobs"),
             "--cache-bytes" => cache_bytes = Some(parse_num(it.next(), "--cache-bytes")),
-            "--metrics-json" => {
-                obs.metrics_json = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage("missing value for --metrics-json")),
-                );
-            }
-            "--trace-goals" => obs.trace_goals = parse_num(it.next(), "--trace-goals"),
-            "--trace-out" => {
-                obs.trace_out = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage("missing value for --trace-out")),
-                );
-            }
-            "--chaos" => {
-                // Optional spec: `--chaos` alone runs the default campaign;
-                // `--chaos seed=N,rate=P,...` overrides it.
-                let spec = match it.peek() {
-                    Some(s) if !s.starts_with('-') && s.contains('=') => {
-                        it.next().map(|s| s.as_str()).unwrap_or("")
-                    }
-                    _ => "",
-                };
-                chaos = Some(
-                    udp_obs::FaultPlan::parse(spec)
-                        .unwrap_or_else(|e| usage(&format!("bad --chaos spec: {e}"))),
-                );
-            }
+            "--chaos" => chaos = Some(FaultPlan::from_flag(&mut it).unwrap_or_else(|e| usage(&e))),
+            other if obs.take_flag(other, &mut it).unwrap_or_else(|e| usage(&e)) => {}
             "--help" | "-h" => {
                 usage("");
             }
@@ -232,9 +205,9 @@ fn main() -> ExitCode {
     if counterexample && !all_proved {
         // The model checker evaluates the parsed queries, not the session's
         // lowered ones: parse the program once for it, then search every
-        // goal that was not proved. The search records
-        // `Stage::Counterexample` inside udp-eval itself (single-writer
-        // rule) — no wrapper timing here.
+        // goal that was not proved. The search times
+        // `Stage::Counterexample` inside udp-eval, where it runs — no
+        // wrapper timing here.
         let parsed = udp_sql::parse_program_with(&text, dialect)
             .map_err(|e| e.to_string())
             .and_then(|p| udp_sql::build_frontend(&p).map_err(|e| e.to_string()));
