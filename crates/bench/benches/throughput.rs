@@ -9,9 +9,11 @@
 //! on a warm verdict cache, then the `udp-obs` recorder's overhead (enabled
 //! vs the default disabled handle) and the allocation tracker's overhead
 //! over a plain enabled recorder, both on the uncached 1-worker workload.
-//! One unmeasured batch warms the process first, and each rate is the best
-//! of `REPS` fresh sessions. Timed claims still belong to the repo
-//! benchmark (`udpbench/`).
+//! One unmeasured batch warms the process first. Each worker-count rate is
+//! the best of `REPS` fresh sessions; the three recorder configurations
+//! alternate over `OBS_ROUNDS` rounds and print their medians and
+//! quartiles.
+//! Timed claims still belong to the repo benchmark (`udpbench/`).
 //!
 //! The bench also sweeps the evaluation corpus under one enabled,
 //! memory-tracking recorder and writes its metrics snapshot (schema 5,
@@ -169,20 +171,93 @@ fn corpus_sweep(recorder: &Recorder) {
     }
 }
 
+/// Rounds of the recorder-overhead comparison; each round times every
+/// recorder configuration once.
+const OBS_ROUNDS: usize = 21;
+
+/// A recorder configuration of the overhead comparison.
+#[derive(Clone, Copy)]
+enum Obs {
+    Disabled,
+    Enabled,
+    Tracking,
+}
+
+impl Obs {
+    const ALL: [Obs; 3] = [Obs::Disabled, Obs::Enabled, Obs::Tracking];
+
+    fn name(self) -> &'static str {
+        match self {
+            Obs::Disabled => "disabled",
+            Obs::Enabled => "enabled",
+            Obs::Tracking => "tracking",
+        }
+    }
+
+    /// A fresh recorder. A tracking one holds the process-wide memory
+    /// session until it drops, so it must drop before the next opens one.
+    fn recorder(self) -> Recorder {
+        match self {
+            Obs::Disabled => Recorder::disabled(),
+            Obs::Enabled => Recorder::enabled(),
+            Obs::Tracking => {
+                let tracking = Recorder::enabled();
+                tracking.track_memory();
+                tracking
+            }
+        }
+    }
+}
+
+/// Median and quartiles of a sample.
+struct Spread {
+    q1: f64,
+    median: f64,
+    q3: f64,
+}
+
+impl Spread {
+    fn of(mut xs: Vec<f64>) -> Spread {
+        xs.sort_by(f64::total_cmp);
+        let at = |q: usize| xs[(xs.len() - 1) * q / 4];
+        Spread {
+            q1: at(1),
+            median: at(2),
+            q3: at(3),
+        }
+    }
+}
+
 /// Recorder and tracking overhead on the uncached 1-worker workload — the
 /// configuration where per-goal instrumentation cost is most visible
 /// (nothing amortizes over threads or cache hits) — printed to stdout, then
 /// the corpus sweep's snapshot written to `BENCH.json`.
+///
+/// The three configurations alternate over `OBS_ROUNDS` rounds, each
+/// round in a rotated order, so a drift in machine speed reaches all of
+/// them alike. Each prints its median rate and quartiles; an overhead is
+/// read between medians, and means nothing when it is smaller than the
+/// quartile ranges.
 fn obs_summary() {
-    let disabled_rate = best_rate(1, &Recorder::disabled());
-    let enabled_rate = best_rate(1, &Recorder::enabled());
-    // The tracking recorder, and with it the process-wide memory session,
-    // must drop before the corpus sweep opens its own.
-    let tracking_rate = {
-        let tracking = Recorder::enabled();
-        tracking.track_memory();
-        best_rate(1, &tracking)
-    };
+    let mut rates = [Vec::new(), Vec::new(), Vec::new()];
+    for round in 0..OBS_ROUNDS {
+        for k in 0..Obs::ALL.len() {
+            let i = (round + k) % Obs::ALL.len();
+            let session = session_with_recorder(1, 0, Obs::ALL[i].recorder());
+            let goals = workload(&session, GOALS);
+            rates[i].push(rate(&session, &goals));
+        }
+    }
+    let [disabled, enabled, tracking] = rates.map(Spread::of);
+    for (obs, s) in Obs::ALL.iter().zip([&disabled, &enabled, &tracking]) {
+        println!(
+            "obs summary: {:<8} median {:.0} goals/s (quartiles {:.0}–{:.0}, {OBS_ROUNDS} rounds)",
+            obs.name(),
+            s.median,
+            s.q1,
+            s.q3
+        );
+    }
 
     let outputs = ObsOutputs {
         metrics_json: Some(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH.json").into()),
@@ -192,11 +267,10 @@ fn obs_summary() {
     corpus_sweep(&recorder);
     let snap = recorder.snapshot();
     println!(
-        "obs summary: disabled {disabled_rate:.0} goals/s, enabled {enabled_rate:.0} goals/s \
-         ({:+.1}% overhead), tracking {tracking_rate:.0} goals/s ({:+.1}% over enabled); \
-         corpus: {} goals, stage coverage {:.1}%",
-        (1.0 - enabled_rate / disabled_rate) * 100.0,
-        (1.0 - tracking_rate / enabled_rate) * 100.0,
+        "obs summary: enabled {:+.1}% overhead over disabled, tracking {:+.1}% over enabled \
+         (medians); corpus: {} goals, stage coverage {:.1}%",
+        (1.0 - enabled.median / disabled.median) * 100.0,
+        (1.0 - tracking.median / enabled.median) * 100.0,
         snap.goals,
         snap.coverage() * 100.0
     );

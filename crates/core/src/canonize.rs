@@ -41,7 +41,38 @@ pub fn canonize_nf(
     ambient: &[Pred],
     under_squash: bool,
 ) -> Result<Nf, Exhausted> {
+    canonize_into(ctx, nf, ambient, under_squash, &mut drop)
+}
+
+/// [`canonize_nf`], also handing on one congruence closure per kept term,
+/// aligned with `Nf::terms`: the closure of `ambient` and the term's
+/// equalities that canonization last built, so the decision procedures
+/// need not build it again. A slot is `None` where no such closure exists:
+/// a term that squash introduction rewrote, every term when canonization
+/// is off, and every term under the congruence ablation (whose closures
+/// leave the ambient out).
+pub fn canonize_nf_closed(
+    ctx: &mut Ctx,
+    nf: Nf,
+    ambient: &[Pred],
+    under_squash: bool,
+) -> Result<(Nf, Vec<Option<Congruence>>), Exhausted> {
+    let mut closures = Vec::with_capacity(nf.terms.len());
+    let nf = canonize_into(ctx, nf, ambient, under_squash, &mut |cc| closures.push(cc))?;
+    Ok((nf, closures))
+}
+
+/// Canonize `nf`, passing each kept term's closure to `keep` as soon as the
+/// term is done, so a caller that drops them holds none for longer.
+fn canonize_into(
+    ctx: &mut Ctx,
+    nf: Nf,
+    ambient: &[Pred],
+    under_squash: bool,
+    keep: &mut dyn FnMut(Option<Congruence>),
+) -> Result<Nf, Exhausted> {
     if !ctx.opts.canonize {
+        nf.terms.iter().for_each(|_| keep(None));
         return Ok(nf);
     }
     // Only the outermost canonization on this context is a canonize-core
@@ -51,7 +82,7 @@ pub fn canonize_nf(
     let recorder = ctx.recorder.clone();
     let _span = (ctx.canonize_depth == 0).then(|| recorder.span(udp_obs::Stage::CanonizeCore));
     ctx.canonize_depth += 1;
-    let canon = canonize_terms(ctx, nf, ambient, under_squash);
+    let canon = canonize_terms(ctx, nf, ambient, under_squash, keep);
     ctx.canonize_depth -= 1;
     canon
 }
@@ -61,6 +92,7 @@ fn canonize_terms(
     nf: Nf,
     ambient: &[Pred],
     under_squash: bool,
+    keep: &mut dyn FnMut(Option<Congruence>),
 ) -> Result<Nf, Exhausted> {
     let nf = if under_squash {
         nf.flatten_under_squash()
@@ -69,20 +101,23 @@ fn canonize_terms(
     };
     let mut terms = Vec::with_capacity(nf.terms.len());
     for t in nf.terms {
-        if let Some(t) = canonize_term(ctx, t, ambient, under_squash)? {
+        if let Some((t, cc)) = canonize_term(ctx, t, ambient, under_squash)? {
             terms.push(t);
+            keep(cc);
         }
     }
     Ok(Nf { terms })
 }
 
-/// Canonize a single term; `None` means the term simplified to `0`.
+/// Canonize a single term; `None` means the term simplified to `0`. The
+/// term comes back with the closure of `ambient` and its equalities, as
+/// [`canonize_nf_closed`] hands it on.
 pub fn canonize_term(
     ctx: &mut Ctx,
     mut t: Term,
     ambient: &[Pred],
     under_squash: bool,
-) -> Result<Option<Term>, Exhausted> {
+) -> Result<Option<(Term, Option<Congruence>)>, Exhausted> {
     let mut fk_added: u32 = 0;
     let fk_limit = if ctx.opts.use_constraints {
         FK_ROUNDS.saturating_mul(t.atoms.len() as u32 + 1)
@@ -90,7 +125,10 @@ pub fn canonize_term(
         0
     };
 
-    loop {
+    // The loop ends with the closure of the term it leaves: `t.preds` do
+    // not change after it, so that closure serves squash absorption, squash
+    // introduction and the caller.
+    let mut cc = loop {
         ctx.budget.tick()?;
         ctx.recorder.count(Counter::CanonizeIters, 1);
         t = resolve_term_attrs(ctx, t);
@@ -155,8 +193,8 @@ pub fn canonize_term(
             fk_added += 1;
             continue;
         }
-        break;
-    }
+        break cc;
+    };
 
     // Recursively canonize the nested factors under the term's own
     // equalities.
@@ -182,7 +220,9 @@ pub fn canonize_term(
     // `‖S‖` drops whenever some summand of `S` maps homomorphically into the
     // rest of the term — then `S ≥ 1` at every valuation where the rest is
     // nonzero, so multiplying by `‖S‖` changes nothing. This is what removes
-    // redundant EXISTS semi-joins and magic-set filters.
+    // redundant EXISTS semi-joins and magic-set filters. The match target is
+    // the term without its nested factors, whose closure is `cc` (under the
+    // congruence ablation the matcher builds its own, with the ambient).
     if let Some(sq) = &t.squash {
         let mut core = t.clone();
         core.squash = None;
@@ -190,8 +230,17 @@ pub fn canonize_term(
         let mut absorbed = false;
         for s_term in &sq.terms {
             ctx.budget.tick()?;
-            if crate::hom::match_terms(ctx, s_term, &core, crate::hom::MatchMode::Hom, ambient)?
-                .is_some()
+            let cc_core = ctx.opts.congruence.then_some(&mut cc);
+            if crate::hom::match_terms_with(
+                ctx,
+                s_term,
+                &core,
+                crate::hom::MatchMode::Hom,
+                ambient,
+                crate::hom::Colours::Off,
+                cc_core,
+            )?
+            .is_some()
             {
                 absorbed = true;
                 break;
@@ -217,27 +266,27 @@ pub fn canonize_term(
         && ctx.opts.squash_intro
         && ctx.opts.use_constraints
         && (t.squash.is_some() || !t.atoms.is_empty())
+        && is_squash_invariant(ctx, &t, &mut cc)
     {
-        let mut cc = build_congruence(ctx, &t, ambient);
-        if is_squash_invariant(ctx, &t, &mut cc) {
-            ctx.recorder.count(Counter::RwSquashIntro, 1);
-            ctx.trace
-                .record(Rule::SquashIntro, || StepData::TermRewrite {
-                    before: t.clone(),
-                    after: vec![],
-                    ambient: ambient.to_vec(),
-                });
-            let inner = Nf { terms: vec![t] }.flatten_under_squash();
-            let inner = canonize_nf(ctx, inner, ambient, true)?;
-            if inner.is_zero() {
-                return Ok(None);
-            }
-            return Ok(Some(Term::squash_of(inner)));
+        ctx.recorder.count(Counter::RwSquashIntro, 1);
+        ctx.trace
+            .record(Rule::SquashIntro, || StepData::TermRewrite {
+                before: t.clone(),
+                after: vec![],
+                ambient: ambient.to_vec(),
+            });
+        let inner = Nf { terms: vec![t] }.flatten_under_squash();
+        let inner = canonize_nf(ctx, inner, ambient, true)?;
+        if inner.is_zero() {
+            return Ok(None);
         }
+        return Ok(Some((Term::squash_of(inner), None)));
     }
 
+    // Sorting reorders the predicates, not their set, so `cc` is still the
+    // term's closure.
     t.sort_factors();
-    Ok(Some(t))
+    Ok(Some((t, ctx.opts.congruence.then_some(cc))))
 }
 
 /// Build the congruence closure from ambient + term equalities.

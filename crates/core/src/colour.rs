@@ -2,12 +2,15 @@
 //! classes of its equalities — an isomorphism invariant that prunes TDP's
 //! bijection search (Alg 3).
 //!
-//! Each term's closure is built from the ambient context plus its own
-//! equality predicates, over the nodes `Var(x)` and `x.a` for every bound
-//! variable `x` and every attribute name `a` in play, plus a shared list of
-//! *anchors*: the subterms of either side's predicates, atom arguments and
-//! ambient context that mention no bound variable (constants, the output
-//! tuple `t0.v`, enclosing binders). Then:
+//! Each term is read through the closure of the ambient context plus its
+//! own equality predicates: the one canonization built and handed on, or a
+//! fresh one when the caller has none. Refinement interns into it the nodes
+//! `Var(x)` and `x.a` for every bound variable `x` and every attribute name
+//! `a` in play, plus a shared list of *anchors*: the subterms of either
+//! side's predicates, atom arguments and ambient context that mention no
+//! bound variable (constants, the output tuple `t0.v`, enclosing binders).
+//! It reads only the class structure, which interning more nodes does not
+//! change for the nodes already there. Then:
 //!
 //! * a variable starts with the colour of its schema;
 //! * a class gets the colour of the sorted multiset of its `(variable
@@ -45,8 +48,8 @@ use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 
 /// The refined colours of one term's bound variables.
-#[derive(Debug, Clone)]
-pub(crate) struct Colouring {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Colouring {
     /// One colour per binder, aligned with `Term::vars` (so positional
     /// alpha-renaming keeps it valid).
     colours: Vec<u64>,
@@ -56,12 +59,12 @@ pub(crate) struct Colouring {
 
 impl Colouring {
     /// Colour of the binder at position `i` of `Term::vars`.
-    pub(crate) fn colour(&self, i: usize) -> u64 {
+    pub fn colour(&self, i: usize) -> u64 {
         self.colours[i]
     }
 
     /// The sorted colour multiset, an isomorphism invariant of the term.
-    pub(crate) fn signature(&self) -> &[u64] {
+    pub fn signature(&self) -> &[u64] {
         &self.signature
     }
 }
@@ -70,9 +73,14 @@ impl Colouring {
 /// list, so any two of the colourings are comparable. A term gets `None`
 /// when refinement is off for it (see the module docs); every term gets
 /// `None` when it is off for the whole set.
-pub(crate) fn colour_terms(
+///
+/// `closures[i]` is the closure of `ambient` and `terms[i].preds`, if the
+/// caller has it; a term that is coloured without one gets it built into
+/// its slot.
+pub fn colour_terms(
     ctx: &mut Ctx,
     terms: &[&Term],
+    closures: &mut [Option<Congruence>],
     ambient: &[Pred],
 ) -> Result<Vec<Option<Colouring>>, Exhausted> {
     let mut out = Vec::with_capacity(terms.len());
@@ -81,9 +89,13 @@ pub(crate) fn colour_terms(
     } else {
         None
     };
-    for t in terms {
+    for (t, cc) in terms.iter().zip(closures) {
         out.push(match &palette {
-            Some(p) if repeats_relation(t) => Some(p.colour(ctx, t, ambient)?),
+            Some(p) if repeats_relation(t) => {
+                let cc = cc
+                    .get_or_insert_with(|| Congruence::of_preds(&ctx.recorder, ambient, &t.preds));
+                Some(p.colour(ctx, t, cc)?)
+            }
             _ => None,
         });
     }
@@ -152,10 +164,9 @@ impl Palette {
         })
     }
 
-    fn colour(&self, ctx: &mut Ctx, t: &Term, ambient: &[Pred]) -> Result<Colouring, Exhausted> {
+    fn colour(&self, ctx: &mut Ctx, t: &Term, cc: &mut Congruence) -> Result<Colouring, Exhausted> {
         let n = t.vars.len();
         let m = self.attrs.len();
-        let mut cc = Congruence::of_preds(&ctx.recorder, ambient, &t.preds);
         // Intern every node first: interning may merge classes (record
         // projections), so roots are read only once the closure is complete.
         let mut var_nodes = Vec::with_capacity(n * (m + 1));
@@ -338,9 +349,13 @@ mod tests {
         term(&[base, base + 1, base + 2], preds)
     }
 
+    fn colour_fresh(ctx: &mut Ctx, terms: &[&Term]) -> Vec<Option<Colouring>> {
+        let mut closures: Vec<Option<Congruence>> = terms.iter().map(|_| None).collect();
+        colour_terms(ctx, terms, &mut closures, &[]).unwrap()
+    }
+
     fn signatures(ctx: &mut Ctx, terms: &[&Term]) -> Vec<Option<Vec<u64>>> {
-        colour_terms(ctx, terms, &[])
-            .unwrap()
+        colour_fresh(ctx, terms)
             .into_iter()
             .map(|c| c.map(|c| c.signature().to_vec()))
             .collect()
@@ -360,9 +375,7 @@ mod tests {
         assert_eq!(sigs[0], sigs[1], "a renamed copy keeps its colours");
         assert_ne!(sigs[0], sigs[2]);
         // The anchored binder is told apart from the other two.
-        let colours = colour_terms(&mut ctx, &[&a], &[]).unwrap()[0]
-            .clone()
-            .unwrap();
+        let colours = colour_fresh(&mut ctx, &[&a])[0].clone().unwrap();
         assert_ne!(colours.colour(0), colours.colour(1));
         assert_eq!(colours.colour(1), colours.colour(2));
     }

@@ -20,13 +20,18 @@
 //!
 //! # Cost
 //!
-//! A closure is rebuilt for every canonize iteration and every matcher
-//! candidate, so its construction is on the hot path. Interning an
-//! expression that is already present allocates only its operator and
-//! child list, the signature key it is looked up by. A new node stores
-//! its source expression, nothing derived from it. Classes are indexed by
-//! root in plain vectors, and a flag per class skips the tuple theories
-//! unless the class holds a record or a concatenation.
+//! A closure is rebuilt for every canonize iteration, so its construction
+//! is on the hot path. The last iteration's closure is handed on to squash
+//! introduction, colour refinement and the matcher, which only intern more
+//! nodes into it: a new node may join a class but never merges two, so the
+//! classes of the nodes already there stay as they were. The matcher still
+//! builds one per candidate for aggregates and for its backward check.
+//!
+//! Interning an expression that is already present allocates only its
+//! operator and child list, the signature key it is looked up by. A new
+//! node stores its source expression, nothing derived from it. Classes are
+//! indexed by root in plain vectors, and a flag per class skips the tuple
+//! theories unless the class holds a record or a concatenation.
 
 use crate::expr::{AggBody, Expr, Pred, Value, VarId};
 use crate::name::Name;

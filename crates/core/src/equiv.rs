@@ -13,19 +13,20 @@
 //!   the test is complete without them and minimizing only spends steps.
 
 use crate::budget::Exhausted;
-use crate::canonize::canonize_nf;
+use crate::canonize::canonize_nf_closed;
 use crate::colour::{colour_terms, Colouring};
+use crate::congruence::Congruence;
 use crate::ctx::Ctx;
 use crate::expr::Pred;
-use crate::hom::{match_terms, match_terms_with, Colours, MatchMode};
+use crate::hom::{match_terms_with, Colours, MatchMode};
 use crate::spnf::{Nf, Term};
 use crate::trace::{Rule, StepData};
 
 /// Algorithm 2: are `a` and `b` U-equivalent given the context's
 /// constraints? Inputs are SPNF normal forms (not yet canonized).
 pub fn udp_equiv(ctx: &mut Ctx, a: &Nf, b: &Nf, ambient: &[Pred]) -> Result<bool, Exhausted> {
-    let ca = canonize_nf(ctx, a.clone(), ambient, false)?;
-    let cb = canonize_nf(ctx, b.clone(), ambient, false)?;
+    let (ca, mut closures) = canonize_nf_closed(ctx, a.clone(), ambient, false)?;
+    let (cb, right_closures) = canonize_nf_closed(ctx, b.clone(), ambient, false)?;
     if ca.terms.len() != cb.terms.len() {
         return Ok(false);
     }
@@ -33,10 +34,14 @@ pub fn udp_equiv(ctx: &mut Ctx, a: &Nf, b: &Nf, ambient: &[Pred]) -> Result<bool
     if n == 0 {
         return Ok(true);
     }
-    // Each term is colour-refined once, against one palette for both sides.
+    // Each term is colour-refined once, against one palette for both sides,
+    // over the closure canonization handed on.
     let all: Vec<&Term> = ca.terms.iter().chain(&cb.terms).collect();
-    let mut colours = colour_terms(ctx, &all, ambient)?;
+    closures.extend(right_closures);
+    let mut colours = colour_terms(ctx, &all, &mut closures, ambient)?;
     let right_colours = colours.split_off(n);
+    // The right terms are the matcher's patterns: their closures are done.
+    closures.truncate(n);
     // Perfect matching between the two term lists, with lazily memoized TDP
     // verdicts (`None` = not yet computed).
     let mut verdicts: Vec<Vec<Option<bool>>> = vec![vec![None; n]; n];
@@ -46,6 +51,7 @@ pub fn udp_equiv(ctx: &mut Ctx, a: &Nf, b: &Nf, ambient: &[Pred]) -> Result<bool
         ctx,
         (&ca.terms, &colours),
         (&cb.terms, &right_colours),
+        &mut closures,
         ambient,
         0,
         &mut used,
@@ -63,11 +69,14 @@ pub fn udp_equiv(ctx: &mut Ctx, a: &Nf, b: &Nf, ambient: &[Pred]) -> Result<bool
 /// One side of a permutation search: its canonized terms and their colourings.
 type Side<'a> = (&'a [Term], &'a [Option<Colouring>]);
 
+/// `closures[i]` is the closure of the left term `i`, the target of every
+/// TDP check it takes part in.
 #[allow(clippy::too_many_arguments)]
 fn match_permutation(
     ctx: &mut Ctx,
     left: Side<'_>,
     right: Side<'_>,
+    closures: &mut [Option<Congruence>],
     ambient: &[Pred],
     i: usize,
     used: &mut [bool],
@@ -86,11 +95,12 @@ fn match_permutation(
             Some(v) => v,
             None => {
                 let (t1, t2) = (&left.0[i], &right.0[j]);
+                let cc = closures[i].as_mut();
                 let v = match (&left.1[i], &right.1[j]) {
                     // Isomorphic terms have equal colour multisets.
                     (Some(l), Some(r)) if l.signature() != r.signature() => false,
-                    (Some(l), Some(r)) => tdp_with(ctx, t1, t2, ambient, Colours::Given(r, l))?,
-                    _ => tdp_with(ctx, t1, t2, ambient, Colours::Off)?,
+                    (Some(l), Some(r)) => tdp_with(ctx, t1, t2, ambient, Colours::Given(r, l), cc)?,
+                    _ => tdp_with(ctx, t1, t2, ambient, Colours::Off, cc)?,
                 };
                 verdicts[i][j] = Some(v);
                 v
@@ -99,7 +109,17 @@ fn match_permutation(
         if ok {
             used[j] = true;
             assignment[i] = j;
-            if match_permutation(ctx, left, right, ambient, i + 1, used, verdicts, assignment)? {
+            if match_permutation(
+                ctx,
+                left,
+                right,
+                closures,
+                ambient,
+                i + 1,
+                used,
+                verdicts,
+                assignment,
+            )? {
                 return Ok(true);
             }
             used[j] = false;
@@ -112,17 +132,20 @@ fn match_permutation(
 /// search looks for a bijection of summation variables (Sec 5.2's `BI`),
 /// guided by relation-atom matching.
 pub fn tdp_equiv(ctx: &mut Ctx, t1: &Term, t2: &Term, ambient: &[Pred]) -> Result<bool, Exhausted> {
-    tdp_with(ctx, t1, t2, ambient, Colours::Refine)
+    tdp_with(ctx, t1, t2, ambient, Colours::Refine, None)
 }
 
+/// [`tdp_equiv`] with the caller's colourings and, if it has one, `t1`'s
+/// closure.
 fn tdp_with(
     ctx: &mut Ctx,
     t1: &Term,
     t2: &Term,
     ambient: &[Pred],
     colours: Colours<'_>,
+    cc_t1: Option<&mut Congruence>,
 ) -> Result<bool, Exhausted> {
-    let found = match_terms_with(ctx, t2, t1, MatchMode::Iso, ambient, colours)?.is_some();
+    let found = match_terms_with(ctx, t2, t1, MatchMode::Iso, ambient, colours, cc_t1)?.is_some();
     if found {
         ctx.trace.record(Rule::TermMatch, || {
             StepData::Witness(format!("{t2}  ≅  {t1}"))
@@ -136,8 +159,10 @@ pub fn sdp_equiv(ctx: &mut Ctx, a: &Nf, b: &Nf, ambient: &[Pred]) -> Result<bool
     // Lemma 5.1 flattening + canonization under the squash context. The
     // terms are not minimized to their cores: a homomorphism test decides
     // CQ containment without them (DESIGN.md §7).
-    let ta = canonize_nf(ctx, a.clone().flatten_under_squash(), ambient, true)?.terms;
-    let tb = canonize_nf(ctx, b.clone().flatten_under_squash(), ambient, true)?.terms;
+    let (Nf { terms: ta }, cc_a) =
+        canonize_nf_closed(ctx, a.clone().flatten_under_squash(), ambient, true)?;
+    let (Nf { terms: tb }, cc_b) =
+        canonize_nf_closed(ctx, b.clone().flatten_under_squash(), ambient, true)?;
     // ‖0‖ = 0: both empty ⇒ equal; one empty ⇒ the other must have at least
     // one satisfiable term — conservatively report inequivalence.
     if ta.is_empty() || tb.is_empty() {
@@ -145,13 +170,14 @@ pub fn sdp_equiv(ctx: &mut Ctx, a: &Nf, b: &Nf, ambient: &[Pred]) -> Result<bool
     }
 
     // Mutual containment: ∀i ∃j hom(tb_j → ta_i) and ∀j ∃i hom(ta_i → tb_j).
-    for t in &ta {
-        if !contained_in_some(ctx, t, &tb, ambient)? {
+    // Each closure drops after its term's containment check.
+    for (t, mut cc) in ta.iter().zip(cc_a) {
+        if !contained_in_some(ctx, t, cc.as_mut(), &tb, ambient)? {
             return Ok(false);
         }
     }
-    for t in &tb {
-        if !contained_in_some(ctx, t, &ta, ambient)? {
+    for (t, mut cc) in tb.iter().zip(cc_b) {
+        if !contained_in_some(ctx, t, cc.as_mut(), &ta, ambient)? {
             return Ok(false);
         }
     }
@@ -166,16 +192,20 @@ pub fn sdp_equiv(ctx: &mut Ctx, a: &Nf, b: &Nf, ambient: &[Pred]) -> Result<bool
 }
 
 /// `t ⊆ some member of pool`? Checked via a homomorphism from the pool term
-/// *into* `t` (the classical containment direction).
+/// *into* `t` (the classical containment direction), over `t`'s closure
+/// `cc` when the caller has it.
 fn contained_in_some(
     ctx: &mut Ctx,
     t: &Term,
+    mut cc: Option<&mut Congruence>,
     pool: &[Term],
     ambient: &[Pred],
 ) -> Result<bool, Exhausted> {
     for candidate in pool {
         ctx.budget.tick()?;
-        if match_terms(ctx, candidate, t, MatchMode::Hom, ambient)?.is_some() {
+        let cc = cc.as_deref_mut();
+        if match_terms_with(ctx, candidate, t, MatchMode::Hom, ambient, Colours::Off, cc)?.is_some()
+        {
             return Ok(true);
         }
     }

@@ -60,10 +60,13 @@ pub fn match_terms(
     mode: MatchMode,
     ambient: &[Pred],
 ) -> Result<Option<BTreeMap<VarId, Expr>>, Exhausted> {
-    match_terms_with(ctx, pattern, target, mode, ambient, Colours::Refine)
+    match_terms_with(ctx, pattern, target, mode, ambient, Colours::Refine, None)
 }
 
-/// [`match_terms`] with the colour refinements chosen by the caller.
+/// [`match_terms`] with the colour refinements chosen by the caller, and
+/// optionally the target's closure: the closure of `ambient` and
+/// `target.preds`, as canonization hands it on. Without one, the matcher
+/// builds it. The search only adds nodes to it.
 pub(crate) fn match_terms_with(
     ctx: &mut Ctx,
     pattern: &Term,
@@ -71,6 +74,7 @@ pub(crate) fn match_terms_with(
     mode: MatchMode,
     ambient: &[Pred],
     colours: Colours<'_>,
+    cc_target: Option<&mut Congruence>,
 ) -> Result<Option<BTreeMap<VarId, Expr>>, Exhausted> {
     let collide = pattern
         .vars
@@ -81,7 +85,7 @@ pub(crate) fn match_terms_with(
         // correspondence back to the original variables is by index.
         // Colourings are positional, so they carry over to `fresh`.
         let fresh = pattern.freshen(&mut ctx.gen);
-        let result = match_terms_impl(ctx, &fresh, target, mode, ambient, colours)?;
+        let result = match_terms_impl(ctx, &fresh, target, mode, ambient, colours, cc_target)?;
         return Ok(result.map(|m| {
             m.into_iter()
                 .map(|(v, e)| {
@@ -96,7 +100,7 @@ pub(crate) fn match_terms_with(
                 .collect()
         }));
     }
-    match_terms_impl(ctx, pattern, target, mode, ambient, colours)
+    match_terms_impl(ctx, pattern, target, mode, ambient, colours, cc_target)
 }
 
 fn match_terms_impl(
@@ -106,6 +110,7 @@ fn match_terms_impl(
     mode: MatchMode,
     ambient: &[Pred],
     colours: Colours<'_>,
+    cc_target: Option<&mut Congruence>,
 ) -> Result<Option<BTreeMap<VarId, Expr>>, Exhausted> {
     // Quick structural pruning.
     if mode == MatchMode::Iso {
@@ -133,13 +138,16 @@ fn match_terms_impl(
         return Ok(None);
     }
 
+    // Closures built here: refinement's, then the target's if none was
+    // handed in.
+    let mut built = [None, None];
     // Isomorphisms only: a homomorphism may map a variable onto any
     // variable it is implied by, whatever its colour.
     let refined;
     let colours = match colours {
         Colours::Given(p, t) if mode == MatchMode::Iso => Some((p, t)),
         Colours::Refine if mode == MatchMode::Iso => {
-            refined = colour_terms(ctx, &[pattern, target], ambient)?;
+            refined = colour_terms(ctx, &[pattern, target], &mut built, ambient)?;
             match &refined[..] {
                 [Some(p), Some(t)] => Some((p, t)),
                 _ => None,
@@ -159,7 +167,11 @@ fn match_terms_impl(
         }
     }
 
-    let cc_target = Congruence::of_preds(&ctx.recorder, ambient, &target.preds);
+    let cc_target = match cc_target {
+        Some(cc) => cc,
+        None => built[1]
+            .get_or_insert_with(|| Congruence::of_preds(&ctx.recorder, ambient, &target.preds)),
+    };
 
     let mut m = Matcher {
         pattern,
@@ -186,7 +198,7 @@ struct Matcher<'a> {
     target: &'a Term,
     mode: MatchMode,
     ambient: &'a [Pred],
-    cc_target: Congruence,
+    cc_target: &'a mut Congruence,
     /// Refined colours of both terms' binders (pattern and target binders
     /// are distinct); empty when the search is unpruned.
     colour_of: HashMap<VarId, u64>,
@@ -501,7 +513,7 @@ impl<'a> Matcher<'a> {
         // `cc_target`'s.
         let mut rebuilt;
         let cc_fwd = if agg_free_preds {
-            &mut self.cc_target
+            &mut *self.cc_target
         } else {
             rebuilt = Congruence::of_preds(&ctx.recorder, &ambient_preds, &target_preds);
             &mut rebuilt

@@ -51,7 +51,7 @@
 
 pub mod budget;
 pub mod canonize;
-mod colour;
+pub mod colour;
 pub mod congruence;
 pub mod constraints;
 pub mod ctx;

@@ -10,13 +10,18 @@
 //! * a shared aggregate body ([`AggBody`]) must behave exactly like the
 //!   body it wraps: its fast paths and caches are invisible;
 //! * SPNF conversion, which renames binders at the leaves, must give the
-//!   normal form of substituting at every `Σ`.
+//!   normal form of substituting at every `Σ`;
+//! * the congruence closure canonization hands on with each term must
+//!   answer like a fresh closure of the term's equalities, and colour
+//!   refinement must read the same colours from it.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::hash::{BuildHasher, BuildHasherDefault};
 use udp_core::budget::Budget;
-use udp_core::canonize::canonize_nf;
+use udp_core::canonize::{canonize_nf, canonize_nf_closed};
+use udp_core::colour::colour_terms;
+use udp_core::congruence::Congruence;
 use udp_core::constraints::ConstraintSet;
 use udp_core::ctx::Ctx;
 use udp_core::equiv::udp_equiv;
@@ -27,6 +32,7 @@ use udp_core::schema::{Catalog, RelId, Schema, SchemaId, Ty};
 use udp_core::semiring::{BoolProv, Fuzzy, NatInf, USemiring};
 use udp_core::spnf::{normalize, normalize_with, squash_nf, Atom, Nf, Term};
 use udp_core::uexpr::UExpr;
+use udp_obs::Recorder;
 
 fn catalog() -> (Catalog, SchemaId, RelId, RelId) {
     let mut cat = Catalog::new();
@@ -45,7 +51,9 @@ fn catalog() -> (Catalog, SchemaId, RelId, RelId) {
 /// Byte-stream decoder for random, well-scoped U-expressions. The free
 /// variable `VarId(0)` plays the output tuple. With `shadowing`, a `Σ` may
 /// rebind an enclosing binder (or `t0`), and leaves may be correlated
-/// aggregates or record-projection redexes.
+/// aggregates or record-projection redexes. With `tuples`, leaves may also
+/// equate variables, records and concatenations, which exercises the
+/// closure's tuple theories.
 struct Builder<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -53,6 +61,7 @@ struct Builder<'a> {
     sid: SchemaId,
     rels: [RelId; 2],
     shadowing: bool,
+    tuples: bool,
 }
 
 impl<'a> Builder<'a> {
@@ -135,6 +144,73 @@ impl<'a> Builder<'a> {
         Pred::eq(Expr::attr(rec, "k"), Expr::var_attr(w, "k"))
     }
 
+    /// A record `⟨k = v.a, a = c⟩` or `⟨k = c, a = v.k⟩`.
+    fn record(&mut self, bound: &[VarId]) -> Expr {
+        let v = self.var(bound);
+        let c = Expr::int((self.take() % 3) as i64);
+        let (k, a) = if self.take().is_multiple_of(2) {
+            (Expr::var_attr(v, "a"), c)
+        } else {
+            (c, Expr::var_attr(v, "k"))
+        };
+        Expr::record(vec![("k".into(), k), ("a".into(), a)])
+    }
+
+    fn concat(&mut self, bound: &[VarId]) -> Expr {
+        let (l, r) = (self.var(bound), self.var(bound));
+        Expr::Concat(Box::new(Expr::Var(l)), self.sid, Box::new(Expr::Var(r)))
+    }
+
+    /// `[v = ⟨…⟩]`, `[⟨…⟩ = ⟨…⟩]`, `[v = l ⧺ r]`, `[l ⧺ r = l' ⧺ r']` or
+    /// `[(l ⧺ r).a = v.k]`.
+    fn tuple_pred(&mut self, bound: &[VarId]) -> Pred {
+        match self.take() % 5 {
+            0 => {
+                let v = self.var(bound);
+                Pred::eq(Expr::Var(v), self.record(bound))
+            }
+            1 => Pred::eq(self.record(bound), self.record(bound)),
+            2 => {
+                let v = self.var(bound);
+                Pred::eq(Expr::Var(v), self.concat(bound))
+            }
+            3 => Pred::eq(self.concat(bound), self.concat(bound)),
+            _ => {
+                let v = self.var(bound);
+                Pred::eq(Expr::attr(self.concat(bound), "a"), Expr::var_attr(v, "k"))
+            }
+        }
+    }
+
+    /// `Σ_x̄ R(x₁)⋯R(xₙ) × [p₁]⋯[pₘ] × f`: one to four binders, each over
+    /// an atom, two to seven predicates of every kind over them, and one
+    /// random factor `f` (often a squash or negation) that may mention them.
+    fn rich_term(&mut self) -> UExpr {
+        let n = 1 + self.take() % 4;
+        let mut bound: Vec<VarId> = (0..n)
+            .map(|_| {
+                self.next_var += 1;
+                VarId(self.next_var)
+            })
+            .collect();
+        let mut factors: Vec<UExpr> = bound
+            .iter()
+            .map(|&v| UExpr::rel(self.rels[self.take() as usize % 2], Expr::Var(v)))
+            .collect();
+        for _ in 0..2 + self.take() % 6 {
+            let p = match self.take() % 4 {
+                0 => self.pred(&bound),
+                1 => self.tuple_pred(&bound),
+                2 => self.redex_pred(&bound),
+                _ => self.agg_pred(0, &mut bound),
+            };
+            factors.push(UExpr::Pred(p));
+        }
+        factors.push(self.build(2, &mut bound));
+        let vars: Vec<_> = bound.iter().map(|&v| (v, self.sid)).collect();
+        UExpr::sum_over(vars, UExpr::product(factors))
+    }
+
     fn build(&mut self, depth: u8, bound: &mut Vec<VarId>) -> UExpr {
         let choice = self.take();
         if depth == 0 {
@@ -144,6 +220,9 @@ impl<'a> Builder<'a> {
                     7 => return UExpr::Pred(self.redex_pred(bound)),
                     _ => {}
                 }
+            }
+            if self.tuples && choice % 8 >= 4 {
+                return UExpr::Pred(self.tuple_pred(bound));
             }
             return match choice % 4 {
                 0 => UExpr::One,
@@ -194,6 +273,7 @@ fn build_uexpr(bytes: &[u8], sid: SchemaId, r: RelId, s: RelId, shadowing: bool)
         sid,
         rels: [r, s],
         shadowing,
+        tuples: false,
     };
     let depth = 2 + (bytes.first().copied().unwrap_or(0) % 2);
     b.build(depth, &mut Vec::new())
@@ -593,5 +673,124 @@ proptest! {
         let mut gen = VarGen::above(wrapped.max_var() + 1);
         let expected = reference_normalize(&wrapped, &mut gen);
         prop_assert_eq!(&normalize(&wrapped), &expected, "{}", wrapped);
+    }
+}
+
+/// Every subterm of `e`, outermost first (an aggregate's body is opaque to
+/// the closure, so it is not entered).
+fn subterms<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+    out.push(e);
+    match e {
+        Expr::Var(_) | Expr::Const(_) | Expr::Agg(..) => {}
+        Expr::Attr(b, _) => subterms(b, out),
+        Expr::App(_, args) => args.iter().for_each(|a| subterms(a, out)),
+        Expr::Record(fs) => fs.iter().for_each(|(_, x)| subterms(x, out)),
+        Expr::Concat(l, _, r) => {
+            subterms(l, out);
+            subterms(r, out);
+        }
+    }
+}
+
+/// The nodes a closure of `t` is asked about: the subterms of its
+/// predicates and atom arguments, and `Var(x)`, `x.k`, `x.a` for its
+/// binders and the output tuple.
+fn probe_nodes(t: &Term) -> Vec<Expr> {
+    let mut out = Vec::new();
+    for p in &t.preds {
+        match p {
+            Pred::Eq(a, b) | Pred::Ne(a, b) => {
+                subterms(a, &mut out);
+                subterms(b, &mut out);
+            }
+            Pred::Lift { args, .. } => args.iter().for_each(|a| subterms(a, &mut out)),
+        }
+    }
+    for a in &t.atoms {
+        subterms(&a.arg, &mut out);
+    }
+    let mut nodes: Vec<Expr> = out.into_iter().cloned().collect();
+    for v in std::iter::once(VarId(0)).chain(t.vars.iter().map(|(v, _)| *v)) {
+        nodes.extend([Expr::Var(v), Expr::var_attr(v, "k"), Expr::var_attr(v, "a")]);
+    }
+    nodes.sort();
+    nodes.dedup();
+    nodes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// A closure canonization hands on is as good as a fresh one: on terms
+    /// with records, concatenations, aggregates and rebound binders, under a
+    /// random ambient context, in and out of a squash, it answers `same`
+    /// like `Congruence::of_preds(ambient, &t.preds)` on every pair of
+    /// probed nodes, and colour refinement reads the same colourings from
+    /// it. Only a term squash introduction rewrote comes back without one.
+    #[test]
+    fn handed_on_closures_answer_like_fresh_ones(
+        bytes in proptest::collection::vec(any::<u8>(), 48..160),
+        amb in proptest::collection::vec(any::<u8>(), 0..12),
+    ) {
+        let (cat, sid, r, s) = catalog();
+        let mut cs = ConstraintSet::new();
+        cs.add_key(r, vec!["k".into()]);
+        let mut b = Builder {
+            bytes: &bytes,
+            pos: 0,
+            next_var: 0,
+            sid,
+            rels: [r, s],
+            shadowing: true,
+            tuples: true,
+        };
+        let e = b.rich_term();
+        // Ambient equalities over the output tuple, as a nested factor sees
+        // its enclosing term's.
+        b.bytes = &amb;
+        b.pos = 0;
+        let ambient: Vec<Pred> = (0..amb.len() / 3).map(|_| b.pred(&[])).collect();
+        let recorder = Recorder::disabled();
+        for under_squash in [false, true] {
+            let mut ctx = Ctx::new(&cat, &cs).with_budget(Budget::new(Some(2_000_000), None));
+            ctx.gen.reserve(VarId(e.max_var() + 1));
+            let nf = normalize_with(&e, &mut ctx.gen);
+            let Ok((canon, mut handed)) = canonize_nf_closed(&mut ctx, nf, &ambient, under_squash)
+            else {
+                return Ok(()); // budget exhausted on a pathological sample
+            };
+            prop_assert_eq!(handed.len(), canon.terms.len());
+            for (t, cc) in canon.terms.iter().zip(&handed) {
+                prop_assert!(
+                    cc.is_some() || (!under_squash && t.preds.is_empty() && t.squash.is_some()),
+                    "no closure for {}", t
+                );
+            }
+
+            let terms: Vec<&Term> = canon.terms.iter().collect();
+            let mut fresh: Vec<Option<Congruence>> = terms.iter().map(|_| None).collect();
+            let Ok(from_handed) = colour_terms(&mut ctx, &terms, &mut handed, &ambient) else {
+                return Ok(());
+            };
+            let Ok(from_fresh) = colour_terms(&mut ctx, &terms, &mut fresh, &ambient) else {
+                return Ok(());
+            };
+            prop_assert_eq!(from_handed, from_fresh, "colourings of {}", canon);
+
+            for (t, cc) in terms.iter().zip(&mut handed) {
+                let Some(cc) = cc else { continue };
+                let mut fresh = Congruence::of_preds(&recorder, &ambient, &t.preds);
+                let nodes = probe_nodes(t);
+                for (i, a) in nodes.iter().enumerate() {
+                    for b in &nodes[i + 1..] {
+                        prop_assert_eq!(
+                            cc.same(a, b),
+                            fresh.same(a, b),
+                            "{} ≈ {} in {} under {:?}", a, b, t, ambient
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -14,7 +14,7 @@
 //!   the trace event and joins the open goal's waterfall. The default
 //!   [`Recorder::disabled`] handle makes every operation a single branch:
 //!   no clock reads, no atomics, so leaving instrumentation threaded
-//!   through hot paths costs nothing (<2% on the throughput bench);
+//!   through hot paths costs one branch per operation;
 //! * [`GoalObs`] — one goal's window on its thread, collecting the stage
 //!   waterfall its spans produce and folding it into a bounded
 //!   slowest-goals list on completion;

@@ -9,7 +9,8 @@
 //! * the metrics JSON snapshot round-trips through the bundled parser;
 //! * `GoalReport::steps` carries the prover's step count;
 //! * a goal's waterfall holds exactly its own goal-path spans, one row per
-//!   stage, also right after a goal panicked on the same worker.
+//!   stage, also right after a goal panicked on the same worker;
+//! * a canonized term's congruence closure is built once and handed on.
 
 use std::time::Duration;
 use udp_obs::fault::{PROBE_BACKEND_UDP, PROBE_GOAL};
@@ -293,6 +294,42 @@ fn nested_canonizations_are_not_counted_or_timed_twice() {
         snap.counter(Counter::RwSquashIntro) > 0,
         "squash introduction must fire"
     );
+}
+
+/// A closure is built once per canonized term and handed on: squash
+/// introduction, colour refinement and every TDP check against a left term
+/// reuse the one canonization built. A 6-atom cyclic self-join proved by a
+/// rotation canonizes each side's one term in one iteration and checks one
+/// candidate bijection, so the goal builds exactly 3 closures: one per side,
+/// and the candidate's backward check. Before closures were handed on it
+/// built 8: squash introduction and colour refinement built each side's
+/// again, and the matcher its target's.
+#[test]
+fn a_cyclic_self_join_builds_each_closure_once() {
+    const CYCLE: &str = "SELECT x1.b AS v FROM r x1, r x2, r x3, r x4, r x5, r x6 \
+         WHERE x1.a = x2.a AND x2.a = x3.a AND x3.a = x4.a AND x4.a = x5.a \
+           AND x5.a = x6.a AND x6.a = x1.a \
+         == SELECT y3.b AS v FROM r y5, r y1, r y3, r y6, r y2, r y4 \
+         WHERE y4.a = y5.a AND y4.a = y3.a AND y6.a = y5.a AND y1.a = y6.a \
+           AND y2.a = y1.a AND y3.a = y2.a";
+    let recorder = Recorder::enabled();
+    let config = SessionConfig {
+        workers: 1,
+        cache_capacity: 0,
+        steps: Some(2_000_000),
+        wall: Some(Duration::from_secs(10)),
+        recorder: recorder.clone(),
+        ..SessionConfig::default()
+    };
+    let session = Session::new(DDL, config).unwrap();
+    let goal = session.parse_goal(CYCLE).unwrap();
+    let report = session.verify_batch(&[goal]).pop().unwrap();
+    assert!(report.verdict().unwrap().decision.is_proved());
+    let snap = recorder.snapshot();
+    assert_eq!(snap.stage(Stage::CanonizeCore).unwrap().calls, 2);
+    assert_eq!(snap.counter(Counter::CanonizeIters), 2);
+    assert_eq!(snap.counter(Counter::IsoCandidates), 1);
+    assert_eq!(snap.stage(Stage::Congruence).unwrap().calls, 3);
 }
 
 /// A byte-bounded cache reports its residency through `ServiceStats` and
